@@ -367,9 +367,9 @@ pub fn recovery_digest(m: &Machine) -> u64 {
     fold!(m.cpu.pc as u64);
     fold!(m.cpu.flags.zero as u64);
     fold!(m.cpu.flags.below as u64);
-    for (pno, _gen) in m.mem.page_table() {
+    for (pno, _gen, page) in m.mem.pages() {
         fold!(pno as u64);
-        fold_bytes!(&m.mem.page_bytes(pno).expect("mapped")[..]);
+        h = crate::incremental::fold_page(h, page);
     }
     fold!(m.mem.nx as u64);
     fold!(m.heap.base as u64);

@@ -16,22 +16,42 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use svm::mem::{Mem, Page, PAGE_SIZE};
+use svm::mem::{Mem, Page};
 use svm::Machine;
 
-/// FNV-1a over a byte slice (the workspace's standard offline hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a folding of `PAGE_SIZE` zero bytes: `h ^ 0 == h`, so each zero
+/// byte only multiplies by the prime, and the whole page is one multiply
+/// by `FNV_PRIME^PAGE_SIZE`.
+const ZERO_PAGE_FOLD: u64 = FNV_PRIME.wrapping_pow(svm::mem::PAGE_SIZE as u32);
+
+/// FNV-1a over a byte slice, continuing from state `h` (the workspace's
+/// standard offline hash starts at `FNV_OFFSET`).
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// Content digest of one page.
+/// Fold one page's bytes into FNV-1a state `h`. A never-written page
+/// costs one multiply and gives the same state as folding its 4,096 zero
+/// bytes one by one.
+pub(crate) fn fold_page(h: u64, page: &Page) -> u64 {
+    if page.is_written() {
+        fnv1a_from(h, page.bytes())
+    } else {
+        h.wrapping_mul(ZERO_PAGE_FOLD)
+    }
+}
+
+/// Content digest of one page: FNV-1a over its bytes. Never-written
+/// pages and written all-zero pages have the same digest.
 pub fn page_digest(page: &Page) -> u64 {
-    fnv1a(&page.0[..])
+    fold_page(FNV_OFFSET, page)
 }
 
 /// Deterministic digest of a full address-space image: page numbers,
@@ -39,25 +59,16 @@ pub fn page_digest(page: &Page) -> u64 {
 /// and the NX flag. Two `Mem`s with equal digests are observably
 /// identical to the guest *and* to the generation-keyed caches above it.
 pub fn mem_digest(mem: &Mem) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (pno, gen) in mem.page_table() {
+    let mut h = FNV_OFFSET;
+    let mut fold = |v: u64| h = fnv1a_from(h, &v.to_le_bytes());
+    for (pno, gen, page) in mem.pages() {
         fold(pno as u64);
         fold(gen);
-        fold(page_digest_bytes(mem.page_bytes(pno).expect("mapped")));
+        fold(page_digest(page));
     }
     fold(mem.write_seq());
     fold(mem.nx as u64);
     h
-}
-
-fn page_digest_bytes(bytes: &[u8; PAGE_SIZE]) -> u64 {
-    fnv1a(&bytes[..])
 }
 
 /// A key into the [`DedupeStore`] (derived from the page's content hash,
@@ -111,13 +122,15 @@ impl DedupeStore {
     /// exact content, bumping its reference count. Hash collisions are
     /// verified byte-for-byte and resolved by quadratic-free re-probing
     /// (key + odd constant), so two different contents never share a
-    /// slot.
+    /// slot. Never-written and written all-zero pages are the same
+    /// content and share one slot; two never-written pages match without
+    /// a byte compare.
     pub fn intern(&mut self, data: Arc<Page>) -> PageKey {
         let digest = page_digest(&data);
         let mut key = digest;
         loop {
             match self.slots.get_mut(&key) {
-                Some(slot) if slot.digest == digest && slot.data.0[..] == data.0[..] => {
+                Some(slot) if slot.digest == digest && *slot.data == *data => {
                     slot.refs += 1;
                     self.stats.dedup_hits += 1;
                     return PageKey(key);
@@ -320,10 +333,12 @@ fn store_bump(store: &mut DedupeStore, key: PageKey) {
 mod tests {
     use super::*;
 
+    use svm::mem::PAGE_SIZE;
+
     fn page_with(b: u8) -> Arc<Page> {
         let mut p = Page::zeroed();
-        p.0[0] = b;
-        p.0[PAGE_SIZE - 1] = b.wrapping_mul(3);
+        p.bytes_mut()[0] = b;
+        p.bytes_mut()[PAGE_SIZE - 1] = b.wrapping_mul(3);
         Arc::new(p)
     }
 
@@ -345,6 +360,46 @@ mod tests {
         assert!(store.get(a).is_none());
         assert!(store.get(c).is_some());
         assert_eq!(store.stats().compacted, 1);
+    }
+
+    #[test]
+    fn never_written_page_folds_like_zero_bytes() {
+        let zeros = [0u8; PAGE_SIZE];
+        let lazy = Page::zeroed();
+        assert_eq!(page_digest(&lazy), fnv1a_from(FNV_OFFSET, &zeros));
+        for h in [1, 0xdead_beef, u64::MAX] {
+            assert_eq!(fold_page(h, &lazy), fnv1a_from(h, &zeros));
+        }
+    }
+
+    #[test]
+    fn never_written_and_rezeroed_pages_share_a_slot() {
+        use svm::loader::Aslr;
+        let prog = svm::asm::assemble(".text\nmain:\n halt\n").expect("asm");
+        let mut m = Machine::boot(&prog, Aslr::off()).expect("boot");
+        let heap = m
+            .mem
+            .regions()
+            .iter()
+            .find(|r| r.name == "heap")
+            .expect("heap")
+            .start;
+        let (rezeroed, fresh) = (heap / PAGE_SIZE as u32, heap / PAGE_SIZE as u32 + 1);
+        m.mem.write_bytes_host(heap + 9, &[7]).expect("w");
+        m.mem.write_bytes_host(heap + 9, &[0]).expect("w");
+        let page = |pno| m.mem.pages().find(|(p, _, _)| *p == pno).expect("mapped").2;
+        assert!(page(rezeroed).is_written() && !page(fresh).is_written());
+        assert_eq!(page_digest(page(rezeroed)), page_digest(page(fresh)));
+        let mut store = DedupeStore::new();
+        let empty = BTreeMap::new();
+        let rec = DeltaRecord::capture(&m, &mut store, &empty, &empty);
+        assert_eq!(rec.pages()[&rezeroed].0, rec.pages()[&fresh].0, "one slot");
+        let rebuilt = rec.materialize(&store).expect("materializes");
+        assert_eq!(mem_digest(&rebuilt.mem), mem_digest(&m.mem));
+        for pno in [rezeroed, fresh] {
+            assert_eq!(rebuilt.mem.page_bytes(pno), m.mem.page_bytes(pno));
+            assert_eq!(rebuilt.mem.page_gen(pno), m.mem.page_gen(pno));
+        }
     }
 
     #[test]

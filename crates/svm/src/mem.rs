@@ -5,6 +5,16 @@
 //! first write to a shared page copies it — the same asymptotics as the
 //! `fork()`-based shadow-process checkpoints of Rx/Flashback that Sweeper
 //! builds on.
+//!
+//! A mapped page starts *never written*: it owns no bytes, reads as
+//! zeros (a shared static zero page stands in), and costs neither an
+//! allocation at map time nor hashing at checkpoint time. Its first
+//! write goes through the same `Arc::make_mut` copy-on-write step as
+//! any other write and allocates the page's bytes there. Each mapped
+//! page keeps its own `Arc` whether written or not, so sharing counts
+//! ([`Mem::shared_pages`]) and storage identities
+//! ([`Mem::page_storage_ids`]) are the same as if every page had been
+//! allocated eagerly.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -14,14 +24,50 @@ use crate::error::{Access, Fault};
 /// Size in bytes of one page.
 pub const PAGE_SIZE: usize = 4096;
 
-/// One page of guest memory.
+/// What every never-written page reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
+/// One page of guest memory: `None` until its first write.
 #[derive(Clone)]
-pub struct Page(pub Box<[u8; PAGE_SIZE]>);
+pub struct Page(Option<Box<[u8; PAGE_SIZE]>>);
 
 impl Page {
-    /// A fresh zeroed page.
-    pub fn zeroed() -> Page {
-        Page(Box::new([0u8; PAGE_SIZE]))
+    /// A never-written page: reads as zeros, holds no bytes.
+    pub const fn zeroed() -> Page {
+        Page(None)
+    }
+
+    /// The page's bytes (the static zero page if never written).
+    #[inline]
+    pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
+        match &self.0 {
+            Some(b) => b,
+            None => &ZERO_PAGE,
+        }
+    }
+
+    /// Mutable bytes, allocating them (zeroed) on the first write.
+    #[inline]
+    pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        self.0.get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
+    }
+
+    /// Whether the page has ever been written (owns its bytes). A written
+    /// page may still be all zeros.
+    #[inline]
+    pub fn is_written(&self) -> bool {
+        self.0.is_some()
+    }
+}
+
+/// Byte equality; two never-written pages compare equal without reading
+/// a byte.
+impl PartialEq for Page {
+    fn eq(&self, other: &Page) -> bool {
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            _ => self.bytes() == other.bytes(),
+        }
     }
 }
 
@@ -235,7 +281,7 @@ impl Mem {
 
     /// Read-only view of page `pno`'s bytes, if mapped.
     pub fn page_bytes(&self, pno: u32) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages.get(&pno).map(|p| &*p.data.0)
+        self.pages.get(&pno).map(|p| p.data.bytes())
     }
 
     /// Whether an instruction fetch from page `pno` would pass the
@@ -274,14 +320,14 @@ impl Mem {
     /// Read one byte; `pc` is the faulting instruction for diagnostics.
     pub fn read_u8(&self, pc: u32, addr: u32) -> Result<u8, Fault> {
         let (pno, off) = self.check(pc, addr, Access::Read)?;
-        Ok(self.pages[&pno].data.0[off])
+        Ok(self.pages[&pno].data.bytes()[off])
     }
 
     /// Write one byte.
     pub fn write_u8(&mut self, pc: u32, addr: u32, val: u8) -> Result<(), Fault> {
         let (pno, off) = self.check(pc, addr, Access::Write)?;
         let slot = self.pages.get_mut(&pno).expect("checked");
-        Arc::make_mut(&mut slot.data).0[off] = val;
+        Arc::make_mut(&mut slot.data).bytes_mut()[off] = val;
         self.write_seq += 1;
         slot.gen = self.write_seq;
         Ok(())
@@ -310,7 +356,7 @@ impl Mem {
         for (i, out) in b.iter_mut().enumerate() {
             let addr = pc.wrapping_add(i as u32);
             let (pno, off) = self.check(pc, addr, Access::Exec)?;
-            *out = self.pages[&pno].data.0[off];
+            *out = self.pages[&pno].data.bytes()[off];
         }
         Ok(b)
     }
@@ -326,21 +372,30 @@ impl Mem {
 
     /// Bulk write for the host (loader); faults like a guest write but
     /// bypasses write permission (the loader fills code pages).
+    ///
+    /// Works a page at a time (one lookup, one copy-on-write, one copy),
+    /// with the same effect as writing byte by byte: `write_seq` grows by
+    /// one per byte, each touched page's generation is the sequence
+    /// number of its last byte, and an unmapped page stops the write at
+    /// its first byte, after the bytes before it have landed.
     pub fn write_bytes_host(&mut self, addr: u32, data: &[u8]) -> Result<(), Fault> {
-        for (i, b) in data.iter().enumerate() {
-            let a = addr.wrapping_add(i as u32);
-            let pno = Self::page_of(a);
-            if !self.perms.contains_key(&pno) {
+        let mut done = 0usize;
+        while done < data.len() {
+            let a = addr.wrapping_add(done as u32);
+            let off = (a % PAGE_SIZE as u32) as usize;
+            let n = (PAGE_SIZE - off).min(data.len() - done);
+            let Some(slot) = self.pages.get_mut(&Self::page_of(a)) else {
                 return Err(Fault::Unmapped {
                     pc: 0,
                     addr: a,
                     access: Access::Write,
                 });
-            }
-            let slot = self.pages.get_mut(&pno).expect("checked");
-            Arc::make_mut(&mut slot.data).0[(a % PAGE_SIZE as u32) as usize] = *b;
-            self.write_seq += 1;
+            };
+            Arc::make_mut(&mut slot.data).bytes_mut()[off..off + n]
+                .copy_from_slice(&data[done..done + n]);
+            self.write_seq += n as u64;
             slot.gen = self.write_seq;
+            done += n;
         }
         Ok(())
     }
@@ -367,6 +422,13 @@ impl Mem {
     /// ascending page order.
     pub fn page_table(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.pages.iter().map(|(pno, s)| (*pno, s.gen))
+    }
+
+    /// Iterate every mapped page with its write generation and contents,
+    /// in ascending page order (for digests that must tell never-written
+    /// pages apart without reading their bytes).
+    pub fn pages(&self) -> impl Iterator<Item = (u32, u64, &Page)> + '_ {
+        self.pages.iter().map(|(pno, s)| (*pno, s.gen, &*s.data))
     }
 
     /// Iterate the pages whose write generation advanced past `gen`
@@ -591,6 +653,115 @@ mod tests {
         // copies first and leaves the rebuilt view untouched.
         m.write_u8(0, 0x1004, 9).expect("w");
         assert_eq!(rebuilt.read_u8(0, 0x1004).expect("r"), 0);
+    }
+
+    #[test]
+    fn host_writes_straddle_pages_and_stop_at_unmapped() {
+        let mut m = mem_with(0x1000, 2, Perm::R);
+        // Crosses page 1 → 2 → unmapped 3: the first 4,098 bytes land
+        // (even on read-only pages), the fault names the first unmapped
+        // byte, and each page's generation is that of its last byte.
+        let err = m
+            .write_bytes_host(0x1ffe, &[9; 4100])
+            .expect_err("unmapped");
+        assert!(matches!(
+            err,
+            Fault::Unmapped {
+                addr: 0x3000,
+                access: Access::Write,
+                ..
+            }
+        ));
+        assert_eq!(m.write_seq(), 4098, "one write per landed byte");
+        assert_eq!((m.page_gen(1), m.page_gen(2)), (2, 4098));
+        assert_eq!(m.read_bytes(0x2ffc, 4).expect("r"), [9; 4]);
+        m.write_bytes_host(0x1fff, &[1, 2, 3]).expect("w");
+        assert_eq!((m.page_gen(1), m.page_gen(2)), (4099, 4101));
+        assert_eq!(m.read_bytes(0x1ffe, 4).expect("r"), [9, 1, 2, 3]);
+        assert!(m.write_bytes_host(0x1000, &[]).is_ok());
+        assert_eq!(m.write_seq(), 4101, "an empty write writes nothing");
+    }
+
+    fn written(m: &Mem) -> Vec<u32> {
+        m.pages()
+            .filter(|(_, _, p)| p.is_written())
+            .map(|(pno, _, _)| pno)
+            .collect()
+    }
+
+    #[test]
+    fn mapping_allocates_no_page_bytes() {
+        let m = mem_with(0x1000, 4, Perm::RW);
+        assert!(written(&m).is_empty(), "no page owns bytes yet");
+        assert_eq!(m.read_u32(0, 0x2ffc).expect("r"), 0);
+        assert_eq!(m.fetch(0x3000).expect("fetch"), [0; 8]);
+        assert!(m.page_bytes(4).expect("mapped").iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn first_write_copies_only_that_page() {
+        let mut m = mem_with(0x1000, 4, Perm::RW);
+        let snap = m.snapshot();
+        m.write_u8(0, 0x2010, 0xab).expect("w");
+        assert_eq!(written(&m), [2], "only the written page owns bytes");
+        assert!(written(&snap).is_empty());
+        assert_eq!(
+            snap.read_u8(0, 0x2010).expect("r"),
+            0,
+            "snapshot unaffected"
+        );
+        assert_eq!(m.read_u8(0, 0x2010).expect("r"), 0xab);
+        assert_eq!(m.read_u8(0, 0x2011).expect("r"), 0);
+        assert_eq!(m.shared_pages(), 3);
+        // Writing a zero still gives the page its own bytes.
+        m.write_u8(0, 0x3000, 0).expect("w");
+        assert_eq!(written(&m), [2, 3]);
+    }
+
+    /// The same address space with every page allocated up front, the
+    /// way pages were before they became lazy.
+    fn eager_copy(m: &Mem) -> Mem {
+        let mut eager = m.skeleton();
+        for (pno, gen, page) in m.pages() {
+            let mut p = page.clone();
+            p.bytes_mut();
+            eager.restore_page(pno, Arc::new(p), gen);
+        }
+        eager
+    }
+
+    /// Per page: is its storage shared with `snap`'s?
+    fn shared_with(m: &Mem, snap: &Mem) -> Vec<bool> {
+        m.page_storage_ids()
+            .zip(snap.page_storage_ids())
+            .map(|(a, b)| a == b)
+            .collect()
+    }
+
+    #[test]
+    fn lazy_and_eager_pages_share_alike() {
+        let mut lazy = mem_with(0x1000, 4, Perm::RW);
+        let mut eager = eager_copy(&lazy);
+        assert!(written(&eager).len() == 4 && written(&lazy).is_empty());
+        assert_eq!(lazy.shared_pages(), 0, "fresh: nothing shared");
+        assert_eq!(eager.shared_pages(), 0);
+        let ids: std::collections::HashSet<usize> = lazy.page_storage_ids().collect();
+        assert_eq!(ids.len(), 4, "one storage per mapped page");
+        let (snap_l, snap_e) = (lazy.snapshot(), eager.snapshot());
+        assert_eq!(lazy.shared_pages(), 4);
+        assert_eq!(eager.shared_pages(), 4);
+        assert_eq!(shared_with(&lazy, &snap_l), [true; 4]);
+        for m in [&mut lazy, &mut eager] {
+            m.write_u8(0, 0x3004, 5).expect("w");
+        }
+        assert_eq!(lazy.shared_pages(), 3);
+        assert_eq!(eager.shared_pages(), 3);
+        assert_eq!(shared_with(&lazy, &snap_l), shared_with(&eager, &snap_e));
+        assert_eq!(shared_with(&lazy, &snap_l), [true, true, false, true]);
+        for pno in 1..=4 {
+            assert_eq!(lazy.page_bytes(pno), eager.page_bytes(pno));
+            assert_eq!(lazy.page_gen(pno), eager.page_gen(pno));
+        }
     }
 
     #[test]

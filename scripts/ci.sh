@@ -31,8 +31,10 @@
 #                "superblock" AND "checkpoint" blocks
 #   fleet-smoke  `tables fleet` at 1k hosts over a short horizon; the
 #                written JSON must carry the "fleet" block with a
-#                finite outbreak p99 and shard_invariant=true (the
-#                reactor determinism gate, invariant I10)
+#                finite outbreak p99, shard_invariant=true (the
+#                reactor determinism gate, invariant I10) and the
+#                committed outcome digest 0x16e3bc33932fded8 (a pure
+#                speed-up must leave it bit-equal)
 #   epidemic-smoke  `tables fig9fail` at reduced hosts; the written
 #                JSON must carry the "epidemic1m" block with a finite
 #                per-host tick rate and soa_parity=true (the SoA/legacy
@@ -46,6 +48,9 @@
 #                below Full's (the binary itself asserts all four
 #                gates before writing)
 #   fig9dist     distnet sweep smoke (non-failing)
+#   benchmark    the end-to-end benchmark package's tests, which include
+#                `benchmark smoke`: every workload at a tiny size
+#                through the same code and correctness checks
 #
 # Run from anywhere; works offline — all dependencies are in-tree.
 set -eu
@@ -179,7 +184,11 @@ stage_fleet_smoke() {
         echo "FAIL: fleet latency window has no samples (p99 null)"
         return 1
     fi
-    echo "schema-v9 fleet block present, p99 finite, shard-invariant"
+    if ! grep -q '"digest": "0x16e3bc33932fded8"' target/fleet_smoke.json; then
+        echo "FAIL: 1k-host fleet digest is not the committed 0x16e3bc33932fded8"
+        return 1
+    fi
+    echo "schema-v9 fleet block present, p99 finite, shard-invariant, digest 0x16e3bc33932fded8"
 }
 
 stage_epidemic_smoke() {
@@ -247,6 +256,10 @@ stage_fig9dist() {
     fi
 }
 
+stage_benchmark() {
+    cargo test --offline --manifest-path benchmark/Cargo.toml
+}
+
 run_stage tier1 stage_tier1
 run_stage clippy stage_clippy
 run_stage no-unsafe stage_no_unsafe
@@ -259,6 +272,7 @@ run_stage fleet-smoke stage_fleet_smoke
 run_stage epidemic-smoke stage_epidemic_smoke
 run_stage recovery-smoke stage_recovery_smoke
 run_stage fig9dist stage_fig9dist
+run_stage benchmark stage_benchmark
 
 if [ "$RAN" -eq 0 ]; then
     echo "ci: unknown stage '$ONLY' (see the stage list in scripts/ci.sh)" >&2

@@ -2,7 +2,8 @@
 //!
 //! A multi-page striding-writer guest is driven through random
 //! interleavings of bounded `Machine::run` bursts, host page patches,
-//! snapshot takes, pre-copy drains, ring evictions, and rollbacks,
+//! whole-page zero fills, snapshot takes, pre-copy drains, ring
+//! evictions, and rollbacks,
 //! under the **differential** engine — every snapshot keeps both the
 //! base+delta representation and a full clone, and every materialize
 //! rebuilds the former and compares it page-by-page against the
@@ -11,6 +12,11 @@
 //! mismatches and zero materialize failures. Any divergence means the
 //! delta chain dropped a dirty page, the dedupe store returned the
 //! wrong content for a key, or the drain folded a stale generation.
+//! Zero fills move pages between the never-written representation (no
+//! bytes) and the written one: a zero-filled heap page gains bytes that
+//! dedupe against the never-written pages' store slot, a zero-filled
+//! buffer page loses its content, and rollbacks bring never-written
+//! pages back.
 //!
 //! Two deterministic companions pin the fail-closed paths the chaos
 //! harness relies on: a truncated delta chain and an evicted dedupe
@@ -57,6 +63,9 @@ enum HostOp {
     Run(u32),
     /// Host-patch 8 bytes into one of the buffer's pages.
     Patch { page: u8, val: u8 },
+    /// Host-write a whole page of zeros: pages 0–7 are the buffer's,
+    /// 8–15 the first (never written by the guest) heap pages.
+    ZeroFill { page: u8 },
     /// Take a snapshot (base + delta under the differential engine).
     Take,
     /// Pre-copy drain: fold dirty pages into the pending delta.
@@ -71,6 +80,7 @@ fn arb_op() -> impl Strategy<Value = HostOp> {
     prop_oneof![
         (50u32..2_000).prop_map(HostOp::Run),
         (0u8..8, any::<u8>()).prop_map(|(page, val)| HostOp::Patch { page, val }),
+        (0u8..16).prop_map(|page| HostOp::ZeroFill { page }),
         Just(HostOp::Take),
         Just(HostOp::Drain),
         Just(HostOp::Evict),
@@ -117,6 +127,18 @@ impl Leg {
                     .mem
                     .write_bytes_host(addr, &[*val; 8])
                     .expect("patch");
+            }
+            HostOp::ZeroFill { page } => {
+                let addr = if *page < 8 {
+                    self.m.symbols.addr_of("buf").expect("buf") + u32::from(*page) * 4096
+                } else {
+                    let heap = self.m.mem.regions().iter().find(|r| r.name == "heap");
+                    heap.expect("heap").start + u32::from(*page - 8) * 4096
+                };
+                self.m
+                    .mem
+                    .write_bytes_host(addr, &[0; 4096])
+                    .expect("zero fill");
             }
             HostOp::Take => {
                 self.mgr.take(&mut self.m);
