@@ -19,4 +19,3 @@ pub use driver::{
     run_protected, CadenceCell, ThroughputRun,
 };
 pub use experiments::{end_to_end_gamma, obs_snapshot, table1, table2, table3, vsef_overhead};
-pub use perf::{measure, PerfReport};

@@ -6,8 +6,9 @@
 //! bytes and hash in one multiply; these tests check, rather than
 //! assert in prose, that the change moved no modelled number:
 //!
-//! * the fleet outcome digest of a small outbreak fleet (every service
-//!   completion plus the final per-host state, invariant I10's digest);
+//! * the fleet outcome digest of a small outbreak fleet and of the
+//!   committed 1,000-host one (every service completion plus the final
+//!   per-host state, invariant I10's digest);
 //! * the Full engine's charged checkpoint cost, which counts the pages
 //!   *not* shared with the last snapshot (`Arc` strong counts — the
 //!   Figure 4 calibration), and the Incremental engine's, over a fixed
@@ -27,6 +28,19 @@ fn smoke_fleet_digest_is_pinned() {
     assert_eq!(
         (out.digest, out.served, out.attacks, out.bundles_deployed),
         (0xa99d_d788_1960_f97b, 4, 9, 7),
+        "fleet outcome moved"
+    );
+}
+
+/// The committed 1,000-host outbreak fleet (`tables fleet --hosts=1000
+/// --seed=7`): the digest every README and EXPERIMENTS figure of the
+/// fleet cites.
+#[test]
+fn thousand_host_fleet_digest_is_pinned() {
+    let out = run(&FleetConfig::new(1000, 7)).expect("fleet runs");
+    assert_eq!(
+        (out.digest, out.served, out.attacks, out.bundles_deployed),
+        (0x16e3_bc33_932f_ded8, 2291, 103, 999),
         "fleet outcome moved"
     );
 }
