@@ -70,32 +70,31 @@ pub fn distnet_params(hosts: u64, seed: u64, distnet: DistNetParams) -> Communit
 /// Run the `fig9dist` sweep: loss ∈ {0, 0.2, 0.4, 0.6} × Byzantine
 /// fraction ∈ {0, 0.2}, each cell a deterministic contained outbreak
 /// with the distribution network enabled.
+///
+/// A community too small to hold a producer (α·hosts rounds to 0)
+/// never completes antibody production, so its network never
+/// activates: such a cell reports zero deliveries, nothing protected
+/// and no emergent γ.
 pub fn distnet_sweep(hosts: u64, seed: u64) -> Vec<DistNetCell> {
     let mut cells = Vec::new();
     for &byzantine in &[0.0, 0.2] {
         for &loss in &[0.0, 0.2, 0.4, 0.6] {
             let dn = DistNetParams::lossy(loss, byzantine);
             let out = epidemic::community::run(&distnet_params(hosts, seed, dn));
-            let d = out.dist.as_ref().expect("distnet enabled");
-            let (mut verified, mut rejected, mut quarantines, mut gave_up) = (0, 0, 0, 0);
-            for s in &d.shard_stats {
-                verified += s.verified;
-                rejected += s.rejected;
-                quarantines += s.quarantines;
-                gave_up += s.gave_up;
-            }
+            let d = out.dist.as_ref();
+            let stats = || d.into_iter().flat_map(|d| &d.shard_stats);
             cells.push(DistNetCell {
                 loss,
                 byzantine,
                 infected: out.infected,
-                protected: d.protected,
-                gamma_effective: out.t0_tick.and_then(|t0| d.gamma_effective(t0)),
+                protected: d.map_or(0, |d| d.protected),
+                gamma_effective: d.zip(out.t0_tick).and_then(|(d, t0)| d.gamma_effective(t0)),
                 ticks: out.ticks,
-                verified,
-                rejected,
-                quarantines,
-                gave_up,
-                deployed_unverified: d.deployed_unverified,
+                verified: stats().map(|s| s.verified).sum(),
+                rejected: stats().map(|s| s.rejected).sum(),
+                quarantines: stats().map(|s| s.quarantines).sum(),
+                gave_up: stats().map(|s| s.gave_up).sum(),
+                deployed_unverified: d.map_or(0, |d| d.deployed_unverified),
             });
         }
     }
@@ -913,5 +912,18 @@ mod tests {
             .map(|c| c.rejected)
             .sum();
         assert!(byz_rejected > 0, "no Byzantine bundle was ever rejected");
+    }
+
+    #[test]
+    fn distnet_sweep_without_producers_reports_empty_cells() {
+        // α·5 rounds to zero producers: antibody production never
+        // completes, so the network never activates in any cell.
+        let cells = distnet_sweep(5, 7);
+        assert_eq!(cells.len(), 8);
+        for c in &cells {
+            assert_eq!(c.deployed_unverified, 0);
+            assert_eq!((c.protected, c.gamma_effective), (0, None));
+            assert_eq!((c.verified, c.rejected, c.gave_up), (0, 0, 0));
+        }
     }
 }

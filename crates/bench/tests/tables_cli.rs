@@ -43,3 +43,23 @@ fn malformed_flag_value_exits_2_with_usage() {
         "bad value `many` for --requests",
     );
 }
+
+#[test]
+fn hosts_below_two_exits_2_with_usage() {
+    // `fleet --hosts=0|1` used to panic on its p99 gate, and the
+    // community subcommands on the engine's two-host assert.
+    for cmd in [
+        "fig6mc",
+        "fig7mc",
+        "fig8mc",
+        "shards",
+        "fleet",
+        "fleetrecover",
+        "fig9fail",
+        "fig9dist",
+    ] {
+        for hosts in ["--hosts=0", "--hosts=1"] {
+            assert_usage_error(&tables(&[cmd, hosts]), "--hosts must be at least 2");
+        }
+    }
+}

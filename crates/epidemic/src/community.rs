@@ -276,7 +276,10 @@ pub struct CommunityOutcome {
     pub shard_stats: Vec<ShardStats>,
     /// Per-tick counters.
     pub tick_stats: Vec<TickStats>,
-    /// Distribution-network outcome (`None` for legacy-clock runs).
+    /// Distribution-network outcome: `None` for legacy-clock runs, and
+    /// also for distnet runs whose antibody production never completed
+    /// (no producer was contacted, or the run ended before `T0 + γ`),
+    /// so the network never activated.
     pub dist: Option<DistOutcome>,
     /// Failure-containment outcome (`None` when the knob is off).
     pub failcont: Option<FailContOutcome>,
@@ -1004,6 +1007,7 @@ fn run_engine<S: HostSet>(p: &CommunityParams) -> CommunityOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::solve;
 
     fn params(hosts: u64, alpha: f64, gamma_ticks: u64, k: usize) -> CommunityParams {
         CommunityParams {
@@ -1027,6 +1031,36 @@ mod tests {
     /// across shard counts.
     fn essence(o: &CommunityOutcome) -> (Option<u64>, u64, Vec<u64>, u64) {
         (o.t0_tick, o.infected, o.curve.clone(), o.ticks)
+    }
+
+    /// Mean infection ratio of scenario `s` over `seeds`, ticked at `dt`.
+    fn scenario_mean(s: &Scenario, dt: f64, seeds: std::ops::Range<u64>) -> f64 {
+        let runs = seeds.end - seeds.start;
+        let total: f64 = seeds
+            .map(|seed| {
+                run(&CommunityParams::from_scenario(
+                    s,
+                    dt,
+                    seed,
+                    Parallelism::Fixed(1),
+                ))
+                .infection_ratio
+            })
+            .sum();
+        total / runs as f64
+    }
+
+    /// A scaled-down Slammer (β = 0.1, N = 10 000): the dynamics depend
+    /// on α·N and β, so α is scaled up accordingly.
+    fn small_slammer(alpha: f64, gamma: f64) -> Scenario {
+        Scenario {
+            beta: 0.1,
+            n: 10_000.0,
+            alpha,
+            rho: 1.0,
+            gamma,
+            i0: 1.0,
+        }
     }
 
     /// FNV-1a over a curve, for compact pinning of long outcomes.
@@ -1185,6 +1219,19 @@ mod tests {
             out.infection_ratio < 1.0,
             "immunity should stop saturation: {out:?}"
         );
+        // A fast response contains the outbreak far better than a slow
+        // one (Slammer at one-second ticks, 20 seeds).
+        let fast = scenario_mean(&small_slammer(0.002, 5.0), 1.0, 0..20);
+        let slow = scenario_mean(&small_slammer(0.002, 60.0), 1.0, 0..20);
+        assert!(fast + 0.5 < slow, "fast {fast:.3} vs slow {slow:.3}");
+        // The Monte-Carlo mean stays in the §6 ODE's regime (a generous
+        // band: same regime, not digit agreement).
+        let s = small_slammer(0.002, 10.0);
+        let (mc, ode) = (scenario_mean(&s, 1.0, 42..72), solve(&s).infection_ratio);
+        assert!(
+            (mc - ode).abs() < 0.25,
+            "ODE {ode:.3} vs Monte-Carlo {mc:.3}"
+        );
     }
 
     #[test]
@@ -1207,6 +1254,24 @@ mod tests {
             hot.infected,
             cold.infected
         );
+        // A β = 1000 hit-list saturates an unprotected community but is
+        // contained at ρ = 2^-12 (10 ms ticks, 10 seeds).
+        let hitlist = Scenario {
+            beta: 1000.0,
+            alpha: 0.001,
+            ..small_slammer(0.0, 5.0)
+        };
+        let hot = scenario_mean(&hitlist, 0.01, 0..10);
+        let cold = scenario_mean(
+            &Scenario {
+                rho: (2.0f64).powi(-12),
+                ..hitlist
+            },
+            0.01,
+            0..10,
+        );
+        assert!(hot > 0.8, "unprotected hit-list saturates: {hot:.4}");
+        assert!(cold < 0.05, "protected hit-list contained: {cold:.4}");
     }
 
     #[test]

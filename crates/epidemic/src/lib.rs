@@ -8,10 +8,10 @@
 //!
 //! - [`model`] — RK4 integration of the ODEs plus the closed-form
 //!   logistic used to validate it.
-//! - [`agent`] — a Gillespie-style agent-based Monte-Carlo cross-check.
 //! - [`community`] — the discrete-tick community engine, shardable
 //!   across threads with a deterministic merge (bit-identical to its
-//!   serial run for the same seed).
+//!   serial run for the same seed); also the Monte-Carlo cross-check of
+//!   the ODEs.
 //! - [`distnet`] — the antibody distribution network: a deterministic,
 //!   lossy, Byzantine-adversarial message layer that replaces the
 //!   idealized instantaneous-γ clock with certified-bundle broadcast,
@@ -26,9 +26,9 @@
 //!   reactor: each infection spawns counter-keyed exponential-delay
 //!   contacts instead of dense per-tick scans.
 //! - [`figures`] — the α/γ sweeps regenerating Figures 6, 7, and 8.
-//! - [`rng`] — the counter-based deterministic RNG both engines share.
+//! - [`rng`] — the counter-based deterministic RNG every stochastic
+//!   engine draws from.
 
-pub mod agent;
 pub mod community;
 pub mod contact;
 pub mod distnet;
@@ -38,7 +38,6 @@ pub mod model;
 pub mod rng;
 pub mod soa;
 
-pub use agent::{simulate, simulate_mean, SimOutcome};
 pub use community::{
     CommunityEngine, CommunityOutcome, CommunityParams, Parallelism, ShardStats, TickStats,
 };

@@ -15,6 +15,9 @@
 #   crates       the member crates' own tests (tier 1's `cargo test`
 #                covers only the root package, the workspace's one
 #                default member)
+#   examples     run the four examples end to end (quickstart,
+#                forensics, worm_outbreak, community_defense); a
+#                nonzero exit from any of them fails the stage
 #   no-unsafe    grep gate: the workspace stays `unsafe`-free
 #                (DESIGN.md §7) — belt-and-braces on top of the
 #                workspace-level `unsafe_code = "forbid"` lint
@@ -112,6 +115,12 @@ stage_crates() {
     cargo test --workspace --exclude sweeper-repro --release -q
 }
 
+stage_examples() {
+    for ex in quickstart forensics worm_outbreak community_defense; do
+        cargo run --release --example "$ex" || return 1
+    done
+}
+
 stage_no_unsafe() {
     if grep -rn --include='*.rs' -E 'unsafe[[:space:]]+(\{|fn|impl|trait)|allow\(unsafe_code\)' \
         src crates tests; then
@@ -162,6 +171,7 @@ stage_benchmark() {
 run_stage tier1 stage_tier1
 run_stage clippy stage_clippy
 run_stage crates stage_crates
+run_stage examples stage_examples
 run_stage no-unsafe stage_no_unsafe
 run_stage chaos-seeds stage_chaos_seeds
 run_stage chaos-smoke stage_chaos_smoke
