@@ -34,9 +34,9 @@
 //!   seeded lossy/Byzantine wire must stay shard-invariant, forged
 //!   bundles must be rejected (invariant I8) — and finally the same
 //!   workload runs again under the fault plan and the invariant checker
-//!   takes over. Every community leg runs both contact-state backends
-//!   in lockstep (`CommunityEngine::Differential`) and their parity
-//!   mismatch count must be zero (invariant I11).
+//!   takes over. Every community leg runs on both contact-state
+//!   backends and their outcomes must be equal outside the wall-clock
+//!   fields (invariant I11).
 //!
 //! [`scenario`] turns a seed into a concrete workload (guest app, benign
 //! traffic, exploit schedule, deployment knobs) and [`digest`] defines

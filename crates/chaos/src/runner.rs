@@ -8,11 +8,10 @@
 //!    with K = 1 and K = 4 shards. The six combined outcome digests
 //!    (tier × K, metrics always on) must be bit-equal: all the knobs
 //!    are pure performance knobs, and any divergence is a determinism
-//!    bug. Every community leg additionally runs
-//!    `CommunityEngine::Differential` (PR 9): the legacy dense oracle
-//!    and the SoA bitset backend execute in lockstep and their parity
-//!    mismatch count must be zero (invariant I11, checked on every
-//!    community leg, never relaxed by fired faults). A third of the
+//!    bug. Every community leg runs on both contact-state backends: the
+//!    SoA bitset backend's outcome must equal the legacy dense
+//!    backend's outside the wall-clock fields (invariant I11, checked on
+//!    every community leg, never relaxed by fired faults). A third of the
 //!    seeds also arm the connection-failure estimator so containment
 //!    draws are fuzzed across both backends.
 //! 2. **Distribution-network legs (PR 5)** — the same outbreak runs
@@ -41,7 +40,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use apps::App;
-use epidemic::community::CommunityOutcome;
+use epidemic::community::{CommunityEngine, CommunityOutcome, CommunityParams};
 use epidemic::rng::draw;
 use epidemic::DistNetParams;
 use sweeper::{BundleOutcome, Config, RequestOutcome, Role, Sweeper};
@@ -168,7 +167,7 @@ fn drive(
             proxy_filtered: reg.counter("proxy.filtered_total"),
             tool_failures: reg.counter("pipeline.tool_failures"),
             antibody_corrupt: reg.counter("sweeper.antibody_corrupt_total"),
-            parity_mismatches: reg.counter("checkpoint.parity_mismatches"),
+            materialize_failures: reg.counter("checkpoint.materialize_failures"),
             i12_violations: reg.counter("recovery.i12_violations"),
             domain_parity_mismatches: reg.counter("recovery.domain_parity_mismatches"),
             deployed_vsefs: s.deployed_vsefs() as u64,
@@ -239,6 +238,20 @@ fn run_forge_leg(scenario: &CaseScenario, app: &App) -> Result<u64, String> {
     }
 }
 
+/// Run one community leg on the SoA backend and, as its I11 reference,
+/// on the legacy dense backend. Returns the SoA outcome; a divergence
+/// is pushed onto `violations`.
+fn community_leg(
+    p: CommunityParams,
+    ctx: &str,
+    violations: &mut Vec<Violation>,
+) -> CommunityOutcome {
+    let run = |engine| epidemic::community::run(&CommunityParams { engine, ..p });
+    let soa = run(CommunityEngine::Soa);
+    violations.extend(check_i11(&run(CommunityEngine::Legacy), &soa, ctx));
+    soa
+}
+
 /// Execute one fuzz case (see module docs).
 pub fn run_case(seed: u64) -> CaseReport {
     let scenario = CaseScenario::from_seed(seed);
@@ -283,18 +296,13 @@ pub fn run_case(seed: u64) -> CaseReport {
         .into_iter()
         .map(|k| {
             execs += 1;
-            (k, epidemic::community::run(&scenario.community_with(k)))
+            let ctx = format!("community K={k}");
+            (
+                k,
+                community_leg(scenario.community_with(k), &ctx, &mut violations),
+            )
         })
         .collect();
-    // Every community leg runs `CommunityEngine::Differential` (the
-    // scenario pins it): the legacy dense oracle and the SoA backend in
-    // lockstep, parity checked here as invariant I11.
-    for (k, epi) in &community_legs {
-        let m = epi.soa_parity_mismatches.unwrap_or(0);
-        if let Some(v) = check_i11(m, &format!("community K={k}")) {
-            violations.push(v);
-        }
-    }
 
     let mut baseline: Option<FaultedRun> = None;
     let mut leg_digests: Vec<(String, u64)> = Vec::new();
@@ -351,7 +359,8 @@ pub fn run_case(seed: u64) -> CaseReport {
         .map(|k| {
             execs += 1;
             let p = scenario.community_distnet(k, DistNetParams::ideal());
-            (k, epidemic::community::run(&p))
+            let ctx = format!("ideal distnet K={k}");
+            (k, community_leg(p, &ctx, &mut violations))
         })
         .collect();
     for (k, out) in &ideal_legs {
@@ -359,10 +368,6 @@ pub fn run_case(seed: u64) -> CaseReport {
             if let Some(v) = check_i8(d.deployed_unverified, &format!("ideal distnet K={k}")) {
                 violations.push(v);
             }
-        }
-        let m = out.soa_parity_mismatches.unwrap_or(0);
-        if let Some(v) = check_i11(m, &format!("ideal distnet K={k}")) {
-            violations.push(v);
         }
         if let Some(legacy) = legacy_epi {
             let epi = digest_community_epidemic(out);
@@ -405,7 +410,10 @@ pub fn run_case(seed: u64) -> CaseReport {
             .map(|k| {
                 execs += 1;
                 let p = scenario.community_contained_distnet(k, dn);
-                (k, epidemic::community::run(&p))
+                // I11 is never relaxed by fired wire faults: both
+                // backends see the identical faulted wire.
+                let ctx = format!("faulted distnet K={k}");
+                (k, community_leg(p, &ctx, &mut violations))
             })
             .collect();
         for (k, out) in &faulted_legs {
@@ -414,12 +422,6 @@ pub fn run_case(seed: u64) -> CaseReport {
                 {
                     violations.push(v);
                 }
-            }
-            // I11 is never relaxed by fired wire faults: both backends
-            // see the identical faulted wire, so they must still agree.
-            let m = out.soa_parity_mismatches.unwrap_or(0);
-            if let Some(v) = check_i11(m, &format!("faulted distnet K={k}")) {
-                violations.push(v);
             }
         }
         if let [(_, a), (_, b)] = &faulted_legs[..] {

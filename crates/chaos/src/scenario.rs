@@ -74,10 +74,9 @@ pub struct CaseScenario {
     pub retained: usize,
     /// Whether the slicing verification step runs.
     pub run_slicing: bool,
-    /// Checkpoint snapshot engine. Half the seeds run `Differential`
-    /// (both engines in lockstep — the strongest parity oracle the
-    /// fuzzer has); the rest split between plain `Incremental` and the
-    /// legacy `Full` copy.
+    /// Checkpoint snapshot engine: three quarters of the seeds run the
+    /// production `Incremental` engine (whose rebuilds I9 checks), a
+    /// quarter the legacy `Full` copy.
     pub engine: Engine,
     /// Post-attack recovery strategy. Half the seeds run the default
     /// partial (`Domain`) rollback, a quarter pin the legacy `Full`
@@ -124,8 +123,7 @@ impl CaseScenario {
         let run_slicing = draw(seed, DOM_SLICING, 0).is_multiple_of(2);
         let engine = match draw(seed, DOM_ENGINE, 0) % 4 {
             0 => Engine::Full,
-            1 => Engine::Incremental,
-            _ => Engine::Differential,
+            _ => Engine::Incremental,
         };
         let recovery = match draw(seed, DOM_RECOVERY, 0) % 4 {
             0 => RecoveryMode::Full,
@@ -154,10 +152,10 @@ impl CaseScenario {
         }
 
         // A small community outbreak for the epidemic differential leg.
-        // Every leg runs `Differential`: the legacy dense oracle and
-        // the SoA backend in lockstep, parity checked per case (I11).
-        // A third of the seeds also arm the failure estimator so the
-        // containment draws are fuzzed alongside everything else.
+        // The runner runs every leg on both backends, parity checked
+        // per case (I11). A third of the seeds also arm the failure
+        // estimator so the containment draws are fuzzed alongside
+        // everything else.
         let e = |c: u64| draw(seed, DOM_EPI, c);
         let community = CommunityParams {
             hosts: 600 + e(0) % 1400,
@@ -170,7 +168,7 @@ impl CaseScenario {
             max_ticks: 600,
             seed: draw(seed, DOM_EPI, 99),
             parallelism: Parallelism::Fixed(1),
-            engine: CommunityEngine::Differential,
+            engine: CommunityEngine::Soa,
             distnet: DistNetParams::disabled(),
             failcont: if draw(seed, DOM_FAILCONT, 0).is_multiple_of(3) {
                 FailContParams::standard()
@@ -337,11 +335,11 @@ mod tests {
     }
 
     #[test]
-    fn seeds_cover_all_three_checkpoint_engines() {
-        let engines: std::collections::BTreeSet<String> = (0..32u64)
-            .map(|s| format!("{:?}", CaseScenario::from_seed(s).engine))
+    fn seeds_cover_both_checkpoint_engines() {
+        let engines: std::collections::BTreeSet<&'static str> = (0..32u64)
+            .map(|s| CaseScenario::from_seed(s).engine.name())
             .collect();
-        assert_eq!(engines.len(), 3, "engines covered: {engines:?}");
+        assert_eq!(engines.len(), 2, "engines covered: {engines:?}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! ([`DeltaRecord::materialize`]) rebuilds a `Machine` from the record's
 //! machine skeleton plus the store, verifies the full-image digest
 //! captured at take time, and is bit-identical to a full clone — a
-//! property the manager's `Differential` engine and the
-//! `checkpoint_incremental` proptests enforce page by page.
+//! property the `checkpoint_incremental` proptests and `tables
+//! ckptparity` check against fingerprints recorded at take time.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;

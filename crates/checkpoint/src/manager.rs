@@ -7,11 +7,12 @@
 //! [`CheckpointManager::drain`] folds dirty pages in *between* service
 //! ticks so the snapshot instant itself is O(changed-since-drain). The
 //! legacy full-copy engine (a copy-on-write clone of the whole
-//! [`Machine`]) is retained both as a selectable [`Engine`] and as the
-//! lockstep oracle of [`Engine::Differential`], which keeps **both**
-//! representations per snapshot and compares page-level digests at every
-//! reconstruction — the bit-identical-rollback contract, enforced in CI
-//! by `tables ckptparity` and the `checkpoint_incremental` proptests.
+//! [`Machine`]) stays selectable as [`Engine::Full`], the Figure 4
+//! baseline. Every incremental record carries the digest of the image it
+//! captured and refuses to materialize anything else, so damage fails
+//! closed (`checkpoint.materialize_failures`); the bit-identical-rollback
+//! contract itself is checked on the test side, by the
+//! `checkpoint_incremental` proptests and `tables ckptparity`.
 //!
 //! The manager keeps a bounded ring of recent checkpoints (paper
 //! default: 20 checkpoints, 200 ms interval) and can roll the live
@@ -24,7 +25,7 @@ use svm::clock::cost;
 use svm::Machine;
 
 use crate::domains::{DomainLedger, DomainRecovery, DomainRefusal};
-use crate::incremental::{mem_digest, DedupeStore, DeltaRecord, PageKey};
+use crate::incremental::{DedupeStore, DeltaRecord, PageKey};
 
 /// Identifier of a retained checkpoint (monotonically increasing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,13 +40,6 @@ pub enum Engine {
     /// default).
     #[default]
     Incremental,
-    /// Both representations in lockstep; every materialization rebuilds
-    /// from the delta chain **and** compares page-level digests against
-    /// the full clone, counting `checkpoint.parity_mismatches`. Charges
-    /// virtual cost exactly like [`Engine::Incremental`] — the full
-    /// clone is a cost-free debugging oracle, so a differential run's
-    /// clock stays bit-identical to an incremental run's.
-    Differential,
 }
 
 impl Engine {
@@ -54,19 +48,14 @@ impl Engine {
         match self {
             Engine::Full => "full",
             Engine::Incremental => "incremental",
-            Engine::Differential => "differential",
         }
     }
 }
 
-/// The stored representation(s) of one checkpoint.
+/// The stored representation of one checkpoint.
 enum Repr {
     Full(Machine),
     Delta(DeltaRecord),
-    Both {
-        full: Box<Machine>,
-        delta: DeltaRecord,
-    },
 }
 
 /// One retained checkpoint.
@@ -120,12 +109,10 @@ pub struct CheckpointManager {
     pub pages_drained_total: u64,
     /// Virtual cycles of background pre-copy work (drain page interns).
     pub precopy_cycles: u64,
-    /// Differential-engine page-level digest mismatches between the
-    /// incremental reconstruction and the full-copy oracle. Must stay 0
-    /// (chaos invariant I9, `tables ckptparity`).
-    parity_mismatches: Cell<u64>,
     /// Reconstructions that failed closed (delta-chain truncation or
     /// dedupe-store eviction damage detected by digest verification).
+    /// Chaos invariant I9 requires 0 on any run where neither kind of
+    /// damage was injected.
     materialize_failures: Cell<u64>,
     /// Page→domain attribution for the current checkpoint window (see
     /// [`crate::domains`]).
@@ -161,7 +148,6 @@ impl CheckpointManager {
             last_pages_copied: 0,
             pages_drained_total: 0,
             precopy_cycles: 0,
-            parity_mismatches: Cell::new(0),
             materialize_failures: Cell::new(0),
             ledger: DomainLedger::new(),
             domain_rollbacks: 0,
@@ -248,8 +234,7 @@ impl CheckpointManager {
     /// Full engine: the `fork()`-like page-table copy plus the
     /// copy-on-write copies of pages dirtied since the last checkpoint
     /// (accounted here, deferred, rather than per-write). Incremental
-    /// and differential engines: the base snapshot pays the full-copy
-    /// price once at boot; every later snapshot pays only
+    /// engine: the base snapshot pays the full-copy price once at boot; every later snapshot pays only
     /// [`cost::CHECKPOINT_DELTA`] plus a page copy per page dirtied
     /// since the last [`CheckpointManager::drain`].
     pub fn take(&mut self, m: &mut Machine) -> CkptId {
@@ -262,7 +247,7 @@ impl CheckpointManager {
                     dirty,
                 )
             }
-            Engine::Incremental | Engine::Differential => {
+            Engine::Incremental => {
                 if base {
                     let all = m.mem.mapped_pages();
                     (cost::CHECKPOINT_BASE + cost::PAGE_COPY * all as u64, all)
@@ -286,10 +271,6 @@ impl CheckpointManager {
         let repr = match self.engine {
             Engine::Full => Repr::Full(m.clone()),
             Engine::Incremental => Repr::Delta(self.capture_delta(m)),
-            Engine::Differential => Repr::Both {
-                full: Box::new(m.clone()),
-                delta: self.capture_delta(m),
-            },
         };
         let ckpt = Checkpoint {
             id,
@@ -311,7 +292,7 @@ impl CheckpointManager {
             .ring
             .back()
             .and_then(|c| match &c.repr {
-                Repr::Delta(d) | Repr::Both { delta: d, .. } => Some(d.pages()),
+                Repr::Delta(d) => Some(d.pages()),
                 Repr::Full(_) => None,
             })
             .cloned()
@@ -359,7 +340,7 @@ impl CheckpointManager {
     /// references, compacting now-unreferenced page contents.
     pub fn evict_oldest(&mut self) -> Option<CkptId> {
         let c = self.ring.pop_front()?;
-        if let Repr::Delta(d) | Repr::Both { delta: d, .. } = &c.repr {
+        if let Repr::Delta(d) = &c.repr {
             d.release(&mut self.store);
         }
         Some(c.id)
@@ -375,9 +356,7 @@ impl CheckpointManager {
             return 0;
         };
         match &mut c.repr {
-            Repr::Delta(d) | Repr::Both { delta: d, .. } => {
-                d.chaos_truncate(&mut self.store, drop_pages)
-            }
+            Repr::Delta(d) => d.chaos_truncate(&mut self.store, drop_pages),
             Repr::Full(_) => 0,
         }
     }
@@ -414,43 +393,19 @@ impl CheckpointManager {
     /// Full engine: a clone. Incremental: rebuilt from the delta chain
     /// and digest-verified — `None` (fail closed, caller degrades to a
     /// restart) when truncation or store eviction damaged the chain.
-    /// Differential: rebuilt incrementally, then compared page-by-page
-    /// against the full-copy oracle; a divergence bumps
-    /// `checkpoint.parity_mismatches` but still returns the incremental
-    /// reconstruction (the oracle is an observer, not a fallback — a
-    /// mismatch must surface as a gate failure, not be silently papered
-    /// over).
     pub fn materialize(&self, id: CkptId) -> Option<Machine> {
         let c = self.get(id)?;
         match &c.repr {
             Repr::Full(m) => Some(m.clone()),
-            Repr::Delta(d) => match d.materialize(&self.store) {
-                Some(m) => Some(m),
-                None => {
+            Repr::Delta(d) => {
+                let m = d.materialize(&self.store);
+                if m.is_none() {
                     self.materialize_failures
                         .set(self.materialize_failures.get() + 1);
-                    None
                 }
-            },
-            Repr::Both { full, delta } => match delta.materialize(&self.store) {
-                None => {
-                    self.materialize_failures
-                        .set(self.materialize_failures.get() + 1);
-                    None
-                }
-                Some(m) => {
-                    if !lockstep_identical(&m, full) {
-                        self.parity_mismatches.set(self.parity_mismatches.get() + 1);
-                    }
-                    Some(m)
-                }
-            },
+                m
+            }
         }
-    }
-
-    /// Differential-engine digest mismatches observed so far (must be 0).
-    pub fn parity_mismatches(&self) -> u64 {
-        self.parity_mismatches.get()
     }
 
     /// Reconstructions that failed closed on damage detection.
@@ -622,10 +577,6 @@ impl CheckpointManager {
             match &c.repr {
                 Repr::Full(m) => snapshot_ids.extend(m.mem.page_storage_ids()),
                 Repr::Delta(d) => snapshot_ids.extend(self.delta_storage_ids(d)),
-                Repr::Both { full, delta } => {
-                    snapshot_ids.extend(full.mem.page_storage_ids());
-                    snapshot_ids.extend(self.delta_storage_ids(delta));
-                }
             }
         }
         snapshot_ids.difference(&live_ids).count()
@@ -641,7 +592,7 @@ impl CheckpointManager {
     /// Export checkpointing counters into an [`obs::MetricsRegistry`]
     /// under the `checkpoint.` prefix: checkpoints taken, total/last
     /// page captures, charged overhead, pre-copy drain work, dedupe
-    /// store activity, differential parity, ring occupancy, and
+    /// store activity, fail-closed reconstructions, ring occupancy, and
     /// (COW-aware) unique retained pages relative to `live`. Absolute
     /// mirrors — safe to re-export at any cadence.
     pub fn export_metrics(&self, live: &Machine, reg: &mut obs::MetricsRegistry) {
@@ -654,7 +605,6 @@ impl CheckpointManager {
         reg.set_counter("checkpoint.dedupe_hits", st.dedup_hits);
         reg.set_counter("checkpoint.store_inserted", st.inserted);
         reg.set_counter("checkpoint.store_compacted", st.compacted);
-        reg.set_counter("checkpoint.parity_mismatches", self.parity_mismatches.get());
         reg.set_counter(
             "checkpoint.materialize_failures",
             self.materialize_failures.get(),
@@ -681,18 +631,6 @@ impl CheckpointManager {
             self.retained_unique_pages(live) as f64,
         );
     }
-}
-
-/// Page-level lockstep comparison between the incremental reconstruction
-/// and the full-copy oracle: execution-visible machine state (registers,
-/// retirement counters, virtual clock) plus the full image digest (page
-/// set, per-page generations and contents, write watermark, NX).
-fn lockstep_identical(a: &Machine, b: &Machine) -> bool {
-    a.cpu == b.cpu
-        && a.clock == b.clock
-        && a.insns_retired == b.insns_retired
-        && a.syscalls_retired == b.syscalls_retired
-        && mem_digest(&a.mem) == mem_digest(&b.mem)
 }
 
 #[cfg(test)]
@@ -740,7 +678,7 @@ mod tests {
 
     #[test]
     fn rollback_restores_execution_state() {
-        for engine in [Engine::Full, Engine::Incremental, Engine::Differential] {
+        for engine in [Engine::Full, Engine::Incremental] {
             let mut m = boot_counter();
             let mut mgr = CheckpointManager::new(0, 8).with_engine(engine);
             m.run(&mut NopHook, 500);
@@ -754,7 +692,6 @@ mod tests {
             let rb = mgr.rollback(id).expect("rollback");
             assert_eq!(rb.mem.read_u32(0, v_addr).expect("r"), v_at_ckpt);
             assert_eq!(rb.cpu, cpu_at_ckpt, "{engine:?}");
-            assert_eq!(mgr.parity_mismatches(), 0);
         }
     }
 
@@ -980,25 +917,22 @@ mod tests {
     }
 
     #[test]
-    fn differential_engine_observes_parity_and_damage_fails_closed() {
+    fn damaged_chains_fail_closed_and_are_counted() {
         let mut m = boot_counter();
-        let mut mgr = CheckpointManager::new(0, 8).with_engine(Engine::Differential);
+        let mut mgr = CheckpointManager::new(0, 8);
         let a = mgr.take(&mut m);
         m.run(&mut NopHook, 3000);
         mgr.drain(&m);
         m.run(&mut NopHook, 3000);
         let b = mgr.take(&mut m);
-        // Every materialization compares the two representations.
         assert!(mgr.materialize(a).is_some());
         assert!(mgr.materialize(b).is_some());
-        assert_eq!(mgr.parity_mismatches(), 0);
         assert_eq!(mgr.materialize_failures(), 0);
         // Delta-chain truncation: the damaged snapshot fails closed and
-        // is counted as a failure, never as a parity mismatch.
+        // the refusal is counted.
         assert!(mgr.chaos_truncate_latest_delta(1) > 0);
         assert!(mgr.materialize(b).is_none(), "truncated chain fails closed");
         assert_eq!(mgr.materialize_failures(), 1);
-        assert_eq!(mgr.parity_mismatches(), 0);
         // Dedupe-store eviction race: the same degradation contract.
         // (Evict every slot — one eviction may hit a page snapshot `a`
         // does not reference.)
@@ -1008,7 +942,6 @@ mod tests {
         let mut reg = obs::MetricsRegistry::new();
         mgr.export_metrics(&m, &mut reg);
         assert_eq!(reg.counter("checkpoint.materialize_failures"), 2);
-        assert_eq!(reg.counter("checkpoint.parity_mismatches"), 0);
     }
 
     #[test]

@@ -38,19 +38,19 @@
 //!
 //! * [`CommunityEngine::Legacy`] — the original dense backend, one
 //!   `Vec<bool>` per shard scanned in host order every tick:
-//!   O(shard size) per tick. Kept in-tree as the differential oracle.
+//!   O(shard size) per tick. Kept in-tree as the reference the SoA
+//!   backend is compared against.
 //! * [`CommunityEngine::Soa`] (the default) — struct-of-arrays state
 //!   ([`crate::soa::SoaHosts`]): bitset membership plus an active
 //!   queue of exactly the hosts with pending scan activity, so a tick
 //!   costs O(infected). This is what makes 1M–10M hosts tractable in
 //!   the sparse (contained) regime.
-//! * [`CommunityEngine::Differential`] — runs both and counts
-//!   field-level outcome mismatches
-//!   ([`CommunityOutcome::soa_parity_mismatches`], chaos invariant
-//!   I11), mirroring the PR 7 checkpoint differential oracle.
 //!
 //! Both backends consume the identical draw stream, so legacy↔SoA
-//! parity holds bit-identically, as does shard-count K-invariance.
+//! parity holds bit-identically, as does shard-count K-invariance:
+//! callers run both and compare
+//! [`CommunityOutcome::without_wall_clock`] (chaos invariant I11,
+//! `tables fig9fail`).
 //!
 //! ## The antibody distribution network (PR 5)
 //!
@@ -130,14 +130,11 @@ impl Parallelism {
 /// Which contact-state backend executes the run (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommunityEngine {
-    /// Dense per-tick scan over `Vec<bool>` — the differential oracle.
+    /// Dense per-tick scan over `Vec<bool>` — the parity reference.
     Legacy,
     /// Struct-of-arrays bitset + active queue — O(infected) ticks.
     #[default]
     Soa,
-    /// Run both in lockstep; return the SoA outcome with
-    /// [`CommunityOutcome::soa_parity_mismatches`] populated.
-    Differential,
 }
 
 /// Parameters of one community run.
@@ -283,13 +280,25 @@ pub struct CommunityOutcome {
     pub dist: Option<DistOutcome>,
     /// Failure-containment outcome (`None` when the knob is off).
     pub failcont: Option<FailContOutcome>,
-    /// `Differential` runs only: how many outcome fields the legacy and
-    /// SoA engines disagreed on (`Some(0)` = bit-identical, invariant
-    /// I11). `None` for single-engine runs.
-    pub soa_parity_mismatches: Option<u64>,
 }
 
 impl CommunityOutcome {
+    /// This outcome with every wall-clock field zeroed
+    /// ([`ShardStats::generate_nanos`], [`ShardStats::apply_nanos`],
+    /// [`TickStats::wall_nanos`]): what is left is a pure function of
+    /// the run parameters, so `==` on two of these compares everything
+    /// the engine computed — the legacy↔SoA parity check (I11).
+    pub fn without_wall_clock(mut self) -> CommunityOutcome {
+        for s in &mut self.shard_stats {
+            s.generate_nanos = 0;
+            s.apply_nanos = 0;
+        }
+        for t in &mut self.tick_stats {
+            t.wall_nanos = 0;
+        }
+        self
+    }
+
     /// A metrics snapshot of this run, built the same way the engine
     /// itself merges state: one registry per shard, merged in shard
     /// order (counters add, which is order-independent anyway).
@@ -344,11 +353,6 @@ impl CommunityOutcome {
         if let Some(f) = &self.failcont {
             reg.set_counter("failcont.flagged_sources", f.flagged_sources);
             reg.set_counter("failcont.pool_bits_set", f.bits_set);
-        }
-        if let Some(n) = self.soa_parity_mismatches {
-            // Chaos invariant I11 reads this; 0 on every healthy
-            // Differential run, identical across K legs.
-            reg.set_counter("epidemic.soa_parity_mismatches", n);
         }
         reg.set_counter("epidemic.ticks", self.ticks);
         reg.set_counter(
@@ -445,8 +449,8 @@ struct Event {
 
 /// The legacy dense backend: one bool per owned host, visited in host
 /// order by a full scan every tick — O(shard size) per tick regardless
-/// of prevalence. Kept as the oracle the SoA backend is differenced
-/// against (`CommunityEngine::Differential`).
+/// of prevalence. Kept as the reference the SoA backend is compared
+/// against (chaos invariant I11).
 struct DenseHosts(Vec<bool>);
 
 impl HostSet for DenseHosts {
@@ -715,63 +719,13 @@ fn partition(hosts: u64, k: usize) -> Vec<(u64, u64)> {
 /// The result is a pure function of `p` minus `parallelism`: any shard
 /// count — and either contact-state backend — produces the identical
 /// outcome (up to the timing counters in [`ShardStats`] /
-/// [`TickStats`]). `Differential` runs both backends and reports the
-/// mismatch count on the returned (SoA) outcome.
+/// [`TickStats`], which [`CommunityOutcome::without_wall_clock`]
+/// zeroes).
 pub fn run(p: &CommunityParams) -> CommunityOutcome {
     match p.engine {
         CommunityEngine::Legacy => run_engine::<DenseHosts>(p),
         CommunityEngine::Soa => run_engine::<SoaHosts>(p),
-        CommunityEngine::Differential => {
-            let oracle = run_engine::<DenseHosts>(p);
-            let mut out = run_engine::<SoaHosts>(p);
-            out.soa_parity_mismatches = Some(parity_mismatches(&oracle, &out));
-            out
-        }
     }
-}
-
-/// Count the outcome fields on which two engine runs disagree.
-///
-/// Everything except the wall-clock counters participates: essence
-/// (t0, totals, curve, tick count), per-shard simulation/topology/
-/// containment counters, per-tick stats, the distribution-network
-/// outcome and the failure-containment outcome. 0 = bit-identical.
-fn parity_mismatches(a: &CommunityOutcome, b: &CommunityOutcome) -> u64 {
-    let mut n = 0u64;
-    let mut check = |same: bool| {
-        if !same {
-            n += 1;
-        }
-    };
-    check(a.t0_tick == b.t0_tick);
-    check(a.infected == b.infected);
-    check(a.infection_ratio.to_bits() == b.infection_ratio.to_bits());
-    check(a.curve == b.curve);
-    check(a.ticks == b.ticks);
-    check(a.shards_used == b.shards_used);
-    check(a.shard_stats.len() == b.shard_stats.len());
-    for (x, y) in a.shard_stats.iter().zip(&b.shard_stats) {
-        check(x.shard == y.shard);
-        check(x.hosts == y.hosts);
-        check(x.infected == y.infected);
-        check(x.producer_contacts == y.producer_contacts);
-        check(x.antibodies_applied == y.antibodies_applied);
-        check(x.events_sent_cross == y.events_sent_cross);
-        check(x.events_received_cross == y.events_received_cross);
-        check(x.protected_blocks == y.protected_blocks);
-        check(x.throttled_blocks == y.throttled_blocks);
-        check(x.failcont_suppressed == y.failcont_suppressed);
-        check(x.failcont_failures == y.failcont_failures);
-    }
-    check(a.tick_stats.len() == b.tick_stats.len());
-    for (x, y) in a.tick_stats.iter().zip(&b.tick_stats) {
-        check(x.tick == y.tick);
-        check(x.new_infections == y.new_infections);
-        check(x.events_exchanged == y.events_exchanged);
-    }
-    check(a.dist == b.dist);
-    check(a.failcont == b.failcont);
-    n
 }
 
 /// The engine body, generic over the contact-state backend.
@@ -1000,7 +954,6 @@ fn run_engine<S: HostSet>(p: &CommunityParams) -> CommunityOutcome {
             shard_stats: d.shard_stats().to_vec(),
         }),
         failcont: failcont_out,
-        soa_parity_mismatches: None,
     }
 }
 
@@ -1119,10 +1072,9 @@ mod tests {
 
     #[test]
     fn legacy_and_soa_engines_agree_bit_identically() {
-        // The tentpole parity claim, checked through the public
-        // `Differential` knob: zero field mismatches on legacy-clock,
-        // ideal-wire, lossy-wire and failcont configurations, serial
-        // and sharded.
+        // The backend parity claim (I11): every non-wall-clock field
+        // equal on legacy-clock, ideal-wire, lossy-wire and failcont
+        // configurations, serial and sharded.
         let configs = [
             params(500, 0.01, 40, 1),
             params(500, 0.01, 40, 4),
@@ -1140,13 +1092,6 @@ mod tests {
             },
         ];
         for base in configs {
-            let out = run(&CommunityParams {
-                engine: CommunityEngine::Differential,
-                ..base
-            });
-            assert_eq!(out.soa_parity_mismatches, Some(0), "{base:?}");
-            // And the differential run's (SoA) outcome matches each
-            // single-engine run outwardly too.
             let legacy = run(&CommunityParams {
                 engine: CommunityEngine::Legacy,
                 ..base
@@ -1155,10 +1100,11 @@ mod tests {
                 engine: CommunityEngine::Soa,
                 ..base
             });
-            assert_eq!(essence(&legacy), essence(&soa), "{base:?}");
-            assert_eq!(essence(&legacy), essence(&out), "{base:?}");
-            assert_eq!(legacy.dist, soa.dist, "{base:?}");
-            assert_eq!(legacy.failcont, soa.failcont, "{base:?}");
+            assert_eq!(
+                legacy.without_wall_clock(),
+                soa.without_wall_clock(),
+                "{base:?}"
+            );
         }
     }
 
@@ -1613,46 +1559,43 @@ mod tests {
             }
         }
         for k in [1usize, 4] {
-            let diff = run(&CommunityParams {
-                engine: CommunityEngine::Differential,
-                parallelism: Parallelism::Fixed(k),
-                ..base
-            });
-            assert_eq!(diff.soa_parity_mismatches, Some(0), "k={k}");
-            assert_eq!(diff.failcont, serial.failcont, "k={k}");
+            let at = |engine| {
+                run(&CommunityParams {
+                    engine,
+                    parallelism: Parallelism::Fixed(k),
+                    ..base
+                })
+                .without_wall_clock()
+            };
+            let legacy = at(CommunityEngine::Legacy);
+            assert_eq!(legacy.failcont, serial.failcont, "k={k}");
+            assert_eq!(legacy, at(CommunityEngine::Soa), "k={k}");
         }
     }
 
     #[test]
-    fn differential_reports_mismatches_and_metrics_expose_them() {
-        let out = run(&CommunityParams {
-            engine: CommunityEngine::Differential,
-            ..params(500, 0.01, 40, 2)
-        });
-        assert_eq!(out.soa_parity_mismatches, Some(0));
-        assert_eq!(out.metrics().counter("epidemic.soa_parity_mismatches"), 0);
-        // Single-engine runs carry no parity counter at all.
-        let single = run(&params(500, 0.01, 40, 2));
-        assert_eq!(single.soa_parity_mismatches, None);
-        assert!(
-            !single
-                .metrics()
-                .counters()
-                .any(|(n, _)| n == "epidemic.soa_parity_mismatches"),
-            "single-engine runs must not emit the parity counter"
-        );
-    }
-
-    #[test]
-    fn parity_mismatch_counter_detects_divergence() {
-        // `parity_mismatches` is the I11 sensor: feed it a doctored
-        // outcome and it must count every diverged field.
+    fn without_wall_clock_compares_every_computed_field() {
+        // The I11 comparison: outcomes that differ only in wall-clock
+        // fields compare equal, and any one engine counter breaks it.
         let a = run(&params(500, 0.01, 40, 2));
         let mut b = a.clone();
-        assert_eq!(parity_mismatches(&a, &b), 0);
-        b.infected += 1;
-        b.curve.push(999);
-        b.shard_stats[0].producer_contacts += 7;
-        assert_eq!(parity_mismatches(&a, &b), 3, "infected, curve, shard");
+        for s in &mut b.shard_stats {
+            s.generate_nanos += 123;
+            s.apply_nanos += 45;
+        }
+        for t in &mut b.tick_stats {
+            t.wall_nanos += 6;
+        }
+        assert_ne!(a, b, "the wall fields do differ");
+        assert_eq!(
+            a.clone().without_wall_clock(),
+            b.clone().without_wall_clock()
+        );
+        let mut shard = b.clone();
+        shard.shard_stats[1].events_received_cross += 1;
+        assert_ne!(a.clone().without_wall_clock(), shard.without_wall_clock());
+        let mut tick = b;
+        tick.tick_stats[3].events_exchanged += 1;
+        assert_ne!(a.without_wall_clock(), tick.without_wall_clock());
     }
 }

@@ -20,8 +20,8 @@
 //! attempt)`), and the coordinator canonically sorts each inbox by
 //! `(src, attempt)` before the apply phase. Enumeration order therefore
 //! never reaches the RNG or the merge — the event *multiset* is
-//! identical, which the `CommunityEngine::Differential` oracle checks
-//! field-by-field ([`crate::community`]).
+//! identical, which the legacy↔SoA parity checks compare field by field
+//! ([`crate::community::CommunityOutcome::without_wall_clock`]).
 
 /// A fixed-size bitset over host indices, one bit per host.
 ///
@@ -79,7 +79,7 @@ impl HostBits {
 /// The contact-state backend the community engine is generic over.
 ///
 /// `off` is always a *shard-local* offset (`host - shard.lo`). The two
-/// implementations are the legacy dense scan (the differential oracle,
+/// implementations are the legacy dense scan (the parity reference,
 /// in `community.rs`) and [`SoaHosts`] below; the engine itself is one
 /// shared code path, so the backends cannot drift semantically.
 pub trait HostSet: Send {
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn backends_agree_on_membership() {
-        // The dense oracle lives in community.rs; here just pin the
+        // The dense reference lives in community.rs; here just pin the
         // SoA side against a straightforward model.
         let mut s = SoaHosts::with_capacity(512);
         let mut model = vec![false; 512];

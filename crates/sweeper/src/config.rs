@@ -59,9 +59,8 @@ pub struct Config {
     /// Retained checkpoints (paper default: 20).
     pub retained_checkpoints: usize,
     /// Snapshot engine: incremental dirty-page deltas by default;
-    /// `Full` selects the legacy whole-machine copy, `Differential`
-    /// runs both in lockstep with page-level digest comparison (the
-    /// parity-gate / chaos configuration).
+    /// `Full` selects the legacy whole-machine copy (the Figure 4
+    /// baseline).
     pub checkpoint_engine: Engine,
     /// Run the expensive dynamic-slicing verification step.
     pub run_slicing: bool,
