@@ -12,7 +12,7 @@
 //! other hosts); [`VsefRuntime`] is the deployed instrumentation tool.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use analysis::ShadowStack;
 use dbi::effects::{effects, Loc};
@@ -244,11 +244,6 @@ impl VsefRuntime {
     /// Drain detections (the runtime module polls per request).
     pub fn take_detections(&mut self) -> Vec<Detection> {
         std::mem::take(&mut self.detections)
-    }
-
-    /// Total instrumented instruction sites.
-    pub fn total_sites(&self) -> usize {
-        self.by_pc.len()
     }
 
     /// Clear all per-execution state (shadow stacks, watched slots, taint,
@@ -502,15 +497,6 @@ impl Tool for VsefRuntime {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// Collect the union of taint sources from a `BTreeSet` helper.
-pub fn sources_to_offsets(sources: &BTreeSet<(u32, u32)>, conn: u32) -> Vec<u32> {
-    sources
-        .iter()
-        .filter(|(c, _)| *c == conn)
-        .map(|(_, o)| *o)
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! # bench — experiment harnesses for every table and figure
 //!
 //! Shared drivers ([`driver`]) and per-experiment harnesses
-//! ([`experiments`]) used by both the `tables` binary (which prints each
-//! paper table/figure) and the Criterion benchmarks under `benches/`.
+//! ([`experiments`]) used by the `tables` binary, which prints each
+//! paper table/figure. Wall-clock performance is measured by the
+//! separate `benchmark/` package, not here.
 
 pub mod ablation;
 pub mod community_sim;

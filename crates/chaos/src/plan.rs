@@ -34,7 +34,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use checkpoint::{CheckpointManager, Proxy};
+use antibody::Antibody;
+use checkpoint::{CheckpointManager, Proxy, ReplayFault};
 use epidemic::rng::draw;
 use sweeper::FaultHooks;
 
@@ -329,7 +330,7 @@ impl FaultPlan {
     }
 
     /// The wire-fault configuration for this plan's distnet legs (PR 5
-    /// families, bits [`FAM_WIRE_LOSS`]..[`FAM_BUNDLE_FORGE`]). The
+    /// families, bits `FAM_WIRE_LOSS`..`FAM_BUNDLE_FORGE`). The
     /// empty plan yields a zero-fault wire, anchoring the differential
     /// invariant: an ideal wire is bit-identical to the legacy clock.
     pub fn wire(&self) -> WirePlan {
@@ -376,6 +377,37 @@ impl FaultPlan {
         draw(self.seed, domain, c)
     }
 
+    /// Damage serialized antibody bytes in transit (truncation, a bit
+    /// flip or a 4-byte burst); `true` if `bytes` changed.
+    fn corrupt_wire(&mut self, bytes: &mut Vec<u8>) -> bool {
+        if bytes.is_empty() || !self.roll(FAM_AB_CORRUPT, DOM_AB_CORRUPT, 6) {
+            return false;
+        }
+        let v = self.value(DOM_AB_MODE, 6);
+        match v % 3 {
+            // Truncation (lost tail in transit).
+            0 => {
+                let keep = (v >> 8) as usize % bytes.len();
+                bytes.truncate(keep);
+            }
+            // Single bit-flip.
+            1 => {
+                let pos = (v >> 8) as usize % bytes.len();
+                let bit = (v >> 56) % 8;
+                bytes[pos] ^= 1 << bit;
+            }
+            // Burst corruption: stomp 4 bytes.
+            _ => {
+                let pos = (v >> 8) as usize % bytes.len();
+                for (k, b) in bytes.iter_mut().skip(pos).take(4).enumerate() {
+                    *b = (v >> (16 + 8 * k)) as u8;
+                }
+            }
+        }
+        self.stats.lock().unwrap().antibodies_corrupted += 1;
+        true
+    }
+
     /// Fold a step name into a domain so per-step decisions don't alias.
     fn step_domain(base: u64, step: &str) -> u64 {
         step.bytes()
@@ -383,7 +415,7 @@ impl FaultPlan {
     }
 }
 
-impl FaultHooks for FaultPlan {
+impl ReplayFault for FaultPlan {
     fn on_replay_input(&mut self, _log_id: usize, input: &mut Vec<u8>) -> bool {
         if self.roll(FAM_REPLAY_DROP, DOM_REPLAY_DROP, 0) {
             self.stats.lock().unwrap().replay_dropped += 1;
@@ -399,7 +431,7 @@ impl FaultHooks for FaultPlan {
         true
     }
 
-    fn reorder_replay(&mut self, inputs: &mut Vec<(usize, Vec<u8>)>) {
+    fn reorder(&mut self, inputs: &mut Vec<(usize, Vec<u8>)>) {
         if inputs.len() < 2 || !self.roll(FAM_REORDER, DOM_REORDER, 2) {
             return;
         }
@@ -410,7 +442,9 @@ impl FaultHooks for FaultPlan {
         }
         self.stats.lock().unwrap().replay_reordered += 1;
     }
+}
 
+impl FaultHooks for FaultPlan {
     fn fail_tool(&mut self, step: &'static str) -> bool {
         let dom = FaultPlan::step_domain(DOM_TOOL_FAIL, step);
         if self.roll(FAM_TOOL_FAIL, dom, 3) {
@@ -479,33 +513,9 @@ impl FaultHooks for FaultPlan {
         }
     }
 
-    fn corrupt_antibody(&mut self, bytes: &mut Vec<u8>) -> bool {
-        if bytes.is_empty() || !self.roll(FAM_AB_CORRUPT, DOM_AB_CORRUPT, 6) {
-            return false;
-        }
-        let v = self.value(DOM_AB_MODE, 6);
-        match v % 3 {
-            // Truncation (lost tail in transit).
-            0 => {
-                let keep = (v >> 8) as usize % bytes.len();
-                bytes.truncate(keep);
-            }
-            // Single bit-flip.
-            1 => {
-                let pos = (v >> 8) as usize % bytes.len();
-                let bit = (v >> 56) % 8;
-                bytes[pos] ^= 1 << bit;
-            }
-            // Burst corruption: stomp 4 bytes.
-            _ => {
-                let pos = (v >> 8) as usize % bytes.len();
-                for (k, b) in bytes.iter_mut().skip(pos).take(4).enumerate() {
-                    *b = (v >> (16 + 8 * k)) as u8;
-                }
-            }
-        }
-        self.stats.lock().unwrap().antibodies_corrupted += 1;
-        true
+    fn corrupt_antibody(&mut self, antibody: &Antibody) -> Option<Vec<u8>> {
+        let mut bytes = antibody.to_bytes();
+        self.corrupt_wire(&mut bytes).then_some(bytes)
     }
 }
 
@@ -536,14 +546,14 @@ mod tests {
             let kept = p.on_replay_input(i as usize, &mut input);
             out.push(format!("replay {kept} {input:?}"));
             let mut set = vec![(0usize, vec![9u8]), (1, vec![8]), (2, vec![7])];
-            p.reorder_replay(&mut set);
+            p.reorder(&mut set);
             out.push(format!("order {set:?}"));
             for step in ["memory-state", "memory-bug", "taint", "slicing"] {
                 out.push(format!("fail {} {}", step, p.fail_tool(step)));
                 out.push(format!("detach {} {:?}", step, p.tool_detach_after(step)));
             }
             let mut ab = vec![0xabu8; 40];
-            out.push(format!("ab {} {ab:?}", p.corrupt_antibody(&mut ab)));
+            out.push(format!("ab {} {ab:?}", p.corrupt_wire(&mut ab)));
             // Keep the ring populated so evictions can actually land.
             while mgr.retained() < 3 {
                 mgr.take(&mut m);

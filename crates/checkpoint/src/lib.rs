@@ -21,8 +21,7 @@ pub use incremental::{mem_digest, DedupeStore, DeltaRecord, PageKey, StoreStats}
 pub use manager::{Checkpoint, CheckpointManager, CkptId, Engine};
 pub use proxy::{InputFilter, LoggedConn, Proxy};
 pub use recovery::{
-    recover, recover_domain, recover_with_fault, DomainConns, RecoveryKind, RecoveryOutcome,
-    ResumeReport,
+    recover, recover_domain, DomainConns, RecoveryKind, RecoveryOutcome, ResumeReport,
 };
 pub use replay::{NoFault, ReplayEnd, ReplayFault, ReplayOutcome, ReplaySession};
 pub use syscall_log::{divergence, Divergence, SyscallLog, SyscallLogError, SyscallRecord};

@@ -17,7 +17,7 @@ use svm::Machine;
 use crate::domains::DomainRefusal;
 use crate::manager::{CheckpointManager, CkptId};
 use crate::proxy::Proxy;
-use crate::replay::{NoFault, ReplayEnd, ReplayFault, ReplaySession};
+use crate::replay::{ReplayEnd, ReplayFault, ReplaySession};
 
 /// Which rollback strategy produced a resumed machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,25 +122,15 @@ pub enum RecoveryOutcome {
 /// excluded, verifies every committed output prefix, and on success marks
 /// the dropped connections in the proxy and replaces `live` with the
 /// recovered machine. On failure `live` and the proxy are untouched.
-pub fn recover(
-    live: &mut Machine,
-    mgr: &CheckpointManager,
-    proxy: &mut Proxy,
-    ckpt: CkptId,
-    drop_ids: &[usize],
-) -> RecoveryOutcome {
-    recover_with_fault(live, mgr, proxy, ckpt, drop_ids, &mut NoFault)
-}
-
-/// [`recover`], with `fault` mediating the recovery replay's input
-/// injection (see [`ReplayFault`]).
 ///
-/// Used by the chaos harness to model a lossy recovery path. Faults can
-/// only make recovery *more* conservative: a corrupted, dropped or
-/// reordered input either replays to the same committed output (resume)
-/// or trips the session-consistency check (restart required) — the live
-/// machine and proxy are untouched unless the check passes.
-pub fn recover_with_fault(
+/// `fault` mediates the recovery replay's input injection (see
+/// [`ReplayFault`]; production passes [`NoFault`](crate::NoFault)). The
+/// chaos harness uses it to model a lossy recovery path. Faults can only
+/// make recovery *more* conservative: a corrupted, dropped or reordered
+/// input either replays to the same committed output (resume) or trips
+/// the session-consistency check (restart required) — the live machine
+/// and proxy are untouched unless the check passes.
+pub fn recover(
     live: &mut Machine,
     mgr: &CheckpointManager,
     proxy: &mut Proxy,
@@ -153,9 +143,7 @@ pub fn recover_with_fault(
             diverged_conn: usize::MAX,
         };
     };
-    let out = session
-        .dropping(drop_ids)
-        .run_with_fault(&mut svm::NopHook, fault);
+    let out = session.dropping(drop_ids).run(&mut svm::NopHook, fault);
     match out.end {
         ReplayEnd::Faulted(f) => return RecoveryOutcome::ReplayFaulted(f),
         ReplayEnd::Quiescent | ReplayEnd::Halted(_) | ReplayEnd::StuckOnRead => {}
@@ -308,6 +296,7 @@ pub fn recover_domain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::NoFault;
     use svm::asm::assemble;
     use svm::loader::Aslr;
     use svm::stdlib::LIB_ASM;
@@ -408,7 +397,7 @@ count: .word 0
     #[test]
     fn recovery_resumes_service_without_the_attack() {
         let mut w = attacked_world();
-        let out = recover(&mut w.m, &w.mgr, &mut w.proxy, w.ckpt, &[1]);
+        let out = recover(&mut w.m, &w.mgr, &mut w.proxy, w.ckpt, &[1], &mut NoFault);
         match out {
             RecoveryOutcome::Resumed(r) => {
                 assert_eq!(r.kind, RecoveryKind::Full);
@@ -458,7 +447,7 @@ count: .word 0
         // Analysis (wrongly or rightly) decides connections 1 and 3 were
         // the attack. Without connection 1, the counter replay gives
         // connection 2 the reply "2" — but the client already saw "3".
-        let out = recover(&mut m, &mgr, &mut proxy, ckpt, &[1, 3]);
+        let out = recover(&mut m, &mgr, &mut proxy, ckpt, &[1, 3], &mut NoFault);
         assert!(
             matches!(out, RecoveryOutcome::RestartRequired { diverged_conn: 2 }),
             "got {out:?}"
@@ -472,7 +461,7 @@ count: .word 0
     fn replay_fault_is_reported_when_wrong_input_dropped() {
         let mut w = attacked_world();
         // Drop the benign third connection; the attack replays and faults.
-        let out = recover(&mut w.m, &w.mgr, &mut w.proxy, w.ckpt, &[2]);
+        let out = recover(&mut w.m, &w.mgr, &mut w.proxy, w.ckpt, &[2], &mut NoFault);
         assert!(matches!(out, RecoveryOutcome::ReplayFaulted(f) if f.is_null_deref()));
         // Live machine untouched (still faulted), proxy unmodified.
         assert!(matches!(w.m.status(), Status::Faulted(_)));
@@ -495,7 +484,7 @@ count: .word 0
         proxy.offer(&mut m, b"atkX".to_vec(), &[]); // id 1: faults
         drive(&mut m);
         assert!(matches!(m.status(), Status::Faulted(_)));
-        let out = recover(&mut m, &mgr, &mut proxy, ckpt, &[0, 1]);
+        let out = recover(&mut m, &mgr, &mut proxy, ckpt, &[0, 1], &mut NoFault);
         match out {
             RecoveryOutcome::Resumed(r) => {
                 assert_eq!(
@@ -519,7 +508,7 @@ count: .word 0
         // A second recovery naming the same ids must not double-count.
         let mut m2 = server();
         drive(&mut m2);
-        let out2 = recover(&mut m2, &mgr, &mut proxy, ckpt, &[0, 1]);
+        let out2 = recover(&mut m2, &mgr, &mut proxy, ckpt, &[0, 1], &mut NoFault);
         if let RecoveryOutcome::Resumed(r) = out2 {
             assert_eq!(
                 r.dropped_conns(),
@@ -546,7 +535,7 @@ count: .word 0
         proxy.release_outputs(&m);
         proxy.offer(&mut m, b"atkX".to_vec(), &[]);
         drive(&mut m);
-        let out = recover(&mut m, &mgr, &mut proxy, ckpt, &[1]);
+        let out = recover(&mut m, &mgr, &mut proxy, ckpt, &[1], &mut NoFault);
         assert!(matches!(out, RecoveryOutcome::Resumed(_)), "got {out:?}");
     }
 
@@ -611,7 +600,14 @@ count: .word 0
             .expect("partial");
         assert!(matches!(out, RecoveryOutcome::Resumed(_)));
         let mut full = attributed_world();
-        let out = recover(&mut full.m, &full.mgr, &mut full.proxy, full.ckpt, &[1]);
+        let out = recover(
+            &mut full.m,
+            &full.mgr,
+            &mut full.proxy,
+            full.ckpt,
+            &[1],
+            &mut NoFault,
+        );
         assert!(matches!(out, RecoveryOutcome::Resumed(_)));
         assert_eq!(
             crate::domains::recovery_digest(&dom.m),

@@ -120,19 +120,10 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
-    /// Run the replay under `hook`.
-    pub fn run(&self, hook: &mut dyn Hook) -> ReplayOutcome {
-        self.run_with_fault(hook, &mut NoFault)
-    }
-
     /// Run the replay under `hook`, with `fault` mediating every
-    /// re-injected input (see [`ReplayFault`]). `run` is exactly this
-    /// with [`NoFault`].
-    pub fn run_with_fault(
-        &self,
-        hook: &mut dyn Hook,
-        fault: &mut dyn ReplayFault,
-    ) -> ReplayOutcome {
+    /// re-injected input (see [`ReplayFault`]; production passes
+    /// [`NoFault`]).
+    pub fn run(&self, hook: &mut dyn Hook, fault: &mut dyn ReplayFault) -> ReplayOutcome {
         let mut m = self.machine.clone();
         m.clock.tick(svm::clock::cost::ROLLBACK);
         let insns_start = m.insns_retired;
@@ -246,7 +237,7 @@ buf: .space 64
         // Replay everything: fault reproduces deterministically.
         let out = ReplaySession::new(&mgr, &proxy, id)
             .expect("session")
-            .run(&mut NopHook);
+            .run(&mut NopHook, &mut NoFault);
         assert!(
             matches!(out.end, ReplayEnd::Faulted(f) if f.is_null_deref()),
             "{:?}",
@@ -271,7 +262,7 @@ buf: .space 64
         let out = ReplaySession::new(&mgr, &proxy, id)
             .expect("session")
             .dropping(&[1])
-            .run(&mut NopHook);
+            .run(&mut NopHook, &mut NoFault);
         assert_eq!(out.end, ReplayEnd::Quiescent);
         // The replayed machine served requests 0 and 2 (guest ids 0, 1).
         assert_eq!(out.machine.net.conn(0).expect("c0").output, b"one");
@@ -291,7 +282,7 @@ buf: .space 64
         let released_before = proxy.get(0).expect("c").released.clone();
         let _ = ReplaySession::new(&mgr, &proxy, id)
             .expect("s")
-            .run(&mut NopHook);
+            .run(&mut NopHook, &mut NoFault);
         // Replay produced output in its sandboxed clone only.
         assert_eq!(proxy.get(0).expect("c").released, released_before);
         assert_eq!(
@@ -311,7 +302,7 @@ buf: .space 64
         let out = ReplaySession::new(&mgr, &proxy, id)
             .expect("s")
             .with_budget(10)
-            .run(&mut NopHook);
+            .run(&mut NopHook, &mut NoFault);
         assert_eq!(out.end, ReplayEnd::BudgetExhausted);
     }
 

@@ -260,7 +260,7 @@ mod tests {
     use super::*;
     use crate::manager::CheckpointManager;
     use crate::proxy::Proxy;
-    use crate::replay::ReplaySession;
+    use crate::replay::{NoFault, ReplaySession};
     use svm::asm::assemble;
     use svm::loader::Aslr;
     use svm::stdlib::LIB_ASM;
@@ -329,7 +329,7 @@ buf: .space 64
         let mut replay_log = SyscallLog::new();
         ReplaySession::new(&mgr, &proxy, ck)
             .expect("session")
-            .run(&mut replay_log);
+            .run(&mut replay_log, &mut NoFault);
         assert_eq!(divergence(&live_log, &replay_log, false), Divergence::None);
         assert_eq!(divergence(&live_log, &replay_log, true), Divergence::None);
     }
@@ -351,7 +351,7 @@ buf: .space 64
         ReplaySession::new(&mgr, &proxy, ck)
             .expect("session")
             .dropping(&[1])
-            .run(&mut replay_log);
+            .run(&mut replay_log, &mut NoFault);
         // Full comparison diverges (the attack's syscalls are missing)...
         assert!(matches!(
             divergence(&live_log, &replay_log, false),

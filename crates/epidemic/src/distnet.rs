@@ -275,7 +275,7 @@ struct Arrival {
 /// Created and activated by the community engine when antibody
 /// production completes (`T0 + γ`); stepped once per tick *before* the
 /// generate phase. All mutation happens in the coordinator; the apply
-/// phase only reads [`DistNet::protected`] / [`DistNet::throttles`]
+/// phase only reads [`DistNet::protected`] / [`DistNet::throttled`]
 /// through a shared reference, so worker shards never race on it.
 pub struct DistNet {
     p: DistNetParams,

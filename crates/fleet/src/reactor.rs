@@ -172,11 +172,6 @@ impl<T> Reactor<T> {
     pub fn now(&self) -> u64 {
         self.now
     }
-
-    /// Number of shards actually in use.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 #[cfg(test)]

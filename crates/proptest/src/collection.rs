@@ -3,7 +3,7 @@
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Anything usable as the size specifier of [`vec`]: an exact `usize`,
+/// Anything usable as the size specifier of [`vec()`]: an exact `usize`,
 /// a `Range<usize>`, or a `RangeInclusive<usize>`.
 pub trait SizeRange {
     /// Pick a concrete length.

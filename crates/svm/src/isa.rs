@@ -6,7 +6,7 @@
 //! smashing exploit genuinely redirects control into attacker-supplied
 //! shellcode, just as the 2003-era CVEs the paper evaluates did.
 
-use crate::error::{Fault, SvmError};
+use crate::error::Fault;
 
 /// Number of general-purpose registers (r0..r12, fp, sp).
 pub const NUM_REGS: usize = 15;
@@ -493,14 +493,6 @@ impl Syscall {
             _ => return None,
         })
     }
-}
-
-/// Validate that a register byte parsed from text is usable, for assembler use.
-pub fn reg_or_err(s: &str, line: usize) -> Result<Reg, SvmError> {
-    Reg::parse(s).ok_or_else(|| SvmError::Asm {
-        line,
-        msg: format!("bad register `{s}`"),
-    })
 }
 
 #[cfg(test)]

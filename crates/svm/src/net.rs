@@ -95,11 +95,6 @@ impl NetState {
         self.pending_accept.pop_front()
     }
 
-    /// Whether any connection is waiting to be accepted.
-    pub fn has_pending(&self) -> bool {
-        !self.pending_accept.is_empty()
-    }
-
     /// Guest `read`: up to `len` bytes. `Ok(None)` means would-block.
     ///
     /// Returns the data along with the stream offset of its first byte.

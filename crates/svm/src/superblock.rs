@@ -21,7 +21,7 @@
 //! - page boundary (blocks never span pages, so the per-page
 //!   write-generation check covers the whole block).
 //!
-//! Runs shorter than a small minimum fusion length ([`MIN_FUSE`] ops)
+//! Runs shorter than a small minimum fusion length (three ops)
 //! are cached but reported as bypasses: the fixed per-dispatch cost
 //! (probe + register copy-in/out) does not amortize over one or two
 //! instructions, and the icache tier already runs those at full speed.
@@ -276,8 +276,8 @@ impl SbCache {
     /// Look up (building/validating as needed) the superblock entered at
     /// `pc`. `None` means "take the per-instruction path" — tier
     /// disabled, unaligned pc, non-executable page, or a fused run
-    /// shorter than [`MIN_FUSE`] — and never loses a fault: the
-    /// interpreter reproduces it precisely.
+    /// shorter than the minimum fusion length — and never loses a
+    /// fault: the interpreter reproduces it precisely.
     pub fn lookup(&mut self, mem: &Mem, layout: &Layout, pc: u32) -> Option<SbRef> {
         if !self.enabled {
             return None;

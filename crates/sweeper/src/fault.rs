@@ -7,8 +7,11 @@
 //! log replays corrupted or reordered, the DBI runtime detaches mid
 //! replay, the antibody arrives bit-flipped. [`FaultHooks`] is the
 //! production-side seam the `chaos` harness uses to inject exactly those
-//! failures deterministically; every method defaults to "no fault", so
-//! production behaviour is unchanged unless hooks are installed via
+//! failures deterministically. It extends [`checkpoint::ReplayFault`],
+//! so the same hook object mediates every replay (analysis and
+//! recovery) directly. Every method defaults to "no fault": a
+//! [`Sweeper`](crate::Sweeper) runs [`NoFaultHooks`] until other hooks
+//! are installed via
 //! [`Sweeper::set_fault_hooks`](crate::Sweeper::set_fault_hooks).
 //!
 //! The contract the chaos invariant checker enforces on every injected
@@ -16,26 +19,17 @@
 //! [`SweeperError`](crate::SweeperError) surfaced on the timeline, or a
 //! restart instead of a rollback — and never panics.
 
+use antibody::Antibody;
 use checkpoint::{CheckpointManager, Proxy, ReplayFault};
 
 /// Hooks invoked at each fault-injection seam of the Sweeper pipeline.
 ///
 /// All methods have no-op defaults; implement only the seams a fault
-/// plan targets. Step names passed to the tool hooks are the pipeline
-/// phase names: `"memory-state"`, `"memory-bug"`, `"taint"`,
-/// `"slicing"`.
-pub trait FaultHooks: Send {
-    /// Mediate one re-injected connection during an analysis or recovery
-    /// replay: mutate `input` to corrupt it, return `false` to drop it.
-    /// (Mirrors [`checkpoint::ReplayFault::on_replay_input`].)
-    fn on_replay_input(&mut self, _log_id: usize, _input: &mut Vec<u8>) -> bool {
-        true
-    }
-
-    /// Permute the collected replay set before injection. (Mirrors
-    /// [`checkpoint::ReplayFault::reorder`].)
-    fn reorder_replay(&mut self, _inputs: &mut Vec<(usize, Vec<u8>)>) {}
-
+/// plan targets. The replay seams (drop, corrupt, reorder re-injected
+/// connections) are the [`ReplayFault`] methods. Step names passed to
+/// the tool hooks are the pipeline phase names: `"memory-state"`,
+/// `"memory-bug"`, `"taint"`, `"slicing"`.
+pub trait FaultHooks: ReplayFault + Send {
     /// Return `true` to make the named pipeline step's analysis tool
     /// unavailable (attach failure / tool crash). The pipeline must
     /// degrade that step's contribution, not abort the attack handling.
@@ -57,11 +51,12 @@ pub trait FaultHooks: Send {
     /// restart, never a panic.
     fn before_recovery(&mut self, _mgr: &mut CheckpointManager, _proxy: &mut Proxy) {}
 
-    /// Corrupt a serialized antibody in transit (bit-flips, truncation).
-    /// Return `true` if `bytes` was mutated; the runtime then decodes
-    /// the corrupted buffer and must fail closed on decode errors.
-    fn corrupt_antibody(&mut self, _bytes: &mut Vec<u8>) -> bool {
-        false
+    /// Corrupt an antibody in transit (bit-flips, truncation): return
+    /// its serialized bytes as they arrived, or `None` when it arrived
+    /// intact. The runtime decodes corrupted bytes and must fail closed
+    /// on decode errors.
+    fn corrupt_antibody(&mut self, _antibody: &Antibody) -> Option<Vec<u8>> {
+        None
     }
 }
 
@@ -69,19 +64,6 @@ pub trait FaultHooks: Send {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFaultHooks;
 
+impl ReplayFault for NoFaultHooks {}
+
 impl FaultHooks for NoFaultHooks {}
-
-/// Adapts a `&mut dyn FaultHooks` into a [`checkpoint::ReplayFault`] so
-/// the same hook object can mediate checkpoint-crate replays without
-/// relying on trait upcasting.
-pub struct FaultAdapter<'a>(pub &'a mut dyn FaultHooks);
-
-impl ReplayFault for FaultAdapter<'_> {
-    fn on_replay_input(&mut self, log_id: usize, input: &mut Vec<u8>) -> bool {
-        self.0.on_replay_input(log_id, input)
-    }
-
-    fn reorder(&mut self, inputs: &mut Vec<(usize, Vec<u8>)>) {
-        self.0.reorder_replay(inputs)
-    }
-}

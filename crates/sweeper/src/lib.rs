@@ -31,10 +31,9 @@ pub mod timeline;
 
 pub use config::{Config, RecoveryMode, Role};
 pub use error::SweeperError;
-pub use fault::{FaultAdapter, FaultHooks, NoFaultHooks};
+pub use fault::{FaultHooks, NoFaultHooks};
 pub use pipeline::{
-    analyze_attack, analyze_attack_with_faults, timings_from_timeline, AnalysisReport,
-    InputFinding, SliceVerdict, StepTimings,
+    analyze_attack, timings_from_timeline, AnalysisReport, InputFinding, SliceVerdict, StepTimings,
 };
 pub use runtime::{AttackReport, BundleOutcome, HostStatus, PollOutcome, RequestOutcome, Sweeper};
 pub use timeline::{Event, LatencyBook, Stamped, Timeline};

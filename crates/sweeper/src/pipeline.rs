@@ -18,14 +18,15 @@
 
 use analysis::{backward_slice, CoreDumpReport, MemBugDetector, MemBugKind, TaintTool};
 use antibody::{exact_from, substring_from_taint, Antibody, AntibodyItem, VsefSpec};
-use checkpoint::{CheckpointManager, CkptId, Proxy, ReplayEnd, ReplaySession};
+use checkpoint::{CheckpointManager, CkptId, NoFault, Proxy, ReplayEnd, ReplaySession};
 use dbi::{Instrumenter, TraceRecorder};
 use svm::clock::cycles_to_secs;
 use svm::loader::Layout;
 use svm::Machine;
 
+use crate::config::Config;
 use crate::error::SweeperError;
-use crate::fault::{FaultAdapter, FaultHooks, NoFaultHooks};
+use crate::fault::FaultHooks;
 use crate::timeline::{Event, Timeline};
 
 /// Fixed cost of dynamically attaching an instrumentation tool to a
@@ -174,7 +175,8 @@ pub struct AnalysisReport {
 }
 
 /// Find the most recent retained checkpoint whose replay reproduces the
-/// fault (stepping further back if the window is too short).
+/// fault (stepping further back if the window is too short). These probe
+/// replays run outside the fault seam.
 pub fn find_reproducing_checkpoint(
     mgr: &CheckpointManager,
     proxy: &Proxy,
@@ -184,7 +186,7 @@ pub fn find_reproducing_checkpoint(
     loop {
         let out = ReplaySession::new(mgr, proxy, candidate)?
             .with_budget(budget)
-            .run(&mut svm::NopHook);
+            .run(&mut svm::NopHook, &mut NoFault);
         if matches!(out.end, ReplayEnd::Faulted(_)) {
             return Some(candidate);
         }
@@ -193,38 +195,6 @@ pub fn find_reproducing_checkpoint(
         mgr.get(prev)?;
         candidate = prev;
     }
-}
-
-/// Run the full pipeline on a detected attack.
-///
-/// `live` is the faulted (or VSEF-stopped) machine; `timeline` must have
-/// an `AttackDetected` event already recorded at the current time. VSEF
-/// addresses in the produced antibody are normalized to the nominal
-/// layout for distribution.
-///
-/// Each phase additionally records a `pipeline.*` span (virtual stamps
-/// from the timeline, with wall-clock mirrors) into `metrics` — Table 3
-/// reads off those spans via [`StepTimings::from_spans`], and the
-/// differential suite checks them against [`timings_from_timeline`].
-pub fn analyze_attack(
-    live: &Machine,
-    mgr: &CheckpointManager,
-    proxy: &Proxy,
-    timeline: &mut Timeline,
-    metrics: &mut obs::MetricsRegistry,
-    run_slicing: bool,
-    replay_budget: u64,
-) -> Option<AnalysisReport> {
-    analyze_attack_with_faults(
-        live,
-        mgr,
-        proxy,
-        timeline,
-        metrics,
-        run_slicing,
-        replay_budget,
-        None,
-    )
 }
 
 /// Record an injected tool failure explicitly: a `pipeline.tool_failures`
@@ -242,27 +212,34 @@ fn record_tool_failure(
     });
 }
 
-/// [`analyze_attack`], with `faults` mediating every seam (see
-/// [`FaultHooks`]): analysis-tool failures degrade the corresponding
-/// step's contribution, armed DBI detaches are installed before each
-/// replay, and replay input injection goes through the fault adapter.
-/// `None` is exactly production behaviour.
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_attack_with_faults(
+/// Run the full pipeline on a detected attack.
+///
+/// `live` is the faulted (or VSEF-stopped) machine; `timeline` must have
+/// an `AttackDetected` event already recorded at the current time. VSEF
+/// addresses in the produced antibody are normalized to the nominal
+/// layout for distribution. `config` supplies the slicing toggle and the
+/// replay budget.
+///
+/// Each phase additionally records a `pipeline.*` span (virtual stamps
+/// from the timeline, with wall-clock mirrors) into `metrics` — Table 3
+/// reads off those spans via [`StepTimings::from_spans`], and the
+/// differential suite checks them against [`timings_from_timeline`].
+///
+/// `faults` mediates every seam (see [`FaultHooks`]): analysis-tool
+/// failures degrade the corresponding step's contribution, armed DBI
+/// detaches are installed before each replay, and every analysis replay
+/// injects its inputs through it. [`NoFaultHooks`](crate::NoFaultHooks)
+/// is exactly production behaviour.
+pub fn analyze_attack(
     live: &Machine,
     mgr: &CheckpointManager,
     proxy: &Proxy,
     timeline: &mut Timeline,
     metrics: &mut obs::MetricsRegistry,
-    run_slicing: bool,
-    replay_budget: u64,
-    faults: Option<&mut (dyn FaultHooks + '_)>,
+    config: &Config,
+    faults: &mut dyn FaultHooks,
 ) -> Option<AnalysisReport> {
-    let mut nofault = NoFaultHooks;
-    let faults: &mut dyn FaultHooks = match faults {
-        Some(f) => f,
-        None => &mut nofault,
-    };
+    let replay_budget = config.replay_budget;
     let detection_at = timeline.now();
     let nominal = Layout::nominal();
     let host = live.layout;
@@ -331,7 +308,7 @@ pub fn analyze_attack_with_faults(
         }
         let out = ReplaySession::new(mgr, proxy, ckpt)?
             .with_budget(replay_budget)
-            .run_with_fault(&mut ins, &mut FaultAdapter(&mut *faults));
+            .run(&mut ins, &mut *faults);
         let step2_cycles = ATTACH_COST_CYCLES + out.cycles + ins.take_overhead();
         timeline.advance_by(step2_cycles);
         metrics.end_span(sp2, timeline.now());
@@ -379,7 +356,7 @@ pub fn analyze_attack_with_faults(
         }
         let out3 = ReplaySession::new(mgr, proxy, ckpt)?
             .with_budget(replay_budget)
-            .run_with_fault(&mut ins3, &mut FaultAdapter(&mut *faults));
+            .run(&mut ins3, &mut *faults);
         step3_cycles = ATTACH_COST_CYCLES + out3.cycles + ins3.take_overhead();
         let replayed_machine = &out3.machine;
         if let Some(taint) = ins3.get::<TaintTool>(taint_id) {
@@ -458,7 +435,7 @@ pub fn analyze_attack_with_faults(
             let solo = sess
                 .dropping(&others)
                 .with_budget(replay_budget)
-                .run_with_fault(&mut svm::NopHook, &mut FaultAdapter(&mut *faults));
+                .run(&mut svm::NopHook, &mut *faults);
             step3_cycles += ATTACH_COST_CYCLES / 4 + solo.cycles;
             if matches!(solo.end, ReplayEnd::Faulted(_)) {
                 input.attack_log_ids = vec![cand];
@@ -507,13 +484,13 @@ pub fn analyze_attack_with_faults(
     metrics.record_span("pipeline.initial", detection_at, timeline.now());
 
     // ---- Step 4: backward slicing (verification). -----------------------
-    let slicing_failed = run_slicing && faults.fail_tool("slicing");
+    let slicing_failed = config.run_slicing && faults.fail_tool("slicing");
     if slicing_failed {
         // Cross-verification is lost, but the antibody is complete:
         // report it explicitly and ship without the slice verdict.
         record_tool_failure(metrics, timeline, "slicing");
     }
-    let slice = if run_slicing && !slicing_failed {
+    let slice = if config.run_slicing && !slicing_failed {
         let sp4 = metrics.start_span("pipeline.slicing", timeline.now());
         let mut ins4 = Instrumenter::new();
         let tr_id = ins4.attach(Box::new(TraceRecorder::new()));
@@ -522,7 +499,7 @@ pub fn analyze_attack_with_faults(
         }
         let out4 = ReplaySession::new(mgr, proxy, ckpt)?
             .with_budget(replay_budget)
-            .run_with_fault(&mut ins4, &mut FaultAdapter(&mut *faults));
+            .run(&mut ins4, &mut *faults);
         let step4_cycles = ATTACH_COST_CYCLES + out4.cycles + ins4.take_overhead();
         timeline.advance_by(step4_cycles);
         metrics.end_span(sp4, timeline.now());

@@ -13,9 +13,8 @@ use antibody::{
 };
 use apps::App;
 use checkpoint::{
-    divergence, recover, recover_domain, recover_with_fault, recovery_digest, CheckpointManager,
-    CkptId, Divergence, InputFilter, Proxy, RecoveryKind, RecoveryOutcome, ResumeReport,
-    SyscallLog,
+    divergence, recover, recover_domain, recovery_digest, CheckpointManager, CkptId, Divergence,
+    InputFilter, Proxy, RecoveryKind, RecoveryOutcome, ResumeReport, SyscallLog,
 };
 use dbi::{Instrumenter, ToolId};
 use svm::clock::cycles_to_secs;
@@ -28,8 +27,8 @@ use svm::{Machine, Status};
 use crate::error::SweeperError;
 
 use crate::config::{Config, RecoveryMode, Role};
-use crate::fault::{FaultAdapter, FaultHooks};
-use crate::pipeline::{analyze_attack_with_faults, AnalysisReport};
+use crate::fault::{FaultHooks, NoFaultHooks};
+use crate::pipeline::{analyze_attack, AnalysisReport};
 use crate::timeline::{Event, Timeline};
 
 /// Outcome of offering one request to a protected server.
@@ -93,6 +92,27 @@ pub struct AttackReport {
     /// Whether the attacker's shellcode ran before detection (should
     /// always be false for ASLR misses; true means compromise).
     pub compromised: bool,
+}
+
+/// What caught an attack. It decides only how [`Sweeper::handle_attack`]
+/// obtains the antibody and the drop set; recovery is shared.
+enum Detection {
+    /// A lightweight monitor: an ASLR fault or an anomalous exit.
+    /// Producers analyze the attack.
+    Monitor,
+    /// A deployed VSEF: the vulnerability is already known, so nobody
+    /// re-analyzes it.
+    Vsef,
+    /// A §4.2 sampling taint alert on connection `log_id`, carrying the
+    /// antibody built from the sampling tool's findings. Its drop set is
+    /// that connection alone, and it stays out of the Polygraph sample
+    /// corpus.
+    Sampled {
+        /// Proxy log id of the sampled connection.
+        log_id: usize,
+        /// The taint-derived antibody.
+        antibody: Antibody,
+    },
 }
 
 /// Outcome of receiving one certified antibody bundle from the
@@ -224,10 +244,10 @@ pub struct Sweeper {
     /// feed token-sequence signature generalization (Polygraph-style,
     /// paper §3.3 "Polymorphic signatures are also feasible").
     attack_samples: Vec<Vec<u8>>,
-    /// Installed fault-injection hooks (`None` in production): the seam
+    /// Fault-injection hooks ([`NoFaultHooks`] in production): the seam
     /// the `chaos` harness uses to perturb attack handling. See
     /// [`crate::fault`].
-    fault_hooks: Option<Box<dyn FaultHooks>>,
+    fault_hooks: Box<dyn FaultHooks>,
     /// Producers whose certified bundles failed verification: every
     /// later bundle they send is dropped unexamined.
     quarantined_producers: Vec<u32>,
@@ -265,7 +285,7 @@ impl Sweeper {
             requests_sampled: 0,
             rerandomizations: 0,
             attack_samples: Vec::new(),
-            fault_hooks: None,
+            fault_hooks: Box::new(NoFaultHooks),
             quarantined_producers: Vec::new(),
         };
         // Boot to quiescence and take the initial checkpoint.
@@ -280,28 +300,17 @@ impl Sweeper {
     /// attack handling). Production code never calls this; with no hooks
     /// installed every fault seam is a no-op.
     pub fn set_fault_hooks(&mut self, hooks: Box<dyn FaultHooks>) {
-        self.fault_hooks = Some(hooks);
+        self.fault_hooks = hooks;
     }
 
-    /// Deploy an antibody, passing it through the (optional) in-transit
-    /// corruption fault seam first: the antibody is serialized, the hook
-    /// may flip bits or truncate, and the runtime then decodes what
-    /// "arrived". A corrupted bundle is rejected — surfaced as a
+    /// Deploy an antibody, passing it through the in-transit corruption
+    /// fault seam first: the hook may hand back damaged serialized bytes,
+    /// which the runtime then decodes as what "arrived". A corrupted
+    /// bundle is rejected — surfaced as a
     /// [`SweeperError::CorruptAntibody`] on the timeline and counted in
     /// `sweeper.antibody_corrupt_total` — and never partially deployed.
     fn deploy_antibody_faulted(&mut self, antibody: &Antibody) {
-        let corrupted = match self.fault_hooks.as_deref_mut() {
-            Some(hooks) => {
-                let mut bytes = antibody.to_bytes();
-                if hooks.corrupt_antibody(&mut bytes) {
-                    Some(bytes)
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        match corrupted {
+        match self.fault_hooks.corrupt_antibody(antibody) {
             None => self.deploy_antibody(antibody),
             Some(bytes) => match Antibody::from_bytes(&bytes) {
                 Ok(ab) => self.deploy_antibody(&ab),
@@ -313,23 +322,6 @@ impl Sweeper {
                     });
                 }
             },
-        }
-    }
-
-    /// Run recovery, threading installed fault hooks into the replay (so
-    /// the chaos harness can drop/corrupt/reorder the re-injected
-    /// connections mid-recovery).
-    fn recover_faulted(&mut self, ck: CkptId, drop_ids: &[usize]) -> RecoveryOutcome {
-        match self.fault_hooks.as_deref_mut() {
-            Some(hooks) => recover_with_fault(
-                &mut self.machine,
-                &self.mgr,
-                &mut self.proxy,
-                ck,
-                drop_ids,
-                &mut FaultAdapter(hooks),
-            ),
-            None => recover(&mut self.machine, &self.mgr, &mut self.proxy, ck, drop_ids),
         }
     }
 
@@ -488,8 +480,7 @@ impl Sweeper {
             self.sync_time();
             self.timeline.record(Event::Checkpoint { id: id.0 });
         }
-        let sig_holder = self.signatures.clone();
-        let filter = SigFilter(&sig_holder);
+        let filter = SigFilter(&self.signatures);
         let (log_id, delivered) =
             self.proxy
                 .offer(&mut self.machine, input, &[&filter as &dyn InputFilter]);
@@ -519,19 +510,19 @@ impl Sweeper {
             .unwrap_or_default();
         if let Some(d) = vsef_detection.first() {
             let cause = format!("vsef: {} at {:#010x} ({})", d.vsef_kind, d.pc, d.detail);
-            return RequestOutcome::Attack(Box::new(self.handle_attack(cause, true)));
+            return RequestOutcome::Attack(Box::new(self.handle_attack(cause, Detection::Vsef)));
         }
         match status {
             Status::Faulted(f) => {
                 let cause = format!("fault: {f}");
-                RequestOutcome::Attack(Box::new(self.handle_attack(cause, false)))
+                RequestOutcome::Attack(Box::new(self.handle_attack(cause, Detection::Monitor)))
             }
             Status::Halted(code) => {
                 // A server process has no legitimate reason to exit while
                 // serving: treat an unexpected exit (e.g. shellcode
                 // calling exit) as an anomaly and recover.
                 let cause = format!("anomaly: server exited with code {code:#x}");
-                RequestOutcome::Attack(Box::new(self.handle_attack(cause, false)))
+                RequestOutcome::Attack(Box::new(self.handle_attack(cause, Detection::Monitor)))
             }
             _ => {
                 let released = self.proxy.release_outputs(&self.machine);
@@ -587,9 +578,10 @@ impl Sweeper {
         self.mgr.drain(&self.machine)
     }
 
-    /// Handle a detected attack: analyze (producers), deploy antibodies,
-    /// recover.
-    fn handle_attack(&mut self, cause: String, via_vsef: bool) -> AttackReport {
+    /// Handle a detected attack: obtain the antibody and the drop set,
+    /// then recover. Only the first step depends on what caught the
+    /// attack; recovery is the same for every [`Detection`].
+    fn handle_attack(&mut self, cause: String, source: Detection) -> AttackReport {
         self.attacks_detected += 1;
         self.sync_time();
         let detection_at = self.timeline.now();
@@ -600,70 +592,46 @@ impl Sweeper {
 
         // Producers run the full analysis (skipped when a deployed VSEF
         // caught a known vulnerability — the antibody already exists).
+        let analyze = self.config.role == Role::Producer && matches!(source, Detection::Monitor);
         let analysis_begin = self.timeline.now();
-        let analysis = if self.config.role == Role::Producer && !via_vsef {
-            analyze_attack_with_faults(
-                &self.machine,
-                &self.mgr,
-                &self.proxy,
-                &mut self.timeline,
-                &mut self.obs,
-                self.config.run_slicing,
-                self.config.replay_budget,
-                self.fault_hooks.as_deref_mut(),
-            )
-        } else {
-            None
+        let (analysis, drop_ids) = match source {
+            Detection::Sampled { log_id, antibody } => {
+                self.deploy_antibody_faulted(&antibody);
+                (None, vec![log_id])
+            }
+            Detection::Monitor | Detection::Vsef => {
+                let analysis = if analyze {
+                    analyze_attack(
+                        &self.machine,
+                        &self.mgr,
+                        &self.proxy,
+                        &mut self.timeline,
+                        &mut self.obs,
+                        &self.config,
+                        &mut *self.fault_hooks,
+                    )
+                } else {
+                    None
+                };
+                // Deploy our own antibody locally.
+                let drop_ids = match &analysis {
+                    Some(rep) => {
+                        self.deploy_antibody_faulted(&rep.antibody);
+                        if rep.input.attack_log_ids.is_empty() {
+                            self.last_conn_fallback()
+                        } else {
+                            rep.input.attack_log_ids.clone()
+                        }
+                    }
+                    None => self.last_conn_fallback(),
+                };
+                self.generalize_signatures(&drop_ids);
+                (analysis, drop_ids)
+            }
         };
-        let analysis_cycles = self.timeline.now().saturating_sub(analysis_begin);
-
-        // Deploy our own antibody locally.
-        let drop_ids: Vec<usize> = if let Some(rep) = &analysis {
-            self.deploy_antibody_faulted(&rep.antibody.clone());
-            if rep.input.attack_log_ids.is_empty() {
-                self.last_conn_fallback()
-            } else {
-                rep.input.attack_log_ids.clone()
-            }
-        } else {
-            self.last_conn_fallback()
-        };
-
-        // Polygraph-style signature generalization: accumulate captured
-        // exploit samples; once two or more polymorphic variants of the
-        // vulnerability have been seen (e.g. caught by a VSEF after the
-        // exact signature missed), derive an ordered token-sequence
-        // signature that drops future byte-level-different variants at
-        // the proxy. VSEFs remain the safety net against mistraining.
-        for &id in &drop_ids {
-            if let Some(lc) = self.proxy.get(id) {
-                if !self.attack_samples.contains(&lc.input) {
-                    self.attack_samples.push(lc.input.clone());
-                }
-            }
-        }
-        if self.attack_samples.len() >= 2 {
-            let samples: Vec<&[u8]> = self.attack_samples.iter().map(|s| s.as_slice()).collect();
-            if let Some(sig) = antibody::tokens_from_samples(&samples, 4) {
-                // Mistraining guard (the Paragraph-attack concern the
-                // paper cites): only deploy a generalization when this
-                // host has *negative examples* — served benign inputs —
-                // and the candidate matches none of them. Without a
-                // benign corpus, generalizing is unsafe (the common
-                // tokens may be pure protocol framing); the exact and
-                // substring signatures plus VSEFs carry the load.
-                let benign: Vec<&[u8]> = self
-                    .proxy
-                    .log()
-                    .iter()
-                    .filter(|c| !c.filtered && !self.attack_samples.contains(&c.input))
-                    .map(|c| c.input.as_slice())
-                    .collect();
-                if !benign.is_empty() && !benign.iter().any(|b| sig.matches(b)) {
-                    self.signatures.add(sig);
-                }
-            }
-        }
+        // Only the analysis advances the timeline here: deploying an
+        // antibody is free on the virtual clock.
+        let analysis_cycles = self.timeline.now() - analysis_begin;
 
         // Recovery: roll back and re-execute without the attack.
         let recover_from = self
@@ -692,9 +660,8 @@ impl Sweeper {
         // Fault seam: the eviction-race window between choosing a
         // checkpoint and replaying from it. A hook may evict the chosen
         // snapshot here; recovery must then degrade to a restart.
-        if let Some(hooks) = self.fault_hooks.as_deref_mut() {
-            hooks.before_recovery(&mut self.mgr, &mut self.proxy);
-        }
+        self.fault_hooks
+            .before_recovery(&mut self.mgr, &mut self.proxy);
         let mut method: &'static str = "restart";
         if let Some(ck) = recover_from {
             method = self.run_recovery(ck, &drop_ids, &attacked);
@@ -738,13 +705,54 @@ impl Sweeper {
             pause_ms,
             // Only a domain rollback leaves the benign connections live
             // while analysis runs; a full replay (or restart) needs the
-            // analysis verdict before service state exists again.
+            // analysis verdict before service state exists again. A
+            // sampled catch ran no analysis: its heavyweight work was the
+            // monitoring, charged to the live clock before detection.
             deferred_cycles: if method == "domain-rollback" {
                 analysis_cycles
             } else {
                 0
             },
             compromised,
+        }
+    }
+
+    /// Polygraph-style signature generalization: accumulate captured
+    /// exploit samples; once two or more polymorphic variants of the
+    /// vulnerability have been seen (e.g. caught by a VSEF after the
+    /// exact signature missed), derive an ordered token-sequence
+    /// signature that drops future byte-level-different variants at the
+    /// proxy. VSEFs remain the safety net against mistraining.
+    fn generalize_signatures(&mut self, drop_ids: &[usize]) {
+        for &id in drop_ids {
+            if let Some(lc) = self.proxy.get(id) {
+                if !self.attack_samples.contains(&lc.input) {
+                    self.attack_samples.push(lc.input.clone());
+                }
+            }
+        }
+        if self.attack_samples.len() < 2 {
+            return;
+        }
+        let samples: Vec<&[u8]> = self.attack_samples.iter().map(|s| s.as_slice()).collect();
+        if let Some(sig) = antibody::tokens_from_samples(&samples, 4) {
+            // Mistraining guard (the Paragraph-attack concern the paper
+            // cites): only deploy a generalization when this host has
+            // *negative examples* — served benign inputs — and the
+            // candidate matches none of them. Without a benign corpus,
+            // generalizing is unsafe (the common tokens may be pure
+            // protocol framing); the exact and substring signatures plus
+            // VSEFs carry the load.
+            let benign: Vec<&[u8]> = self
+                .proxy
+                .log()
+                .iter()
+                .filter(|c| !c.filtered && !self.attack_samples.contains(&c.input))
+                .map(|c| c.input.as_slice())
+                .collect();
+            if !benign.is_empty() && !benign.iter().any(|b| sig.matches(b)) {
+                self.signatures.add(sig);
+            }
         }
     }
 
@@ -818,7 +826,14 @@ impl Sweeper {
 
     /// Full rollback + drop-the-attack replay (the pre-domain pipeline).
     fn full_recovery(&mut self, ck: CkptId, drop_ids: &[usize], attacked: &[u32]) -> &'static str {
-        match self.recover_faulted(ck, drop_ids) {
+        match recover(
+            &mut self.machine,
+            &self.mgr,
+            &mut self.proxy,
+            ck,
+            drop_ids,
+            &mut *self.fault_hooks,
+        ) {
             RecoveryOutcome::Resumed(r) => {
                 self.adopt_resume(&r, attacked);
                 "rollback-replay"
@@ -939,11 +954,25 @@ impl Sweeper {
                         Vec::new()
                     }
                 };
+                // Build the antibody from the live sampling findings.
                 let spec = VsefSpec::TaintFilter {
                     prop_pcs: prop,
                     sink_pc: a.pc,
                 };
-                return Err(Box::new(self.handle_sampled_attack(cause, spec, log_id)));
+                let mut antibody = Antibody::new();
+                antibody.push(
+                    AntibodyItem::Vsef(spec.rebase(&self.machine.layout, &Layout::nominal())),
+                    1.0,
+                );
+                if let Some(lc) = self.proxy.get(log_id) {
+                    antibody.push(
+                        AntibodyItem::Signature(antibody::exact_from(&lc.input)),
+                        2.0,
+                    );
+                    antibody.push(AntibodyItem::ExploitInput(lc.input.clone()), 3.0);
+                }
+                let source = Detection::Sampled { log_id, antibody };
+                return Err(Box::new(self.handle_attack(cause, source)));
             }
             let vsef_fired = self
                 .vsef_instr
@@ -955,99 +984,6 @@ impl Sweeper {
             }
         };
         Ok(status)
-    }
-
-    /// Handle an attack caught by sampling: deploy the taint-derived
-    /// antibody and recover by dropping the sampled connection.
-    fn handle_sampled_attack(
-        &mut self,
-        cause: String,
-        spec: VsefSpec,
-        log_id: usize,
-    ) -> AttackReport {
-        self.attacks_detected += 1;
-        self.sync_time();
-        let detection_at = self.timeline.now();
-        let compromised = apps::is_compromised(&self.machine);
-        self.timeline.record(Event::AttackDetected {
-            cause: cause.clone(),
-        });
-        // Build the antibody from the live sampling findings.
-        let nominal = Layout::nominal();
-        let mut antibody = Antibody::new();
-        antibody.push(
-            AntibodyItem::Vsef(spec.rebase(&self.machine.layout, &nominal)),
-            1.0,
-        );
-        if let Some(lc) = self.proxy.get(log_id) {
-            antibody.push(
-                AntibodyItem::Signature(antibody::exact_from(&lc.input)),
-                2.0,
-            );
-            antibody.push(AntibodyItem::ExploitInput(lc.input.clone()), 3.0);
-        }
-        self.deploy_antibody_faulted(&antibody);
-        // Recover: roll back to before this connection and drop it.
-        let arrival = self
-            .proxy
-            .get(log_id)
-            .map(|c| c.arrival_cycles)
-            .unwrap_or(u64::MAX);
-        let recover_from = self
-            .mgr
-            .latest_before(arrival)
-            .or_else(|| self.mgr.oldest())
-            .map(|c| c.id);
-        let attacked: Vec<u32> = self
-            .proxy
-            .get(log_id)
-            .map(|c| vec![c.domain])
-            .unwrap_or_default();
-        if let Some(&d) = attacked.first() {
-            self.mgr.note_attack(&self.machine, d);
-        }
-        if let Some(hooks) = self.fault_hooks.as_deref_mut() {
-            hooks.before_recovery(&mut self.mgr, &mut self.proxy);
-        }
-        let mut method: &'static str = "restart";
-        if let Some(ck) = recover_from {
-            method = self.run_recovery(ck, &[log_id], &attacked);
-        }
-        if method == "restart" {
-            self.restart(&[log_id]);
-        }
-        self.obs.inc(
-            if method == "restart" {
-                "recovery.restarts"
-            } else {
-                "recovery.rollback_replays"
-            },
-            1,
-        );
-        if let Some(rt) = self.vsef_instr.get_mut::<VsefRuntime>(self.vsef_id) {
-            rt.reset_state();
-        }
-        let now = self.timeline.now();
-        if self.machine.clock.cycles() < now {
-            self.machine.clock.tick(now - self.machine.clock.cycles());
-        }
-        let pause_ms = cycles_to_secs(self.timeline.now() - detection_at) * 1e3;
-        self.timeline.record(Event::Recovered { method, pause_ms });
-        self.mgr.discard_pending();
-        let id = self.mgr.take(&mut self.machine);
-        self.sync_time();
-        self.timeline.record(Event::Checkpoint { id: id.0 });
-        AttackReport {
-            cause,
-            analysis: None,
-            recovery_method: method,
-            pause_ms,
-            // The sampled path's heavyweight work *was* the monitoring,
-            // charged to the live clock before detection: nothing left
-            // to overlap.
-            deferred_cycles: 0,
-            compromised,
-        }
     }
 
     /// Verify a recovery replay against a *persisted* Flashback syscall
@@ -1575,7 +1511,9 @@ mod tests {
 mod recovery_mode_tests {
     use super::*;
     use crate::config::RecoveryMode;
+    use crate::timeline::Stamped;
     use apps::httpd1;
+    use checkpoint::ReplayFault;
 
     #[test]
     fn full_mode_replays_benign_connections() {
@@ -1632,18 +1570,128 @@ mod recovery_mode_tests {
         ));
     }
 
+    /// Forces every tracked domain into the spilled set right before
+    /// recovery runs (the chaos `domain-spill` family's seam).
+    struct ForceSpill;
+    impl ReplayFault for ForceSpill {}
+    impl FaultHooks for ForceSpill {
+        fn before_recovery(&mut self, mgr: &mut CheckpointManager, _proxy: &mut Proxy) {
+            assert!(mgr.chaos_force_domain_spill(), "ledger populated");
+        }
+    }
+
+    /// One benign request, then a lucky-layout compromise caught by §4.2
+    /// sampling, with `hooks` installed just before the attack.
+    fn sampled_catch(hooks: Option<Box<dyn FaultHooks>>) -> (Sweeper, AttackReport) {
+        let app = httpd1::app().expect("app");
+        let cfg = Config {
+            aslr: svm::loader::Aslr::off(),
+            ..Config::default()
+        }
+        .with_sampling(1.0);
+        let mut s = Sweeper::protect(&app, cfg).expect("protect");
+        assert!(matches!(
+            s.offer_request(httpd1::benign_request("a.html")),
+            RequestOutcome::Served { .. }
+        ));
+        if let Some(h) = hooks {
+            s.set_fault_hooks(h);
+        }
+        let ex = httpd1::exploit_compromise(&app, &svm::loader::Layout::nominal());
+        let RequestOutcome::Attack(report) = s.offer_request(ex.input) else {
+            panic!("sampling missed the attack")
+        };
+        assert!(report.cause.starts_with("sampling:"), "{}", report.cause);
+        assert!(report.analysis.is_none());
+        (s, *report)
+    }
+
+    /// Characterization of a sampled catch through the shared recovery
+    /// path, in the default Domain mode and with a forced spill before
+    /// recovery: every value below was recorded before sampling and
+    /// monitor catches shared one attack handler.
+    #[test]
+    fn sampled_catch_recovery_is_pinned() {
+        struct Pinned {
+            method: &'static str,
+            pause_ms: f64,
+            rollback_replays: u64,
+            domain_rollbacks: u64,
+            spilled: u64,
+            recovered_at: u64,
+            checkpoint_at: u64,
+        }
+        let cases: [(Option<Box<dyn FaultHooks>>, Pinned); 2] = [
+            (
+                None,
+                Pinned {
+                    method: "domain-rollback",
+                    pause_ms: 0.015000000000000001,
+                    rollback_replays: 1,
+                    domain_rollbacks: 1,
+                    spilled: 0,
+                    recovered_at: 3_846_737,
+                    checkpoint_at: 4_098_737,
+                },
+            ),
+            (
+                Some(Box::new(ForceSpill)),
+                Pinned {
+                    method: "rollback-replay",
+                    pause_ms: 0.10119416666666667,
+                    rollback_replays: 1,
+                    domain_rollbacks: 0,
+                    spilled: 1,
+                    recovered_at: 4_053_603,
+                    checkpoint_at: 4_305_603,
+                },
+            ),
+        ];
+        for (hooks, want) in cases {
+            let (s, r) = sampled_catch(hooks);
+            assert_eq!(r.recovery_method, want.method);
+            assert_eq!(r.pause_ms, want.pause_ms);
+            // Sampling's heavyweight work was the monitoring itself:
+            // nothing overlaps the queue, even after a domain rollback.
+            assert_eq!(r.deferred_cycles, 0);
+            let m = s.export_metrics();
+            assert_eq!(
+                m.counter("recovery.rollback_replays"),
+                want.rollback_replays
+            );
+            assert_eq!(m.counter("recovery.restarts"), 0);
+            assert_eq!(
+                m.counter("recovery.domain_rollbacks"),
+                want.domain_rollbacks
+            );
+            assert_eq!(m.counter("recovery.domain_fallback.spilled"), want.spilled);
+            assert_eq!(s.mgr.taken_total, 2);
+            let events = s.timeline.events();
+            assert_eq!(
+                &events[events.len() - 2..],
+                &[
+                    Stamped {
+                        at_cycles: want.recovered_at,
+                        event: Event::Recovered {
+                            method: want.method,
+                            pause_ms: want.pause_ms,
+                        },
+                    },
+                    Stamped {
+                        at_cycles: want.checkpoint_at,
+                        event: Event::Checkpoint { id: 1 },
+                    },
+                ]
+            );
+        }
+    }
+
     #[test]
     fn spilled_domain_falls_back_to_full_not_a_wrong_answer() {
         // Force every tracked domain into the spilled set right before
-        // recovery runs (the chaos `domain-spill` family's seam): the
-        // partial path must refuse and the full pipeline must carry the
-        // recovery — never a partial restore of unproven isolation.
-        struct ForceSpill;
-        impl FaultHooks for ForceSpill {
-            fn before_recovery(&mut self, mgr: &mut CheckpointManager, _proxy: &mut Proxy) {
-                assert!(mgr.chaos_force_domain_spill(), "ledger populated");
-            }
-        }
+        // recovery runs: the partial path must refuse and the full
+        // pipeline must carry the recovery — never a partial restore of
+        // unproven isolation.
         let app = httpd1::app().expect("app");
         let mut s = Sweeper::protect(&app, Config::producer(23)).expect("protect");
         assert!(matches!(
@@ -1670,6 +1718,7 @@ mod recovery_mode_tests {
     #[test]
     fn corrupt_domain_tags_fall_back_to_full() {
         struct CorruptTag;
+        impl ReplayFault for CorruptTag {}
         impl FaultHooks for CorruptTag {
             fn before_recovery(&mut self, mgr: &mut CheckpointManager, _proxy: &mut Proxy) {
                 assert!(mgr.chaos_corrupt_domain_tag(5), "ledger populated");

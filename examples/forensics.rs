@@ -7,7 +7,7 @@
 
 use sweeper_repro::analysis::{backward_slice, MemBugDetector, TaintTool};
 use sweeper_repro::apps::squid;
-use sweeper_repro::checkpoint::{CheckpointManager, Proxy, ReplaySession};
+use sweeper_repro::checkpoint::{CheckpointManager, NoFault, Proxy, ReplaySession};
 use sweeper_repro::dbi::{Instrumenter, TraceRecorder};
 use sweeper_repro::svm::{loader::Aslr, NopHook};
 
@@ -64,7 +64,7 @@ fn main() {
     let id = ins.attach(Box::new(det));
     ReplaySession::new(&mgr, &proxy, ckpt)
         .expect("session")
-        .run(&mut ins);
+        .run(&mut ins, &mut NoFault);
     let findings = ins
         .get::<MemBugDetector>(id)
         .expect("tool")
@@ -84,7 +84,7 @@ fn main() {
     let tid = ins3.attach(Box::new(TaintTool::new()));
     let out = ReplaySession::new(&mgr, &proxy, ckpt)
         .expect("session")
-        .run(&mut ins3);
+        .run(&mut ins3, &mut NoFault);
     let taint = ins3.get::<TaintTool>(tid).expect("tool");
     if let sweeper_repro::svm::Status::Faulted(f) = out.machine.status() {
         let corrupt = f.fault_addr().expect("addr");
@@ -101,7 +101,7 @@ fn main() {
     let rid = ins4.attach(Box::new(TraceRecorder::new()));
     ReplaySession::new(&mgr, &proxy, ckpt)
         .expect("session")
-        .run(&mut ins4);
+        .run(&mut ins4, &mut NoFault);
     let trace = ins4.get::<TraceRecorder>(rid).expect("tool");
     let slice = backward_slice(trace, trace.len() - 1, true);
     println!("trace length   : {} dynamic instructions", trace.len());

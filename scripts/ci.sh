@@ -12,6 +12,8 @@
 #   tier1        release build + full test suite + rustfmt
 #                (scripts/tier1.sh — the per-commit gate)
 #   clippy       whole-workspace clippy, warnings denied
+#   doc          whole-workspace rustdoc, warnings denied, so a deleted
+#                or renamed item cannot leave a dangling doc link
 #   crates       the member crates' own tests (tier 1's `cargo test`
 #                covers only the root package, the workspace's one
 #                default member)
@@ -114,6 +116,10 @@ stage_clippy() {
     cargo clippy --workspace --all-targets -- -D warnings
 }
 
+stage_doc() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+}
+
 stage_crates() {
     cargo test --workspace --exclude sweeper-repro --release -q
 }
@@ -169,6 +175,7 @@ stage_benchmark() {
 
 run_stage tier1 stage_tier1
 run_stage clippy stage_clippy
+run_stage doc stage_doc
 run_stage crates stage_crates
 run_stage examples stage_examples
 run_stage no-unsafe stage_no_unsafe

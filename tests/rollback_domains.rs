@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 use sweeper_repro::apps::{httpd1, squid, App};
-use sweeper_repro::checkpoint::{recovery_digest, CheckpointManager, Proxy};
+use sweeper_repro::checkpoint::{recovery_digest, CheckpointManager, Proxy, ReplayFault};
 use sweeper_repro::sweeper::{Config, FaultHooks, RecoveryMode, RequestOutcome, Sweeper};
 
 /// One workload step: a benign request or the app's canonical exploit.
@@ -145,6 +145,7 @@ proptest! {
             corrupt_tag: bool,
             seed: u64,
         }
+        impl ReplayFault for Sabotage {}
         impl FaultHooks for Sabotage {
             fn before_recovery(&mut self, mgr: &mut CheckpointManager, _proxy: &mut Proxy) {
                 let landed = if self.corrupt_tag {
