@@ -26,5 +26,5 @@ pub mod taint;
 pub use callstack::ShadowStack;
 pub use coredump::{analyze, CoreDumpReport, CrashClass, InitialRecommendation};
 pub use membug::{MemBugDetector, MemBugFinding, MemBugKind};
-pub use slicing::{backward_slice, forward_slice, Slice};
+pub use slicing::{backward_slice, Slice};
 pub use taint::{TaintAlert, TaintSource, TaintTool};

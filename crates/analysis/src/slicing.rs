@@ -8,12 +8,36 @@
 //! slice; a finding outside the slice means that tool is wrong. Unlike
 //! taint analysis, the slice also captures control and pointer-indirection
 //! influences (the paper's `z = x` example).
+//!
+//! # Algorithm
+//!
+//! [`backward_slice`] makes one backward pass over the trace, from the
+//! criterion down to index 0. It keeps a *demand set*: the locations some
+//! slice member reads whose writer has not been reached yet. Registers
+//! are a bitmask, the flags one bit, memory bytes an integer-keyed hash
+//! set. At each index, in this order:
+//!
+//! 1. input events recorded there, latest first, turn each demanded byte
+//!    they delivered into an input dependency and drop it from the set;
+//! 2. the instruction joins the slice if it writes a demanded location,
+//!    and its writes leave the set;
+//! 3. with control dependencies on, a branch joins regardless: every
+//!    member depends on the nearest earlier branch, and a branch is a
+//!    member, so the chain reaches every branch before the criterion;
+//! 4. a member's reads join the set.
+//!
+//! Without control dependencies the pass stops once nothing is demanded.
+//! It is the last-writer relation of a forward pass, resolved lazily, so
+//! nothing is allocated per trace entry. The forward-pass and worklist
+//! formulation it replaced is kept as the test oracle in
+//! `tests/slice_oracle.rs`.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dbi::effects::Loc;
 use dbi::trace::{TraceEvent, TraceRecorder};
-use svm::isa::Op;
+use svm::isa::{Op, NUM_REGS};
 
 /// A computed backward slice.
 #[derive(Debug, Clone, Default)]
@@ -44,13 +68,67 @@ impl Slice {
     }
 }
 
-/// What last wrote a location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Writer {
-    /// A dynamic instruction.
-    Insn(usize),
-    /// An input byte delivered by a `read` syscall.
-    Input(u32, u32),
+// The register part of the demand set is one `u32` bit per register.
+const _: () = assert!(NUM_REGS <= 32);
+
+/// Hasher for guest addresses: one multiply, rotated so the bucket bits
+/// depend on every address bit (Fibonacci hashing).
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b) ^ (self.0 as u32));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(32);
+    }
+}
+
+/// Locations demanded by the slice built so far.
+#[derive(Default)]
+struct Demand {
+    regs: u32,
+    flags: bool,
+    mem: HashSet<u32, BuildHasherDefault<AddrHasher>>,
+}
+
+impl Demand {
+    fn insert(&mut self, loc: Loc) {
+        match loc {
+            Loc::Reg(r) => self.regs |= 1 << r,
+            Loc::Flags => self.flags = true,
+            Loc::MemByte(a) => {
+                self.mem.insert(a);
+            }
+        }
+    }
+
+    /// Drop `loc`; whether it was demanded.
+    fn remove(&mut self, loc: Loc) -> bool {
+        match loc {
+            Loc::Reg(r) => {
+                let was = self.regs & (1 << r) != 0;
+                self.regs &= !(1 << r);
+                was
+            }
+            Loc::Flags => std::mem::take(&mut self.flags),
+            Loc::MemByte(a) => self.mem.remove(&a),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.regs == 0 && !self.flags && self.mem.is_empty()
+    }
 }
 
 /// Compute the backward slice of the trace from `criterion` (a dynamic
@@ -58,146 +136,76 @@ enum Writer {
 /// instruction depends on the most recent conditional/indirect branch
 /// before it.
 pub fn backward_slice(trace: &TraceRecorder, criterion: usize, include_control: bool) -> Slice {
-    // Forward pass: resolve each entry's data deps against last-writer
-    // maps, and record each entry's control dep.
-    let n = trace.entries.len();
-    let mut last_writer: HashMap<Loc, Writer> = HashMap::new();
-    let mut deps: Vec<Vec<Writer>> = Vec::with_capacity(n);
-    let mut ctrl_dep: Vec<Option<usize>> = Vec::with_capacity(n);
-    let mut last_branch: Option<usize> = None;
-
-    // Input events indexed by the instruction they follow.
-    let mut inputs_at: HashMap<usize, Vec<(u32, u32, u32, u32)>> = HashMap::new();
-    for ev in &trace.events {
-        if let TraceEvent::Input {
-            at_idx,
-            conn,
-            stream_off,
-            addr,
-            len,
-        } = ev
-        {
-            inputs_at
-                .entry(*at_idx)
-                .or_default()
-                .push((*conn, *stream_off, *addr, *len));
-        }
+    if criterion >= trace.len() {
+        return Slice::default();
     }
+    // Input events strictly before the criterion, in recording order
+    // (ascending `at_idx`); the pass consumes them from the back.
+    let mut inputs: Vec<_> = trace
+        .events
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::Input {
+                at_idx,
+                conn,
+                stream_off,
+                addr,
+                len,
+            } if at_idx < criterion => Some((at_idx, conn, stream_off, addr, len)),
+            _ => None,
+        })
+        .collect();
 
-    for (idx, entry) in trace.entries.iter().enumerate() {
-        let mut d = Vec::new();
-        for r in &entry.effects.reads {
-            if let Some(w) = last_writer.get(r) {
-                d.push(*w);
+    let mut demand = Demand::default();
+    let mut members = vec![criterion];
+    let mut input_deps = Vec::new();
+    for &r in trace.reads(criterion) {
+        demand.insert(r);
+    }
+    for idx in (0..criterion).rev() {
+        if !include_control && demand.is_empty() {
+            break;
+        }
+        while let Some(&(at, conn, off, addr, len)) = inputs.last() {
+            if at != idx {
+                break;
             }
-        }
-        deps.push(d);
-        ctrl_dep.push(last_branch);
-        for w in &entry.effects.writes {
-            last_writer.insert(*w, Writer::Insn(idx));
-        }
-        // Input delivered by this instruction (a read syscall) marks the
-        // buffer bytes as input-written.
-        if let Some(ins) = inputs_at.get(&idx) {
-            for (conn, off, addr, len) in ins {
-                for i in 0..*len {
-                    last_writer.insert(
-                        Loc::MemByte(addr.wrapping_add(i)),
-                        Writer::Input(*conn, off + i),
-                    );
+            inputs.pop();
+            for i in 0..len {
+                if demand.remove(Loc::MemByte(addr.wrapping_add(i))) {
+                    input_deps.push((conn, off + i));
                 }
             }
         }
-        if matches!(
-            entry.op,
-            Op::JCond { .. } | Op::JmpR { .. } | Op::CallR { .. } | Op::Ret
-        ) {
-            last_branch = Some(idx);
+        let mut joined = include_control && is_branch(&trace.entries[idx].op);
+        for &w in trace.writes(idx) {
+            joined |= demand.remove(w);
+        }
+        if joined {
+            members.push(idx);
+            for &r in trace.reads(idx) {
+                demand.insert(r);
+            }
         }
     }
 
-    // Backward pass: worklist from the criterion.
-    let mut slice = Slice::default();
-    if criterion >= n {
-        return slice;
+    // `members` is descending and duplicate-free: build each set in one
+    // sorted bulk step.
+    members.reverse();
+    let pcs = members.iter().map(|&i| trace.entries[i].pc).collect();
+    Slice {
+        indices: members.into_iter().collect(),
+        pcs,
+        input_deps: input_deps.into_iter().collect(),
     }
-    let mut work: VecDeque<usize> = VecDeque::new();
-    work.push_back(criterion);
-    while let Some(idx) = work.pop_front() {
-        if !slice.indices.insert(idx) {
-            continue;
-        }
-        slice.pcs.insert(trace.entries[idx].pc);
-        for w in &deps[idx] {
-            match w {
-                Writer::Insn(i) => work.push_back(*i),
-                Writer::Input(conn, off) => {
-                    slice.input_deps.insert((*conn, *off));
-                }
-            }
-        }
-        if include_control {
-            if let Some(b) = ctrl_dep[idx] {
-                work.push_back(b);
-            }
-        }
-    }
-    slice
 }
 
-/// Compute a forward slice: every dynamic instruction influenced by the
-/// given input byte set. (Paper §3.2 notes the dependence tree supports
-/// this; Sweeper itself does not use it, but we expose it for
-/// experiments.)
-pub fn forward_slice(trace: &TraceRecorder, inputs: &BTreeSet<(u32, u32)>) -> Slice {
-    let n = trace.entries.len();
-    let mut tainted_locs: HashMap<Loc, ()> = HashMap::new();
-    let mut inputs_at: HashMap<usize, Vec<(u32, u32, u32, u32)>> = HashMap::new();
-    for ev in &trace.events {
-        if let TraceEvent::Input {
-            at_idx,
-            conn,
-            stream_off,
-            addr,
-            len,
-        } = ev
-        {
-            inputs_at
-                .entry(*at_idx)
-                .or_default()
-                .push((*conn, *stream_off, *addr, *len));
-        }
-    }
-    let mut slice = Slice::default();
-    for idx in 0..n {
-        let entry = &trace.entries[idx];
-        let influenced = entry
-            .effects
-            .reads
-            .iter()
-            .any(|r| tainted_locs.contains_key(r));
-        if influenced {
-            slice.indices.insert(idx);
-            slice.pcs.insert(entry.pc);
-            for w in &entry.effects.writes {
-                tainted_locs.insert(*w, ());
-            }
-        } else {
-            for w in &entry.effects.writes {
-                tainted_locs.remove(w);
-            }
-        }
-        if let Some(ins) = inputs_at.get(&idx) {
-            for (conn, off, addr, len) in ins {
-                for i in 0..*len {
-                    if inputs.contains(&(*conn, off + i)) {
-                        tainted_locs.insert(Loc::MemByte(addr.wrapping_add(i)), ());
-                    }
-                }
-            }
-        }
-    }
-    slice
+/// Branches later instructions are control-dependent on.
+fn is_branch(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::JCond { .. } | Op::JmpR { .. } | Op::CallR { .. } | Op::Ret
+    )
 }
 
 #[cfg(test)]
@@ -324,35 +332,6 @@ buf: .space 8
             [(0u32, 2u32)].into_iter().collect(),
             "exactly byte 2"
         );
-    }
-
-    #[test]
-    fn forward_slice_finds_influenced_instructions() {
-        let src = "
-.text
-main:
-    sys accept
-    movi r1, buf
-    movi r2, 8
-    sys read
-    movi r1, buf
-    ldb r3, [r1, 0]
-    add r4, r3, r3
-    movi r5, 7
-    halt
-.data
-buf: .space 8
-";
-        let (_m, tr) = trace_of(src, Some(b"xy"));
-        let inputs: BTreeSet<(u32, u32)> = [(0u32, 0u32)].into_iter().collect();
-        let s = forward_slice(&tr, &inputs);
-        // The ldb and the add are influenced; movi r5 is not.
-        let influenced_ops: Vec<&Op> = s.indices.iter().map(|&i| &tr.entries[i].op).collect();
-        assert!(influenced_ops.iter().any(|o| matches!(o, Op::LdB { .. })));
-        assert!(influenced_ops.iter().any(|o| matches!(o, Op::Alu { .. })));
-        assert!(!influenced_ops
-            .iter()
-            .any(|o| matches!(o, Op::MovI { imm: 7, .. })));
     }
 
     #[test]

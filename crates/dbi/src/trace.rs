@@ -2,10 +2,28 @@
 //!
 //! Dynamic backward slicing needs the complete dynamic dependency history
 //! of the replayed window; the [`TraceRecorder`] tool captures one
-//! [`TraceEntry`] per retired instruction, including resolved dataflow
-//! effects and input-delivery events. The paper notes slicing costs
+//! [`TraceEntry`] per retired instruction plus the input-delivery and heap
+//! events interleaved with them. The paper notes slicing costs
 //! 100x-1000x — this is the expensive part, which is why it is only ever
 //! attached to a *replay from a checkpoint*, never to live execution.
+//!
+//! # Layout
+//!
+//! Slicing needs only each instruction's resolved read and write
+//! locations, so the recorder keeps just those, not the full
+//! [`Effects`](crate::effects::Effects). Every instruction appends its
+//! reads and then its writes to one flat `Vec<Loc>` arena; its
+//! [`TraceEntry`] holds `pc`, `op`, `mem_write` and three offsets into
+//! that arena:
+//!
+//! ```text
+//! locs:   [ r0 r0 | w0 | r1 | w1 w1 w1 w1 | ... ]
+//!           ^start  ^mid ^end = start of entry 1
+//! ```
+//!
+//! [`TraceRecorder::reads`] and [`TraceRecorder::writes`] return the two
+//! slices of entry `i`. A trace is then two growing buffers instead of
+//! several `Vec`s per instruction, and dropping it is two frees.
 
 use std::any::Any;
 
@@ -13,20 +31,25 @@ use svm::alloc::FreeKind;
 use svm::isa::{Op, Syscall};
 use svm::Machine;
 
-use crate::effects::{effects, Effects};
+use crate::effects::{effects, Loc};
 use crate::tool::{Tool, Watch};
 
-/// One dynamic instruction in the trace.
+/// One dynamic instruction in the trace. Its position in
+/// [`TraceRecorder::entries`] is its dynamic index.
 #[derive(Debug, Clone)]
 pub struct TraceEntry {
-    /// Dynamic instruction index (0-based within the recording).
-    pub idx: usize,
     /// Program counter.
     pub pc: u32,
     /// Decoded instruction.
     pub op: Op,
-    /// Resolved dataflow effects at execution time.
-    pub effects: Effects,
+    /// Memory region written, as `(addr, len)`, if any.
+    pub mem_write: Option<(u32, u32)>,
+    /// Arena offset of the first read location.
+    start: usize,
+    /// Arena offset of the first write location (one past the reads).
+    mid: usize,
+    /// One past the last write location.
+    end: usize,
 }
 
 /// A non-instruction event interleaved with the trace.
@@ -73,6 +96,8 @@ pub struct TraceRecorder {
     pub entries: Vec<TraceEntry>,
     /// Interleaved non-instruction events.
     pub events: Vec<TraceEvent>,
+    /// Read and write locations of every entry, back to back.
+    locs: Vec<Loc>,
 }
 
 impl TraceRecorder {
@@ -95,6 +120,26 @@ impl TraceRecorder {
     pub fn last(&self) -> Option<&TraceEntry> {
         self.entries.last()
     }
+
+    /// Locations instruction `i` read (its data dependencies).
+    ///
+    /// # Panics
+    ///
+    /// If `i` is out of range.
+    pub fn reads(&self, i: usize) -> &[Loc] {
+        let e = &self.entries[i];
+        &self.locs[e.start..e.mid]
+    }
+
+    /// Locations instruction `i` wrote.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is out of range.
+    pub fn writes(&self, i: usize) -> &[Loc] {
+        let e = &self.entries[i];
+        &self.locs[e.mid..e.end]
+    }
 }
 
 impl Tool for TraceRecorder {
@@ -113,12 +158,18 @@ impl Tool for TraceRecorder {
     }
 
     fn on_insn(&mut self, m: &Machine, pc: u32, op: &Op) {
-        let idx = self.entries.len();
+        let e = effects(m, op);
+        let start = self.locs.len();
+        self.locs.extend_from_slice(&e.reads);
+        let mid = self.locs.len();
+        self.locs.extend_from_slice(&e.writes);
         self.entries.push(TraceEntry {
-            idx,
             pc,
             op: *op,
-            effects: effects(m, op),
+            mem_write: e.mem_write,
+            start,
+            mid,
+            end: self.locs.len(),
         });
     }
 
@@ -182,8 +233,12 @@ mod tests {
         let st = &tr.entries[2];
         assert!(matches!(st.op, Op::St { .. }));
         let buf = m.symbols.addr_of("buf").expect("buf");
-        assert_eq!(st.effects.mem_write, Some((buf, 4)));
-        assert_eq!(tr.last().map(|e| e.idx), Some(3));
+        assert_eq!(st.mem_write, Some((buf, 4)));
+        assert_eq!(tr.reads(2), [Loc::Reg(1), Loc::Reg(2)]);
+        let bytes: Vec<Loc> = (0..4).map(|i| Loc::MemByte(buf + i)).collect();
+        assert_eq!(tr.writes(2), bytes);
+        assert!(matches!(tr.last().map(|e| e.op), Some(Op::Halt)));
+        assert!(tr.reads(3).is_empty() && tr.writes(3).is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! Every step's (virtual) latency is charged to the timeline, and every
 //! produced antibody item is timestamped for piecemeal distribution.
 
-use analysis::{backward_slice, CoreDumpReport, MemBugDetector, MemBugKind, TaintTool};
+use analysis::{backward_slice, CoreDumpReport, MemBugDetector, MemBugKind, Slice, TaintTool};
 use antibody::{exact_from, substring_from_taint, Antibody, AntibodyItem, VsefSpec};
 use checkpoint::{CheckpointManager, CkptId, NoFault, Proxy, ReplayEnd, ReplaySession};
 use dbi::{Instrumenter, TraceRecorder};
@@ -137,6 +137,9 @@ pub struct InputFinding {
     pub attack_log_ids: Vec<usize>,
     /// Byte offsets implicated within the primary attack connection.
     pub offsets: Vec<u32>,
+    /// The primary attack connection's id in the analysis replays (the
+    /// guest connection `offsets` index into; not a proxy log id).
+    pub primary_conn: u32,
     /// Whether taint found it (vs. one-at-a-time isolation).
     pub via_taint: bool,
 }
@@ -395,6 +398,7 @@ pub fn analyze_attack(
                     .filter(|(c, _)| *c == primary_guest)
                     .map(|(_, o)| *o)
                     .collect();
+                input.primary_conn = primary_guest;
                 input.attack_log_ids = ids;
             }
         }
@@ -502,7 +506,7 @@ pub fn analyze_attack(
             .run(&mut ins4, &mut *faults);
         let step4_cycles = ATTACH_COST_CYCLES + out4.cycles + ins4.take_overhead();
         timeline.advance_by(step4_cycles);
-        metrics.end_span(sp4, timeline.now());
+        let sp4_end = timeline.now();
         timings.slicing_ms = cycles_to_secs(step4_cycles) * 1e3;
         timeline.record(Event::AnalysisStep {
             step: "slicing",
@@ -519,22 +523,16 @@ pub fn analyze_attack(
                 .iter()
                 .find(|f| f.kind != MemBugKind::DoubleFree)
                 .map(|f| slice.contains_pc(f.pc));
-            let taint_verified = if input.via_taint && !input.offsets.is_empty() {
-                Some(
-                    input
-                        .offsets
-                        .iter()
-                        .any(|o| slice.input_deps.iter().any(|(_, so)| so == o)),
-                )
-            } else {
-                None
-            };
             SliceVerdict {
                 slice_len: slice.len(),
                 membug_verified,
-                taint_verified,
+                taint_verified: taint_verified(&input, &slice),
             }
         });
+        // The wall mirror covers the slice and the trace's drop; the
+        // virtual extent ends where the replay's charge does.
+        drop(ins4);
+        metrics.end_span(sp4, sp4_end);
         verdict
     } else {
         None
@@ -551,6 +549,18 @@ pub fn analyze_attack(
         timings,
         ckpt,
         symbols: live.symbols.clone(),
+    })
+}
+
+/// Whether the slice confirms taint's finding: some implicated byte of
+/// the primary attack connection is among the slice's input
+/// dependencies. `None` when taint implicated no bytes.
+fn taint_verified(input: &InputFinding, slice: &Slice) -> Option<bool> {
+    (input.via_taint && !input.offsets.is_empty()).then(|| {
+        input
+            .offsets
+            .iter()
+            .any(|&o| slice.input_deps.contains(&(input.primary_conn, o)))
     })
 }
 
@@ -606,4 +616,52 @@ fn refined_vsefs(findings: &[analysis::MemBugFinding]) -> Vec<VsefSpec> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn finding(conn: u32, offsets: &[u32]) -> InputFinding {
+        InputFinding {
+            attack_log_ids: vec![0],
+            offsets: offsets.to_vec(),
+            primary_conn: conn,
+            via_taint: true,
+        }
+    }
+
+    fn slice_with_inputs(deps: &[(u32, u32)]) -> Slice {
+        Slice {
+            input_deps: deps.iter().copied().collect(),
+            ..Slice::default()
+        }
+    }
+
+    #[test]
+    fn taint_verdict_matches_connection_and_offset() {
+        let input = finding(2, &[5, 6]);
+        assert_eq!(
+            taint_verified(&input, &slice_with_inputs(&[(2, 6)])),
+            Some(true)
+        );
+        // Only another connection has the offset: a benign connection
+        // must not verify the taint finding.
+        assert_eq!(
+            taint_verified(&input, &slice_with_inputs(&[(0, 5), (1, 6)])),
+            Some(false)
+        );
+        assert_eq!(taint_verified(&input, &slice_with_inputs(&[])), Some(false));
+    }
+
+    #[test]
+    fn taint_verdict_is_absent_without_taint_bytes() {
+        let deps = slice_with_inputs(&[(0, 0)]);
+        assert_eq!(taint_verified(&finding(0, &[]), &deps), None);
+        let isolated = InputFinding {
+            via_taint: false,
+            ..finding(0, &[0])
+        };
+        assert_eq!(taint_verified(&isolated, &deps), None);
+    }
 }
