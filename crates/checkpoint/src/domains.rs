@@ -193,8 +193,7 @@ impl DomainLedger {
         if self.window.is_none() {
             return;
         }
-        let dirty: Vec<(u32, u64)> = m.mem.dirty_pages_since(self.covered_gen).collect();
-        for (pno, gen) in dirty {
+        for (pno, gen, _) in m.mem.dirty_pages_since(self.covered_gen) {
             if let Some(prev) = self.owner.get(&pno) {
                 if prev.domain != domain && !prev.covered {
                     // Cross-domain overwrite of uncovered state: the
@@ -265,8 +264,9 @@ impl DomainLedger {
             return false;
         }
         let idx = (selector as usize) % self.owner.len();
-        let pno = *self.owner.keys().nth(idx).expect("idx < len");
-        let o = self.owner.get_mut(&pno).expect("tracked");
+        let Some(o) = self.owner.values_mut().nth(idx) else {
+            return false;
+        };
         o.domain ^= 0x8000_0000;
         // Deliberately no checksum recompute: the corruption must be
         // *detected*, not legitimized.

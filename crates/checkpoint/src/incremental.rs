@@ -12,6 +12,14 @@
 //! captured at take time, and is bit-identical to a full clone — a
 //! property the `checkpoint_incremental` proptests and `tables
 //! ckptparity` check against fingerprints recorded at take time.
+//!
+//! Every page hash — dedupe keys, the full-image digest taken at every
+//! snapshot and verified at every materialize, and
+//! [`crate::recovery_digest`] — goes through one [`page_digest`]: four
+//! independent lanes over a page's little-endian `u64` words (each lane
+//! an xor-multiply-rotate chain), folded into one `u64`. A never-written
+//! page skips the loop: its digest is the compile-time lane hash of
+//! 4,096 zero bytes, so it still dedupes with a written all-zero page.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -22,53 +30,106 @@ use svm::Machine;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a folding of `PAGE_SIZE` zero bytes: `h ^ 0 == h`, so each zero
-/// byte only multiplies by the prime, and the whole page is one multiply
-/// by `FNV_PRIME^PAGE_SIZE`.
-const ZERO_PAGE_FOLD: u64 = FNV_PRIME.wrapping_pow(svm::mem::PAGE_SIZE as u32);
+/// Independent hash lanes in [`page_digest`]: word `i` of a page feeds
+/// lane `i % LANES`, so the four multiply chains overlap in the CPU.
+const LANES: usize = 4;
 
-/// FNV-1a over a byte slice, continuing from state `h` (the workspace's
-/// standard offline hash starts at `FNV_OFFSET`).
-fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+/// Little-endian `u64` words per page.
+const PAGE_WORDS: usize = svm::mem::PAGE_SIZE / 8;
+
+/// One hash step: FNV-style xor-multiply, then a rotate so the high
+/// bits the multiply produces feed back into the low ones.
+const fn mix(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME).rotate_left(29)
+}
+
+/// Distinct starting states, so equal words in different lanes do not
+/// contribute equally.
+const LANE_SEEDS: [u64; LANES] = {
+    let mut seeds = [0; LANES];
+    let mut i = 0;
+    while i < LANES {
+        seeds[i] = mix(FNV_OFFSET, i as u64);
+        i += 1;
+    }
+    seeds
+};
+
+/// Fold the lanes, in lane order, into one digest.
+const fn finish(lanes: [u64; LANES]) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut i = 0;
+    while i < LANES {
+        h = mix(h, lanes[i]);
+        i += 1;
     }
     h
 }
 
-/// Fold one page's bytes into FNV-1a state `h`. A never-written page
-/// costs one multiply and gives the same state as folding its 4,096 zero
-/// bytes one by one.
-pub(crate) fn fold_page(h: u64, page: &Page) -> u64 {
+/// The lane hash of `PAGE_SIZE` zero bytes, computed at compile time by
+/// the lane loop [`page_digest`] runs over a written page: a
+/// never-written page digests, and dedupes, like a written all-zero one.
+const ZERO_PAGE_DIGEST: u64 = {
+    let mut lanes = LANE_SEEDS;
+    let mut i = 0;
+    while i < PAGE_WORDS {
+        lanes[i % LANES] = mix(lanes[i % LANES], 0);
+        i += 1;
+    }
+    finish(lanes)
+};
+
+/// The lane hash of a page's bytes, 32 bytes (one word per lane) at a
+/// time.
+fn lane_digest(bytes: &[u8; svm::mem::PAGE_SIZE]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let (words, _) = bytes.as_chunks::<8>();
+    for chunk in words.chunks_exact(LANES) {
+        for (lane, word) in lanes.iter_mut().zip(chunk) {
+            *lane = mix(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    finish(lanes)
+}
+
+/// Content digest of one page: four independent lanes over its
+/// little-endian words, folded into one `u64`. Never-written pages and
+/// written all-zero pages have the same digest, `ZERO_PAGE_DIGEST`,
+/// which the former get without reading a byte.
+pub fn page_digest(page: &Page) -> u64 {
     if page.is_written() {
-        fnv1a_from(h, page.bytes())
+        lane_digest(page.bytes())
     } else {
-        h.wrapping_mul(ZERO_PAGE_FOLD)
+        ZERO_PAGE_DIGEST
     }
 }
 
-/// Content digest of one page: FNV-1a over its bytes. Never-written
-/// pages and written all-zero pages have the same digest.
-pub fn page_digest(page: &Page) -> u64 {
-    fold_page(FNV_OFFSET, page)
+/// Fold one word into FNV state `h` (the workspace's standard offline
+/// hash starts at `FNV_OFFSET`), whole rather than byte by byte.
+fn fold_word(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(FNV_PRIME)
+}
+
+/// Fold one page into FNV state `h` as the single word
+/// [`page_digest`].
+pub(crate) fn fold_page(h: u64, page: &Page) -> u64 {
+    fold_word(h, page_digest(page))
 }
 
 /// Deterministic digest of a full address-space image: page numbers,
 /// per-page write generations and contents, the global write watermark
-/// and the NX flag. Two `Mem`s with equal digests are observably
-/// identical to the guest *and* to the generation-keyed caches above it.
+/// and the NX flag, each folded as one word. Two `Mem`s with equal
+/// digests are observably identical to the guest *and* to the
+/// generation-keyed caches above it.
 pub fn mem_digest(mem: &Mem) -> u64 {
     let mut h = FNV_OFFSET;
-    let mut fold = |v: u64| h = fnv1a_from(h, &v.to_le_bytes());
     for (pno, gen, page) in mem.pages() {
-        fold(pno as u64);
-        fold(gen);
-        fold(page_digest(page));
+        h = fold_word(h, pno as u64);
+        h = fold_word(h, gen);
+        h = fold_page(h, page);
     }
-    fold(mem.write_seq());
-    fold(mem.nx as u64);
-    h
+    h = fold_word(h, mem.write_seq());
+    fold_word(h, mem.nx as u64)
 }
 
 /// A key into the [`DedupeStore`] (derived from the page's content hash,
@@ -229,7 +290,7 @@ impl DeltaRecord {
     ) -> DeltaRecord {
         let mut pages = BTreeMap::new();
         let mut delta_len = 0usize;
-        for (pno, gen) in m.mem.page_table() {
+        for (pno, gen, data) in m.mem.pages() {
             // Prefer, in order: a pending drained capture at the live
             // generation, the previous record's entry at the live
             // generation, else intern fresh. Equal generations guarantee
@@ -245,9 +306,8 @@ impl DeltaRecord {
                         (key, g)
                     }
                     _ => {
-                        let (arc, g) = m.mem.page_arc(pno).expect("mapped");
                         delta_len += 1;
-                        (store.intern(arc), g)
+                        (store.intern(Arc::clone(data)), gen)
                     }
                 },
             };
@@ -362,14 +422,69 @@ mod tests {
         assert_eq!(store.stats().compacted, 1);
     }
 
+    /// The lane hash written out the plain way: one word at a time,
+    /// word `i` into lane `i % LANES`.
+    fn reference_digest(bytes: &[u8; PAGE_SIZE]) -> u64 {
+        let mut lanes = LANE_SEEDS;
+        for (i, word) in bytes.chunks_exact(8).enumerate() {
+            let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            lanes[i % LANES] = mix(lanes[i % LANES], w);
+        }
+        finish(lanes)
+    }
+
+    /// Bytes `i as u8 ^ (i >> 8) as u8`: no two adjacent words equal.
+    fn patterned() -> Page {
+        let mut p = Page::zeroed();
+        for (i, b) in p.bytes_mut().iter_mut().enumerate() {
+            *b = i as u8 ^ (i >> 8) as u8;
+        }
+        p
+    }
+
     #[test]
     fn never_written_page_folds_like_zero_bytes() {
         let zeros = [0u8; PAGE_SIZE];
         let lazy = Page::zeroed();
-        assert_eq!(page_digest(&lazy), fnv1a_from(FNV_OFFSET, &zeros));
+        assert_eq!(page_digest(&lazy), lane_digest(&zeros));
+        assert_eq!(page_digest(&lazy), reference_digest(&zeros));
         for h in [1, 0xdead_beef, u64::MAX] {
-            assert_eq!(fold_page(h, &lazy), fnv1a_from(h, &zeros));
+            let folded = (h ^ lane_digest(&zeros)).wrapping_mul(FNV_PRIME);
+            assert_eq!(fold_page(h, &lazy), folded);
         }
+    }
+
+    #[test]
+    fn page_digest_sees_every_word() {
+        let base = patterned();
+        let d0 = page_digest(&base);
+        assert_eq!(d0, reference_digest(base.bytes()));
+        // Bits 0 and 63 of every word, and every bit index somewhere.
+        let mut p = base.clone();
+        for word in 0..PAGE_WORDS {
+            for bit in [0, word % 64, 63] {
+                let (byte, mask) = (word * 8 + bit / 8, 1 << (bit % 8));
+                p.bytes_mut()[byte] ^= mask;
+                assert_ne!(page_digest(&p), d0, "word {word} bit {bit}");
+                p.bytes_mut()[byte] ^= mask;
+            }
+        }
+        for (a, b) in [(0, 1), (0, 4), (3, 7), (5, 511), (100, 356), (510, 511)] {
+            let mut p = base.clone();
+            let (lo, hi) = p.bytes_mut().split_at_mut(b * 8);
+            let (wa, wb) = (&mut lo[a * 8..a * 8 + 8], &mut hi[..8]);
+            assert_ne!(wa, wb);
+            wa.swap_with_slice(wb);
+            assert_ne!(page_digest(&p), d0, "swap words {a} and {b}");
+        }
+    }
+
+    #[test]
+    fn page_digests_are_pinned() {
+        // Little-endian word loads make these the same on every host; a
+        // change to either value is a deliberate change to the hash.
+        assert_eq!(ZERO_PAGE_DIGEST, 0x7f77_259f_6773_f632);
+        assert_eq!(page_digest(&patterned()), 0x266d_fba5_df3b_a898);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! without the attacker's input — or falls back to demanding a restart
 //! when the re-execution diverges from committed output.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod domains;
 pub mod incremental;
 pub mod manager;

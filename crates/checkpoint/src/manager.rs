@@ -20,6 +20,7 @@
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use svm::clock::cost;
 use svm::Machine;
@@ -189,11 +190,8 @@ impl CheckpointManager {
             return 0;
         }
         let mut drained = 0usize;
-        let dirty: Vec<(u32, u64)> = m.mem.dirty_pages_since(self.covered_gen).collect();
-        for (pno, gen) in dirty {
-            let (arc, g) = m.mem.page_arc(pno).expect("dirty page is mapped");
-            debug_assert_eq!(g, gen);
-            let key = self.store.intern(arc);
+        for (pno, gen, data) in m.mem.dirty_pages_since(self.covered_gen) {
+            let key = self.store.intern(Arc::clone(data));
             if let Some((old, _)) = self.pending.insert(pno, (key, gen)) {
                 self.store.release(old);
             }
@@ -505,16 +503,11 @@ impl CheckpointManager {
                 None => {
                     if ckpt_image.is_none() {
                         ckpt_image = self.materialize(id);
-                        if ckpt_image.is_none() {
-                            return Err(DomainRefusal::PageUnavailable);
-                        }
                     }
-                    ckpt_image
-                        .as_ref()
-                        .expect("just materialized")
-                        .mem
-                        .page_arc(pno)
-                        .map(|(arc, _)| arc)
+                    let Some(image) = &ckpt_image else {
+                        return Err(DomainRefusal::PageUnavailable);
+                    };
+                    image.mem.page_arc(pno).map(|(arc, _)| arc)
                 }
             };
             match arc {

@@ -224,16 +224,18 @@ pub fn recover(
 }
 
 fn bump_domain(per_domain: &mut Vec<DomainConns>, domain: u32) -> &mut DomainConns {
-    if let Some(i) = per_domain.iter().position(|d| d.domain == domain) {
-        &mut per_domain[i]
-    } else {
-        per_domain.push(DomainConns {
-            domain,
-            replayed: 0,
-            dropped: 0,
-        });
-        per_domain.last_mut().expect("just pushed")
-    }
+    let i = match per_domain.iter().position(|d| d.domain == domain) {
+        Some(i) => i,
+        None => {
+            per_domain.push(DomainConns {
+                domain,
+                replayed: 0,
+                dropped: 0,
+            });
+            per_domain.len() - 1
+        }
+    };
+    &mut per_domain[i]
 }
 
 /// Attempt a **partial** (domain) recovery: roll back only the dropped

@@ -424,26 +424,25 @@ impl Mem {
         self.pages.iter().map(|(pno, s)| (*pno, s.gen))
     }
 
-    /// Iterate every mapped page with its write generation and contents,
-    /// in ascending page order (for digests that must tell never-written
-    /// pages apart without reading their bytes).
-    pub fn pages(&self) -> impl Iterator<Item = (u32, u64, &Page)> + '_ {
-        self.pages.iter().map(|(pno, s)| (*pno, s.gen, &*s.data))
+    /// Iterate every mapped page with its write generation and backing
+    /// storage, in ascending page order (for digests that must tell
+    /// never-written pages apart without reading their bytes, and for
+    /// captures: cloning the `Arc` is the same O(1) copy-on-write capture
+    /// as [`Mem::page_arc`], without a second page-table lookup).
+    pub fn pages(&self) -> impl Iterator<Item = (u32, u64, &Arc<Page>)> + '_ {
+        self.pages.iter().map(|(pno, s)| (*pno, s.gen, &s.data))
     }
 
-    /// Iterate the pages whose write generation advanced past `gen`
-    /// (i.e. pages dirtied since a consumer last observed `write_seq()
-    /// == gen`), in ascending page order. Newly mapped pages start at
+    /// [`Mem::pages`] restricted to the pages whose write generation
+    /// advanced past `gen` (i.e. pages dirtied since a consumer last
+    /// observed `write_seq() == gen`). Newly mapped pages start at
     /// generation 0, so a consumer that needs *every* page it has never
     /// seen must also diff [`Mem::page_table`] against its own table —
     /// but this address space never unmaps, and all mapping happens at
     /// load time, so post-boot consumers only ever see the gen ladder
     /// move.
-    pub fn dirty_pages_since(&self, gen: u64) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.pages
-            .iter()
-            .filter(move |(_, s)| s.gen > gen)
-            .map(|(pno, s)| (*pno, s.gen))
+    pub fn dirty_pages_since(&self, gen: u64) -> impl Iterator<Item = (u32, u64, &Arc<Page>)> + '_ {
+        self.pages().filter(move |&(_, g, _)| g > gen)
     }
 
     /// Capture page `pno`'s backing storage by reference: an O(1) `Arc`
@@ -631,7 +630,10 @@ mod tests {
         m.write_u8(0, 0x2000, 2).expect("w");
         m.write_u32(0, 0x3000, 3).expect("w");
         // Only the two pages written past the watermark show up.
-        let dirty: Vec<(u32, u64)> = m.dirty_pages_since(watermark).collect();
+        let dirty: Vec<(u32, u64)> = m
+            .dirty_pages_since(watermark)
+            .map(|(p, g, _)| (p, g))
+            .collect();
         assert_eq!(dirty.iter().map(|(p, _)| *p).collect::<Vec<_>>(), [2, 3]);
         assert!(dirty.iter().all(|(p, g)| *g == m.page_gen(*p)));
         assert_eq!(m.dirty_pages_since(m.write_seq()).count(), 0);
@@ -723,7 +725,7 @@ mod tests {
     fn eager_copy(m: &Mem) -> Mem {
         let mut eager = m.skeleton();
         for (pno, gen, page) in m.pages() {
-            let mut p = page.clone();
+            let mut p = Page::clone(page);
             p.bytes_mut();
             eager.restore_page(pno, Arc::new(p), gen);
         }

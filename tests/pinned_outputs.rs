@@ -2,9 +2,10 @@
 //! bit-equal.
 //!
 //! Every constant below was recorded while every mapped guest page was
-//! still allocated and zeroed eagerly. Never-written pages now hold no
-//! bytes and hash in one multiply; these tests check, rather than
-//! assert in prose, that the change moved no modelled number:
+//! still allocated and zeroed eagerly, and hashed byte by byte.
+//! Never-written pages now hold no bytes and hash to a constant, and
+//! written pages are hashed a word at a time; these tests check, rather
+//! than assert in prose, that neither change moved a modelled number:
 //!
 //! * the fleet outcome digest of a small outbreak fleet and of the
 //!   committed 1,000-host one (every service completion plus the final
