@@ -258,14 +258,14 @@ impl VsefRuntime {
         self.taint.clear();
         self.detections.clear();
     }
+}
 
-    fn detect(&mut self, spec_idx: usize, pc: u32, detail: String) {
-        let kind = self.specs[spec_idx].kind();
-        self.detections.push(Detection {
-            vsef_kind: kind,
-            pc,
-            detail,
-        });
+/// The detection `spec` reports at `pc`.
+fn detection(spec: &VsefSpec, pc: u32, detail: String) -> Detection {
+    Detection {
+        vsef_kind: spec.kind(),
+        pc,
+        detail,
     }
 }
 
@@ -284,26 +284,27 @@ impl Tool for VsefRuntime {
     }
 
     fn on_insn(&mut self, m: &Machine, pc: u32, op: &Op) {
-        let Some(idxs) = self.by_pc.get(&pc).cloned() else {
+        let Some(idxs) = self.by_pc.get(&pc) else {
             return;
         };
         let e = effects(m, op);
-        for i in idxs {
-            match self.specs[i].clone() {
+        // Disjoint field borrows: `idxs` stays borrowed from `by_pc`
+        // while detections are pushed, so nothing is cloned per event.
+        let specs = &self.specs;
+        let detections = &mut self.detections;
+        let mut detect =
+            |i: usize, detail: String| detections.push(detection(&specs[i], pc, detail));
+        for &i in idxs {
+            match specs[i] {
                 VsefSpec::StoreSmashGuard { .. } => {
                     if let Some((addr, len)) = e.mem_write {
-                        let overlap: Vec<u32> = self
+                        let overlap = self
                             .ret_slots
                             .range(addr.saturating_sub(3)..addr.wrapping_add(len))
                             .map(|(&s, _)| s)
-                            .filter(|&s| addr < s + 4 && s < addr.wrapping_add(len))
-                            .collect();
-                        if let Some(slot) = overlap.first() {
-                            self.detect(
-                                i,
-                                pc,
-                                format!("store hits return-address slot {slot:#010x}"),
-                            );
+                            .find(|&s| addr < s + 4 && s < addr.wrapping_add(len));
+                        if let Some(slot) = overlap {
+                            detect(i, format!("store hits return-address slot {slot:#010x}"));
                         }
                     }
                 }
@@ -329,7 +330,7 @@ impl Tool for VsefRuntime {
                             }
                         }
                         if m.heap.live_chunk_containing(&m.mem, addr).is_none() {
-                            self.detect(i, pc, format!("out-of-bounds heap write to {addr:#010x}"));
+                            detect(i, format!("out-of-bounds heap write to {addr:#010x}"));
                         }
                     }
                 }
@@ -352,11 +353,7 @@ impl Tool for VsefRuntime {
                             || (fd >= m.layout.heap_base
                                 && fd < m.layout.heap_base + m.layout.heap_size);
                         if !ok || !fd_ok {
-                            self.detect(
-                                i,
-                                pc,
-                                format!("heap free-list corruption at chunk {cur:#010x}"),
-                            );
+                            detect(i, format!("heap free-list corruption at chunk {cur:#010x}"));
                             break;
                         }
                         cur = fd;
@@ -376,7 +373,7 @@ impl Tool for VsefRuntime {
                             })
                             .unwrap_or(true);
                         if bad {
-                            self.detect(i, pc, format!("corrupt chunk header at {c:#010x}"));
+                            detect(i, format!("corrupt chunk header at {c:#010x}"));
                         }
                     }
                 }
@@ -384,7 +381,7 @@ impl Tool for VsefRuntime {
                     let addr = e.mem_read.map(|(a, _)| a).or(e.mem_write.map(|(a, _)| a));
                     if let Some(a) = addr {
                         if a < svm::mem::PAGE_SIZE as u32 {
-                            self.detect(i, pc, format!("NULL dereference of {a:#x}"));
+                            detect(i, format!("NULL dereference of {a:#x}"));
                         }
                     }
                 }
@@ -398,11 +395,7 @@ impl Tool for VsefRuntime {
                                 other => self.taint.contains_key(other),
                             };
                             if tainted {
-                                self.detect(
-                                    i,
-                                    pc,
-                                    format!("tainted control transfer to {target:#010x}"),
-                                );
+                                detect(i, format!("tainted control transfer to {target:#010x}"));
                             }
                         }
                     }
@@ -435,38 +428,42 @@ impl Tool for VsefRuntime {
 
     fn on_ret(&mut self, _m: &Machine, pc: u32, ret_target: u32, sp: u32) {
         self.shadow.pop_to(sp);
-        let dead: Vec<u32> = self.ret_slots.range(..=sp).map(|(&s, _)| s).collect();
-        for s in dead {
-            self.ret_slots.remove(&s);
+        // Slots at or below `sp` are the lowest keys: remove them in
+        // place (unlike `split_off`, this builds no second tree).
+        while let Some(slot) = self.ret_slots.first_entry() {
+            if *slot.key() > sp {
+                break;
+            }
+            slot.remove();
         }
-        let mut hits = Vec::new();
-        for (i, stack) in self.side_stacks.iter_mut() {
+        for (&i, stack) in self.side_stacks.iter_mut() {
             while let Some(&(slot, expected)) = stack.last() {
                 if slot > sp {
                     break;
                 }
                 stack.pop();
                 if slot == sp && expected != ret_target {
-                    hits.push((*i, expected));
+                    self.detections.push(detection(
+                        &self.specs[i],
+                        pc,
+                        format!(
+                            "return address changed: expected {expected:#010x}, got {ret_target:#010x}"
+                        ),
+                    ));
                 }
             }
-        }
-        for (i, expected) in hits {
-            self.detect(
-                i,
-                pc,
-                format!(
-                    "return address changed: expected {expected:#010x}, got {ret_target:#010x}"
-                ),
-            );
         }
     }
 
     fn on_free(&mut self, _m: &Machine, pc: u32, ptr: u32, kind: FreeKind) {
-        for (i, s) in self.specs.clone().iter().enumerate() {
-            if let VsefSpec::DoubleFreeGuard { free_pc } = s {
-                if *free_pc == pc && (kind == FreeKind::DoubleFree || self.freed.contains(&ptr)) {
-                    self.detect(i, pc, format!("double free of {ptr:#010x}"));
+        for spec in &self.specs {
+            if let VsefSpec::DoubleFreeGuard { free_pc } = *spec {
+                if free_pc == pc && (kind == FreeKind::DoubleFree || self.freed.contains(&ptr)) {
+                    self.detections.push(detection(
+                        spec,
+                        pc,
+                        format!("double free of {ptr:#010x}"),
+                    ));
                 }
             }
         }

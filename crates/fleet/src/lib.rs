@@ -26,6 +26,11 @@
 //! `tables fleet` benchmark serializes as the schema-v7 `"fleet"`
 //! block.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod loadgen;
 pub mod reactor;
 pub mod sim;

@@ -148,7 +148,7 @@ impl<T> Reactor<T> {
             .filter_map(|(i, h)| h.peek().map(|Reverse(e)| (e.key(), i)))
             .min()?
             .1;
-        let Reverse(entry) = self.shards[best].pop().expect("peeked");
+        let Reverse(entry) = self.shards.get_mut(best)?.pop()?;
         self.len -= 1;
         self.now = self.now.max(entry.at);
         Some(Fired {

@@ -2,11 +2,11 @@
 //!
 //! Every layer of the reproduction — the always-on production service,
 //! checkpointed replay, each DBI re-execution, and the real-host
-//! community campaign — funnels through `Machine::step`, which used to
-//! re-fetch 8 bytes (sixteen `BTreeMap` probes) and re-run `Op::decode`
-//! for every retired instruction. This module caches the decode work at
-//! page granularity, the unit JITScanner-style systems use for
-//! check-and-cache over executable memory:
+//! community campaign — funnels through `Machine::step`, which would
+//! otherwise fetch 8 bytes (a page-table probe and a permission check)
+//! and re-run `Op::decode` for every retired instruction. This module
+//! caches the decode work at page granularity, the unit JITScanner-style
+//! systems use for check-and-cache over executable memory:
 //!
 //! - **Per-page arrays** of decoded [`Op`]s ([`SLOTS_PER_PAGE`] slots),
 //!   built lazily the first time any instruction on a page executes.

@@ -7,7 +7,10 @@
 //! - a small fixed-width RISC-like ISA ([`isa`]) with an assembler
 //!   ([`asm`]) and loader ([`loader`]) supporting address-space
 //!   randomization;
-//! - paged, permission-checked, copy-on-write guest memory ([`mem`]);
+//! - paged, permission-checked, copy-on-write guest memory ([`mem`]),
+//!   with each page's permission in its page-table slot so that every
+//!   access costs one probe per page it touches, while `write_seq` and
+//!   the per-page write generations still count bytes;
 //! - a deliberately vulnerable in-guest-memory heap allocator ([`alloc`])
 //!   with glibc-style inline boundary tags and unlink semantics;
 //! - a connection-oriented network endpoint ([`net`]) whose reads carry

@@ -593,9 +593,7 @@ impl Machine {
                 match self.net.read(conn, len as usize) {
                     Ok(Some((off, data))) => {
                         self.clock.tick(cost::IO_BYTE * data.len() as u64);
-                        for (i, b) in data.iter().enumerate() {
-                            self.mem.write_u8(pc, buf.wrapping_add(i as u32), *b)?;
-                        }
+                        self.mem.write_bytes(pc, buf, &data)?;
                         if !passive {
                             hook.on_input(self, conn, off as u32, buf, &data);
                         }

@@ -15,7 +15,18 @@
 //! ([`Mem::shared_pages`]) and storage identities
 //! ([`Mem::page_storage_ids`]) are the same as if every page had been
 //! allocated eagerly.
+//!
+//! Each page's slot holds its permission next to its bytes, so a guest
+//! access costs one page-table probe per page it touches: a byte, a
+//! word or an 8-byte fetch that lies within one page is checked once
+//! and copied whole, only a page-crossing access splits (into one piece
+//! per page), and bulk reads and writes go a page chunk at a time. Each
+//! piece has exactly the effect of its bytes taken one at a time: a
+//! fault names the first byte whose page refuses the access, after the
+//! bytes before it have landed, and [`Mem::write_seq`] and every page's
+//! generation count bytes.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -108,11 +119,14 @@ impl Perm {
         x: true,
     };
 
-    fn allows(&self, access: Access) -> bool {
+    /// Whether this permission admits `access`. With `nx` off, every
+    /// readable page is executable (the pre-NX default).
+    fn admits(self, access: Access, nx: bool) -> bool {
         match access {
             Access::Read => self.r,
             Access::Write => self.w,
-            Access::Exec => self.x,
+            Access::Exec if nx => self.x,
+            Access::Exec => self.r,
         }
     }
 }
@@ -142,23 +156,34 @@ impl Region {
     }
 }
 
-/// One mapped page plus its write-generation stamp.
+/// One mapped page: its storage, its write-generation stamp and its
+/// permission.
 ///
 /// The generation is bumped on every mutation of the page's bytes
 /// (guest store, host injection, allocator metadata update); consumers
 /// such as the predecoded instruction cache compare generations to
-/// detect self-modifying code without scanning page contents.
+/// detect self-modifying code without scanning page contents. The
+/// permission is the mapping region's; nothing changes it after
+/// [`Mem::map`], so it lives here, one probe away from the bytes it
+/// guards.
 #[derive(Clone)]
 struct PageSlot {
     data: Arc<Page>,
     gen: u64,
+    perm: Perm,
 }
+
+/// The permission of a restored page that no region covers.
+const NO_ACCESS: Perm = Perm {
+    r: false,
+    w: false,
+    x: false,
+};
 
 /// The guest address space.
 #[derive(Clone)]
 pub struct Mem {
     pages: BTreeMap<u32, PageSlot>,
-    perms: BTreeMap<u32, Perm>,
     regions: Vec<Region>,
     /// Monotone count of byte writes across the whole address space;
     /// see [`Mem::write_seq`].
@@ -179,7 +204,6 @@ impl Mem {
     pub fn new() -> Mem {
         Mem {
             pages: BTreeMap::new(),
-            perms: BTreeMap::new(),
             regions: Vec::new(),
             write_seq: 0,
             nx: false,
@@ -188,6 +212,10 @@ impl Mem {
 
     fn page_of(addr: u32) -> u32 {
         addr / PAGE_SIZE as u32
+    }
+
+    fn offset(addr: u32) -> usize {
+        (addr % PAGE_SIZE as u32) as usize
     }
 
     /// Map a region of `len` bytes at `start` (both page-aligned) with the
@@ -217,9 +245,9 @@ impl Mem {
                 PageSlot {
                     data: Arc::new(Page::zeroed()),
                     gen: 0,
+                    perm,
                 },
             );
-            self.perms.insert(p, perm);
         }
         self.regions.push(Region {
             start,
@@ -263,6 +291,10 @@ impl Mem {
 
     /// Monotone count of byte writes across the whole address space.
     ///
+    /// It counts bytes, not accesses: a word store adds 4 and a bulk
+    /// write its length, and after each write every page it touched
+    /// carries, as its generation, the sequence number of its own last
+    /// byte — the numbers one-byte-at-a-time stores would leave.
     /// Unchanged `write_seq` is a cheap O(1) proof that no page changed
     /// since a consumer last validated its view; the predecoded
     /// instruction cache uses it to skip per-page generation checks on
@@ -285,130 +317,176 @@ impl Mem {
     }
 
     /// Whether an instruction fetch from page `pno` would pass the
-    /// permission check (mirrors the per-byte check in [`Mem::fetch`],
-    /// including the pre-NX "readable implies executable" default).
+    /// permission check (the check [`Mem::fetch`] makes, including the
+    /// pre-NX "readable implies executable" default).
     pub fn page_exec_ok(&self, pno: u32) -> bool {
-        match self.perms.get(&pno) {
-            Some(p) => {
-                if self.nx {
-                    p.x
-                } else {
-                    p.r
-                }
-            }
-            None => false,
+        self.pages
+            .get(&pno)
+            .is_some_and(|s| s.perm.admits(Access::Exec, self.nx))
+    }
+
+    /// The slot holding `addr`, and `addr`'s offset in it, if the slot's
+    /// permission admits `access`: one page-table probe. An address with
+    /// no slot is `Unmapped`; a slot that refuses `access` is
+    /// `Protection`.
+    #[inline]
+    fn slot(&self, pc: u32, addr: u32, access: Access) -> Result<(&PageSlot, usize), Fault> {
+        match self.pages.get(&Self::page_of(addr)) {
+            None => Err(Fault::Unmapped { pc, addr, access }),
+            Some(s) if s.perm.admits(access, self.nx) => Ok((s, Self::offset(addr))),
+            Some(_) => Err(Fault::Protection { pc, addr, access }),
         }
     }
 
-    fn check(&self, pc: u32, addr: u32, access: Access) -> Result<(u32, usize), Fault> {
-        let pno = Self::page_of(addr);
-        let perm = match self.perms.get(&pno) {
-            Some(p) => *p,
-            None => return Err(Fault::Unmapped { pc, addr, access }),
-        };
-        let effective_allows = if access == Access::Exec && !self.nx {
-            perm.r
-        } else {
-            perm.allows(access)
-        };
-        if !effective_allows {
-            return Err(Fault::Protection { pc, addr, access });
+    /// [`Mem::slot`] for a write, over the page table alone so that the
+    /// caller can bump `write_seq` while it holds the slot. `guest`
+    /// enforces write permission; host writes skip it.
+    #[inline]
+    fn slot_mut(
+        pages: &mut BTreeMap<u32, PageSlot>,
+        pc: u32,
+        addr: u32,
+        guest: bool,
+    ) -> Result<(&mut PageSlot, usize), Fault> {
+        let access = Access::Write;
+        match pages.get_mut(&Self::page_of(addr)) {
+            None => Err(Fault::Unmapped { pc, addr, access }),
+            Some(s) if guest && !s.perm.w => Err(Fault::Protection { pc, addr, access }),
+            Some(s) => Ok((s, Self::offset(addr))),
         }
-        Ok((pno, (addr % PAGE_SIZE as u32) as usize))
     }
 
-    /// Read one byte; `pc` is the faulting instruction for diagnostics.
-    pub fn read_u8(&self, pc: u32, addr: u32) -> Result<u8, Fault> {
-        let (pno, off) = self.check(pc, addr, Access::Read)?;
-        Ok(self.pages[&pno].data.bytes()[off])
-    }
-
-    /// Write one byte.
-    pub fn write_u8(&mut self, pc: u32, addr: u32, val: u8) -> Result<(), Fault> {
-        let (pno, off) = self.check(pc, addr, Access::Write)?;
-        let slot = self.pages.get_mut(&pno).expect("checked");
-        Arc::make_mut(&mut slot.data).bytes_mut()[off] = val;
-        self.write_seq += 1;
+    /// Store `data`, which lies within one page, at `addr`: one probe,
+    /// one copy-on-write step, one copy. `write_seq` grows by the length
+    /// and the page's generation becomes the new value.
+    #[inline]
+    fn store(&mut self, pc: u32, addr: u32, data: &[u8], guest: bool) -> Result<(), Fault> {
+        let (slot, off) = Self::slot_mut(&mut self.pages, pc, addr, guest)?;
+        Arc::make_mut(&mut slot.data).bytes_mut()[off..off + data.len()].copy_from_slice(data);
+        self.write_seq += data.len() as u64;
         slot.gen = self.write_seq;
         Ok(())
     }
 
-    /// Read a little-endian 32-bit word (may straddle pages).
-    pub fn read_u32(&self, pc: u32, addr: u32) -> Result<u32, Fault> {
-        let mut b = [0u8; 4];
-        for (i, out) in b.iter_mut().enumerate() {
-            *out = self.read_u8(pc, addr.wrapping_add(i as u32))?;
-        }
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Write a little-endian 32-bit word (may straddle pages).
-    pub fn write_u32(&mut self, pc: u32, addr: u32, val: u32) -> Result<(), Fault> {
-        for (i, byte) in val.to_le_bytes().iter().enumerate() {
-            self.write_u8(pc, addr.wrapping_add(i as u32), *byte)?;
-        }
-        Ok(())
-    }
-
-    /// Fetch 8 instruction bytes, honouring exec permission.
-    pub fn fetch(&self, pc: u32) -> Result<[u8; 8], Fault> {
-        let mut b = [0u8; 8];
-        for (i, out) in b.iter_mut().enumerate() {
-            let addr = pc.wrapping_add(i as u32);
-            let (pno, off) = self.check(pc, addr, Access::Exec)?;
-            *out = self.pages[&pno].data.bytes()[off];
-        }
-        Ok(b)
-    }
-
-    /// Bulk read for the host (analysis tools); faults like a guest read.
-    pub fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, Fault> {
-        let mut v = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            v.push(self.read_u8(0, addr.wrapping_add(i))?);
-        }
-        Ok(v)
-    }
-
-    /// Bulk write for the host (loader); faults like a guest write but
-    /// bypasses write permission (the loader fills code pages).
-    ///
-    /// Works a page at a time (one lookup, one copy-on-write, one copy),
-    /// with the same effect as writing byte by byte: `write_seq` grows by
-    /// one per byte, each touched page's generation is the sequence
-    /// number of its last byte, and an unmapped page stops the write at
-    /// its first byte, after the bytes before it have landed.
-    pub fn write_bytes_host(&mut self, addr: u32, data: &[u8]) -> Result<(), Fault> {
-        let mut done = 0usize;
+    /// Write `data` from `addr` on, one [`Mem::store`] per page chunk
+    /// (wrapping at the top of the address space). A refused page stops
+    /// the write at its first byte, after the chunks before it landed.
+    fn store_span(&mut self, pc: u32, addr: u32, data: &[u8], guest: bool) -> Result<(), Fault> {
+        let mut done = 0;
         while done < data.len() {
             let a = addr.wrapping_add(done as u32);
-            let off = (a % PAGE_SIZE as u32) as usize;
-            let n = (PAGE_SIZE - off).min(data.len() - done);
-            let Some(slot) = self.pages.get_mut(&Self::page_of(a)) else {
-                return Err(Fault::Unmapped {
-                    pc: 0,
-                    addr: a,
-                    access: Access::Write,
-                });
-            };
-            Arc::make_mut(&mut slot.data).bytes_mut()[off..off + n]
-                .copy_from_slice(&data[done..done + n]);
-            self.write_seq += n as u64;
-            slot.gen = self.write_seq;
+            let n = (PAGE_SIZE - Self::offset(a)).min(data.len() - done);
+            self.store(pc, a, &data[done..done + n], guest)?;
             done += n;
         }
         Ok(())
     }
 
-    /// Read a NUL-terminated guest string (bounded at `max` bytes).
+    /// Fill `out` from `addr` on, one probe and one copy per page chunk
+    /// (wrapping at the top of the address space). A refused page faults
+    /// at its first byte.
+    fn load(&self, pc: u32, addr: u32, access: Access, out: &mut [u8]) -> Result<(), Fault> {
+        let mut done = 0;
+        while done < out.len() {
+            let (slot, off) = self.slot(pc, addr.wrapping_add(done as u32), access)?;
+            let n = (PAGE_SIZE - off).min(out.len() - done);
+            out[done..done + n].copy_from_slice(&slot.data.bytes()[off..off + n]);
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// `N` bytes from `addr`: one probe and one copy when they lie within
+    /// one page, else [`Mem::load`]'s per-page pieces.
+    #[inline]
+    fn load_array<const N: usize>(
+        &self,
+        pc: u32,
+        addr: u32,
+        access: Access,
+    ) -> Result<[u8; N], Fault> {
+        let mut b = [0u8; N];
+        if Self::offset(addr) <= PAGE_SIZE - N {
+            let (slot, off) = self.slot(pc, addr, access)?;
+            b.copy_from_slice(&slot.data.bytes()[off..off + N]);
+        } else {
+            self.load(pc, addr, access, &mut b)?;
+        }
+        Ok(b)
+    }
+
+    /// Read one byte; `pc` is the faulting instruction for diagnostics.
+    pub fn read_u8(&self, pc: u32, addr: u32) -> Result<u8, Fault> {
+        let (slot, off) = self.slot(pc, addr, Access::Read)?;
+        Ok(slot.data.bytes()[off])
+    }
+
+    /// Write one byte.
+    pub fn write_u8(&mut self, pc: u32, addr: u32, val: u8) -> Result<(), Fault> {
+        self.store(pc, addr, &[val], true)
+    }
+
+    /// Read a little-endian 32-bit word (may straddle pages).
+    pub fn read_u32(&self, pc: u32, addr: u32) -> Result<u32, Fault> {
+        self.load_array(pc, addr, Access::Read)
+            .map(u32::from_le_bytes)
+    }
+
+    /// Write a little-endian 32-bit word (may straddle pages; a fault on
+    /// the second page leaves the first page's bytes written).
+    pub fn write_u32(&mut self, pc: u32, addr: u32, val: u32) -> Result<(), Fault> {
+        let b = val.to_le_bytes();
+        if Self::offset(addr) <= PAGE_SIZE - b.len() {
+            self.store(pc, addr, &b, true)
+        } else {
+            self.store_span(pc, addr, &b, true)
+        }
+    }
+
+    /// Fetch 8 instruction bytes, honouring exec permission.
+    pub fn fetch(&self, pc: u32) -> Result<[u8; 8], Fault> {
+        self.load_array(pc, pc, Access::Exec)
+    }
+
+    /// Bulk read for the host (analysis tools); faults like a guest read.
+    pub fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, Fault> {
+        let mut v = vec![0; len as usize];
+        self.load(0, addr, Access::Read, &mut v)?;
+        Ok(v)
+    }
+
+    /// Bulk guest write (the `read` syscall filling its buffer): checked
+    /// like [`Mem::write_u8`] on every page it touches, with the same
+    /// effect as writing byte by byte — `write_seq` grows by one per
+    /// byte, each touched page's generation is the sequence number of
+    /// its last byte, and a refused page stops the write at its first
+    /// byte, after the bytes before it have landed.
+    pub fn write_bytes(&mut self, pc: u32, addr: u32, data: &[u8]) -> Result<(), Fault> {
+        self.store_span(pc, addr, data, true)
+    }
+
+    /// Bulk write for the host (loader); faults like a guest write but
+    /// bypasses write permission (the loader fills code pages). Otherwise
+    /// the same as [`Mem::write_bytes`].
+    pub fn write_bytes_host(&mut self, addr: u32, data: &[u8]) -> Result<(), Fault> {
+        self.store_span(0, addr, data, false)
+    }
+
+    /// Read a NUL-terminated guest string (bounded at `max` bytes), a
+    /// page chunk at a time.
     pub fn read_cstr(&self, addr: u32, max: u32) -> Result<Vec<u8>, Fault> {
         let mut v = Vec::new();
-        for i in 0..max {
-            let b = self.read_u8(0, addr.wrapping_add(i))?;
-            if b == 0 {
+        let mut done = 0u32;
+        while done < max {
+            let (slot, off) = self.slot(0, addr.wrapping_add(done), Access::Read)?;
+            let n = (PAGE_SIZE - off).min((max - done) as usize);
+            let chunk = &slot.data.bytes()[off..off + n];
+            if let Some(end) = chunk.iter().position(|&b| b == 0) {
+                v.extend_from_slice(&chunk[..end]);
                 break;
             }
-            v.push(b);
+            v.extend_from_slice(chunk);
+            done += n as u32;
         }
         Ok(v)
     }
@@ -454,8 +532,8 @@ impl Mem {
         self.pages.get(&pno).map(|s| (Arc::clone(&s.data), s.gen))
     }
 
-    /// Clone the address-space *skeleton*: permissions, regions, NX flag
-    /// and the `write_seq` watermark, with an **empty** page table. The
+    /// Clone the address-space *skeleton*: regions, NX flag and the
+    /// `write_seq` watermark, with an **empty** page table. The
     /// incremental checkpoint engine stores one skeleton per snapshot and
     /// reconstructs the page table from its delta chain via
     /// [`Mem::restore_page`]; the pair is bit-identical to a full
@@ -463,7 +541,6 @@ impl Mem {
     pub fn skeleton(&self) -> Mem {
         Mem {
             pages: BTreeMap::new(),
-            perms: self.perms.clone(),
             regions: self.regions.clone(),
             write_seq: self.write_seq,
             nx: self.nx,
@@ -473,9 +550,27 @@ impl Mem {
     /// Reinstate page `pno` with explicit backing storage and write
     /// generation (the inverse of [`Mem::page_arc`], used when
     /// reconstructing an address space from an incremental checkpoint).
-    /// Replaces any existing slot for `pno`.
+    /// An existing slot keeps its permission and takes the new storage
+    /// and generation; a new slot takes the permission of the region
+    /// that covers it (no access at all if none does, which a page that
+    /// came from [`Mem::map`] never meets).
     pub fn restore_page(&mut self, pno: u32, data: Arc<Page>, gen: u64) {
-        self.pages.insert(pno, PageSlot { data, gen });
+        match self.pages.entry(pno) {
+            Entry::Occupied(mut e) => {
+                let slot = e.get_mut();
+                slot.data = data;
+                slot.gen = gen;
+            }
+            Entry::Vacant(e) => {
+                let start = pno.checked_mul(PAGE_SIZE as u32);
+                let perm = self
+                    .regions
+                    .iter()
+                    .find(|r| start.is_some_and(|a| r.contains(a)))
+                    .map_or(NO_ACCESS, |r| r.perm);
+                e.insert(PageSlot { data, gen, perm });
+            }
+        }
     }
 }
 
