@@ -136,13 +136,25 @@ impl MemBugDetector {
     }
 
     fn record(&mut self, kind: MemBugKind, pc: u32, addr: u32) {
+        Self::record_into(&mut self.findings, &self.shadow, kind, pc, addr);
+    }
+
+    /// [`Self::record`] over disjoint fields, so a caller can record
+    /// while it walks one of the watch maps.
+    fn record_into(
+        findings: &mut Vec<MemBugFinding>,
+        shadow: &ShadowStack,
+        kind: MemBugKind,
+        pc: u32,
+        addr: u32,
+    ) {
         // One finding per (kind, pc): a copy loop revisits the same
         // overflowing store thousands of times.
-        if self.findings.iter().any(|f| f.kind == kind && f.pc == pc) {
+        if findings.iter().any(|f| f.kind == kind && f.pc == pc) {
             return;
         }
-        let caller_pc = self.shadow.caller_pc();
-        self.findings.push(MemBugFinding {
+        let caller_pc = shadow.caller_pc();
+        findings.push(MemBugFinding {
             kind,
             pc,
             addr,
@@ -171,14 +183,16 @@ impl Tool for MemBugDetector {
         // Stack smashing: does this write overlap a watched ret slot?
         let lo = addr;
         let hi = addr.wrapping_add(size as u32);
-        let overlapping: Vec<u32> = self
-            .ret_slots
-            .range(lo.saturating_sub(3)..hi)
-            .map(|(&slot, _)| slot)
-            .filter(|&slot| lo < slot + 4 && slot < hi)
-            .collect();
-        for slot in overlapping {
-            self.record(MemBugKind::StackSmash, pc, slot);
+        for (&slot, _) in self.ret_slots.range(lo.saturating_sub(3)..hi) {
+            if lo < slot + 4 && slot < hi {
+                Self::record_into(
+                    &mut self.findings,
+                    &self.shadow,
+                    MemBugKind::StackSmash,
+                    pc,
+                    slot,
+                );
+            }
         }
         // Heap discipline: writes inside the heap must hit a live payload.
         if self.in_heap(addr) {
@@ -200,10 +214,13 @@ impl Tool for MemBugDetector {
 
     fn on_ret(&mut self, _m: &Machine, _pc: u32, _ret_target: u32, sp: u32) {
         self.shadow.pop_to(sp);
-        // Retire every watched slot at or below the popped one.
-        let dead: Vec<u32> = self.ret_slots.range(..=sp).map(|(&s, _)| s).collect();
-        for s in dead {
-            self.ret_slots.remove(&s);
+        // Retire every watched slot at or below the popped one: they are
+        // the lowest keys, so remove them in place from the front.
+        while let Some(slot) = self.ret_slots.first_entry() {
+            if *slot.key() > sp {
+                break;
+            }
+            slot.remove();
         }
     }
 
@@ -211,13 +228,10 @@ impl Tool for MemBugDetector {
         // Chunk payloads may be larger than the request after first-fit
         // reuse; track the requested size (red zone starts right after).
         self.freed.remove(&ptr);
-        // Remove any freed entry this allocation carves into.
-        let stale: Vec<u32> = self
-            .freed
-            .range(ptr..ptr + size.max(16))
-            .map(|(&p, _)| p)
-            .collect();
-        for s in stale {
+        // Remove any freed entry this allocation carves into, lowest
+        // first, re-probing the range after each removal.
+        let carved = ptr..ptr + size.max(16);
+        while let Some((&s, _)) = self.freed.range(carved.clone()).next() {
             self.freed.remove(&s);
         }
         self.live.insert(ptr, size.max(16));

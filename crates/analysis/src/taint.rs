@@ -86,24 +86,20 @@ impl TaintTool {
             .unwrap_or_default()
     }
 
+    /// The union taint of `locs`: `None` when none is tainted, the one
+    /// tainted location's set itself (shared, not copied) when exactly
+    /// one is, and a fresh union only when two or more are.
     fn union_of(&self, locs: &[Loc]) -> Option<TaintSet> {
-        let mut found: Vec<&TaintSet> = Vec::new();
-        for l in locs {
-            if let Some(s) = self.shadow.get(l) {
-                found.push(s);
-            }
+        let mut hits = locs.iter().filter_map(|l| self.shadow.get(l));
+        let first = hits.next()?;
+        let Some(second) = hits.next() else {
+            return Some(first.clone());
+        };
+        let mut u = BTreeSet::new();
+        for s in [first, second].into_iter().chain(hits) {
+            u.extend(s.iter().copied());
         }
-        match found.len() {
-            0 => None,
-            1 => Some(found[0].clone()),
-            _ => {
-                let mut u = BTreeSet::new();
-                for s in found {
-                    u.extend(s.iter().copied());
-                }
-                Some(Arc::new(u))
-            }
-        }
+        Some(Arc::new(u))
     }
 }
 
@@ -142,11 +138,12 @@ impl Tool for TaintTool {
         // untainted sources) are cleared — a constant or kernel-produced
         // overwrite removes taint. Address registers and stack-pointer
         // bookkeeping are deliberately not flows (classic TaintCheck
-        // policy); slicing covers those dependencies instead.
-        let mut covered: Vec<Loc> = Vec::new();
+        // policy); slicing covers those dependencies instead. `e` and its
+        // flow lists live on the stack, so the heap is touched only by
+        // the shadow map itself and by a union set built when two or
+        // more sources of one flow are tainted.
         let mut propagated = false;
         for f in &e.flows {
-            covered.push(f.to);
             match self.union_of(&f.from) {
                 Some(set) => {
                     propagated = true;
@@ -161,7 +158,7 @@ impl Tool for TaintTool {
             self.prop_pcs.insert(pc);
         }
         for w in &e.writes {
-            if !covered.contains(w) {
+            if !e.flows.iter().any(|f| f.to == *w) {
                 self.shadow.remove(w);
             }
         }

@@ -154,7 +154,9 @@ pub fn verify(program: &Program, antibody: &Antibody, seed: u64) -> Verification
     let mut ins = dbi::Instrumenter::new();
     let id = ins.attach(Box::new(VsefRuntime::new(specs)));
     let status = m.run(&mut ins, 1_000_000_000);
-    let vr = ins.get::<VsefRuntime>(id).expect("tool");
+    let Some(vr) = ins.get::<VsefRuntime>(id) else {
+        return Verification::Failed;
+    };
     if let Some(d) = vr.detections().first() {
         return Verification::VsefDetected { kind: d.vsef_kind };
     }

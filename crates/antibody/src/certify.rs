@@ -169,6 +169,14 @@ pub struct CertifiedBundle {
     pub tag: u64,
 }
 
+/// The `N` bytes at `off`, or `Truncated` when the buffer ends first.
+fn field<const N: usize>(bytes: &[u8], off: usize) -> Result<[u8; N], CertifyError> {
+    off.checked_add(N)
+        .and_then(|end| bytes.get(off..end))
+        .and_then(|b| b.try_into().ok())
+        .ok_or(CertifyError::Truncated { at: off })
+}
+
 impl CertifiedBundle {
     /// Seal an antibody into a certified bundle under the community key.
     ///
@@ -253,20 +261,16 @@ impl CertifiedBundle {
             return Err(CertifyError::BadVersion(version));
         }
         off = end;
-        let end = need(off, 4)?;
-        let producer = u32::from_le_bytes(bytes[off..end].try_into().expect("4 bytes"));
-        off = end;
-        let end = need(off, 8)?;
-        let seq = u64::from_le_bytes(bytes[off..end].try_into().expect("8 bytes"));
-        off = end;
-        let end = need(off, 8)?;
-        let tag = u64::from_le_bytes(bytes[off..end].try_into().expect("8 bytes"));
-        off = end;
+        let producer = u32::from_le_bytes(field(bytes, off)?);
+        off += 4;
+        let seq = u64::from_le_bytes(field(bytes, off)?);
+        off += 8;
+        let tag = u64::from_le_bytes(field(bytes, off)?);
+        off += 8;
         let mut parts: [Vec<u8>; 2] = [Vec::new(), Vec::new()];
         for slot in &mut parts {
-            let end = need(off, 4)?;
-            let len = u32::from_le_bytes(bytes[off..end].try_into().expect("4 bytes")) as usize;
-            off = end;
+            let len = u32::from_le_bytes(field(bytes, off)?) as usize;
+            off += 4;
             let end = need(off, len)?;
             *slot = bytes[off..end].to_vec();
             off = end;

@@ -15,6 +15,11 @@
 //! ([`vsef::VsefSpec::rebase`]) because every host randomizes its own
 //! address space.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod bundle;
 pub mod certify;
 pub mod signature;

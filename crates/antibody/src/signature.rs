@@ -150,7 +150,9 @@ pub fn tokens_from_samples(samples: &[&[u8]], min_token: usize) -> Option<Signat
         // Advance all cursors past this token.
         cursors[0] += s + len;
         for (i, samp) in samples.iter().enumerate().skip(1) {
-            let at = find_from(samp, cursors[i], &token).expect("checked present");
+            // The grow loop found `token` in every sample; failing here
+            // would be a bug, and yields no signature rather than a panic.
+            let at = find_from(samp, cursors[i], &token)?;
             cursors[i] = at + token.len();
         }
         tokens.push(token);

@@ -5,18 +5,110 @@
 //! and writes. Taint analysis and dynamic backward slicing are both just
 //! folds over these effect sets, which is why they live here in the
 //! instrumentation layer rather than in each tool.
+//!
+//! [`effects`] runs once per instruction under taint and slicing, and at
+//! every watched pc under a VSEF runtime, so it does not allocate: every
+//! list in [`Effects`] and [`Flow`] is an [`Inline`] array sized to the
+//! ISA's worst case, and both types are `Copy`. The capacities are exact
+//! maxima, not guesses, because no instruction touches more than one
+//! 4-byte word of memory:
+//!
+//! - [`MAX_READS`] = 5: `ld`/`ldb` read a base register plus up to 4
+//!   bytes, `ret`/`pop` read SP plus 4 bytes, and `sys` reads r0–r3;
+//! - [`MAX_WRITES`] = 5: `call`/`callr`/`push` write SP plus 4 bytes;
+//! - [`MAX_FLOWS`] = 4: `st`/`push` have one flow per stored byte;
+//! - [`MAX_SOURCES`] = 4: `ld`/`pop` compute from 4 loaded bytes.
+//!
+//! A push past a capacity would be a bug in [`effects`] and panics on the
+//! bounds check; `tests/effects_oracle.rs` checks every op against the
+//! earlier heap-allocated decoder, element for element.
+
+use core::fmt;
+use core::ops::Deref;
 
 use svm::isa::{Op, Reg};
 use svm::Machine;
 
+/// Most locations one instruction reads.
+pub const MAX_READS: usize = 5;
+/// Most locations one instruction writes.
+pub const MAX_WRITES: usize = 5;
+/// Most value flows one instruction has.
+pub const MAX_FLOWS: usize = 4;
+/// Most source locations one value flow has.
+pub const MAX_SOURCES: usize = 4;
+
+/// A list of at most `N` items stored inline, in insertion order.
+///
+/// Unused slots hold `T::default()` and are never observed: the list
+/// dereferences, compares and prints as the slice of its `len` items.
+#[derive(Clone, Copy)]
+pub struct Inline<T, const N: usize> {
+    len: u8,
+    items: [T; N],
+}
+
+impl<T: Copy + Default, const N: usize> Default for Inline<T, N> {
+    fn default() -> Self {
+        Inline {
+            len: 0,
+            items: [T::default(); N],
+        }
+    }
+}
+
+impl<T, const N: usize> Inline<T, N> {
+    /// Append `v`.
+    ///
+    /// # Panics
+    ///
+    /// If the list already holds `N` items.
+    pub fn push(&mut self, v: T) {
+        self.items[self.len as usize] = v;
+        self.len += 1;
+    }
+}
+
+impl<T, const N: usize> Deref for Inline<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl<'a, T, const N: usize> IntoIterator for &'a Inline<T, N> {
+    type Item = &'a T;
+    type IntoIter = core::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: fmt::Debug, const N: usize> fmt::Debug for Inline<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<T: PartialEq, const N: usize> PartialEq for Inline<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq, const N: usize> Eq for Inline<T, N> {}
+
 /// A dataflow location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Loc {
     /// A general-purpose register.
     Reg(u8),
     /// One byte of guest memory.
     MemByte(u32),
-    /// The comparison flags.
+    /// The comparison flags (also the filler of unused [`Inline`] slots).
+    #[default]
     Flags,
 }
 
@@ -28,23 +120,23 @@ pub enum Loc {
 /// indirection, per the paper's taint-vs-slicing example) but not here.
 /// A written location covered by no flow receives a constant-derived
 /// value (taint must be cleared).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Flow {
     /// Source locations the value is computed from.
-    pub from: Vec<Loc>,
+    pub from: Inline<Loc, MAX_SOURCES>,
     /// Destination location.
     pub to: Loc,
 }
 
 /// The resolved effects of one dynamic instruction.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Effects {
     /// Locations read (data dependencies).
-    pub reads: Vec<Loc>,
+    pub reads: Inline<Loc, MAX_READS>,
     /// Locations written.
-    pub writes: Vec<Loc>,
+    pub writes: Inline<Loc, MAX_WRITES>,
     /// Per-destination value flows (taint propagation rules).
-    pub flows: Vec<Flow>,
+    pub flows: Inline<Flow, MAX_FLOWS>,
     /// Memory region written, as `(addr, len)`, if any (convenience for
     /// bounds-checking tools; bytes also appear in `writes`).
     pub mem_write: Option<(u32, u32)>,
@@ -57,10 +149,19 @@ pub struct Effects {
     pub reads_flags: bool,
 }
 
-fn push_mem(v: &mut Vec<Loc>, addr: u32, len: u32) {
+fn push_mem<const N: usize>(v: &mut Inline<Loc, N>, addr: u32, len: u32) {
     for i in 0..len {
         v.push(Loc::MemByte(addr.wrapping_add(i)));
     }
+}
+
+/// The sources of a flow computed from registers.
+fn sources(regs: &[Reg]) -> Inline<Loc, MAX_SOURCES> {
+    let mut from = Inline::default();
+    for reg in regs {
+        from.push(Loc::Reg(reg.0));
+    }
+    from
 }
 
 /// Compute the effects of `op` about to execute at `pc` on machine `m`.
@@ -70,17 +171,17 @@ fn push_mem(v: &mut Vec<Loc>, addr: u32, len: u32) {
 pub fn effects(m: &Machine, op: &Op) -> Effects {
     let mut e = Effects::default();
     let r = |reg: Reg| Loc::Reg(reg.0);
-    let mem_locs = |addr: u32, len: u32| -> Vec<Loc> {
-        (0..len)
-            .map(|i| Loc::MemByte(addr.wrapping_add(i)))
-            .collect()
+    let mem_locs = |addr: u32, len: u32| {
+        let mut locs = Inline::default();
+        push_mem(&mut locs, addr, len);
+        locs
     };
     match *op {
         Op::Nop | Op::Halt | Op::Jmp { .. } => {}
         Op::MovI { rd, .. } => {
             e.writes.push(r(rd));
             e.flows.push(Flow {
-                from: Vec::new(),
+                from: Inline::default(),
                 to: r(rd),
             });
         }
@@ -88,7 +189,7 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
             e.reads.push(r(rs));
             e.writes.push(r(rd));
             e.flows.push(Flow {
-                from: vec![r(rs)],
+                from: sources(&[rs]),
                 to: r(rd),
             });
         }
@@ -122,9 +223,9 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
             e.reads.push(r(rs));
             push_mem(&mut e.writes, addr, 4);
             e.mem_write = Some((addr, 4));
-            for l in mem_locs(addr, 4) {
+            for &l in &mem_locs(addr, 4) {
                 e.flows.push(Flow {
-                    from: vec![r(rs)],
+                    from: sources(&[rs]),
                     to: l,
                 });
             }
@@ -136,7 +237,7 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
             push_mem(&mut e.writes, addr, 1);
             e.mem_write = Some((addr, 1));
             e.flows.push(Flow {
-                from: vec![r(rs)],
+                from: sources(&[rs]),
                 to: Loc::MemByte(addr),
             });
         }
@@ -145,7 +246,7 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
             e.reads.push(r(rs2));
             e.writes.push(r(rd));
             e.flows.push(Flow {
-                from: vec![r(rs1), r(rs2)],
+                from: sources(&[rs1, rs2]),
                 to: r(rd),
             });
         }
@@ -153,7 +254,7 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
             e.reads.push(r(rs1));
             e.writes.push(r(rd));
             e.flows.push(Flow {
-                from: vec![r(rs1)],
+                from: sources(&[rs1]),
                 to: r(rd),
             });
         }
@@ -162,7 +263,7 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
             e.reads.push(r(rs2));
             e.writes.push(Loc::Flags);
             e.flows.push(Flow {
-                from: vec![r(rs1), r(rs2)],
+                from: sources(&[rs1, rs2]),
                 to: Loc::Flags,
             });
         }
@@ -170,7 +271,7 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
             e.reads.push(r(rs1));
             e.writes.push(Loc::Flags);
             e.flows.push(Flow {
-                from: vec![r(rs1)],
+                from: sources(&[rs1]),
                 to: Loc::Flags,
             });
         }
@@ -217,9 +318,9 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
             e.writes.push(r(Reg::SP));
             push_mem(&mut e.writes, sp, 4);
             e.mem_write = Some((sp, 4));
-            for l in mem_locs(sp, 4) {
+            for &l in &mem_locs(sp, 4) {
                 e.flows.push(Flow {
-                    from: vec![r(rs)],
+                    from: sources(&[rs]),
                     to: l,
                 });
             }
@@ -279,7 +380,7 @@ mod tests {
         assert!(e.reads.contains(&Loc::MemByte(0x2008)));
         assert!(e.reads.contains(&Loc::MemByte(0x200b)));
         assert_eq!(e.mem_read, Some((0x2008, 4)));
-        assert_eq!(e.writes, vec![Loc::Reg(1)]);
+        assert_eq!(*e.writes, [Loc::Reg(1)]);
     }
 
     #[test]
@@ -296,7 +397,7 @@ mod tests {
         );
         assert_eq!(e.mem_write, Some((0x2fff, 1)));
         assert!(e.reads.contains(&Loc::Reg(4)));
-        assert_eq!(e.writes, vec![Loc::MemByte(0x2fff)]);
+        assert_eq!(*e.writes, [Loc::MemByte(0x2fff)]);
     }
 
     #[test]
@@ -352,7 +453,7 @@ mod tests {
                 rs2: Reg(6),
             },
         );
-        assert_eq!(e.reads, vec![Loc::Reg(5), Loc::Reg(6)]);
-        assert_eq!(e.writes, vec![Loc::Reg(0)]);
+        assert_eq!(*e.reads, [Loc::Reg(5), Loc::Reg(6)]);
+        assert_eq!(*e.writes, [Loc::Reg(0)]);
     }
 }
