@@ -17,6 +17,11 @@
 //!    findings ("if they identify an issue which is not in the slice,
 //!    then they are incorrect").
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod callstack;
 pub mod coredump;
 pub mod membug;

@@ -115,11 +115,6 @@ impl MemBugDetector {
         &self.findings
     }
 
-    /// The first finding of a given kind.
-    pub fn first_of(&self, kind: MemBugKind) -> Option<&MemBugFinding> {
-        self.findings.iter().find(|f| f.kind == kind)
-    }
-
     fn in_heap(&self, addr: u32) -> bool {
         addr >= self.heap.0 && addr < self.heap.1
     }

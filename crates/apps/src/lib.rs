@@ -19,6 +19,11 @@
 //! [`workload`] provides deterministic benign traffic for the overhead
 //! experiments.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod common;
 pub mod cvs;
 pub mod httpd1;

@@ -346,7 +346,6 @@ fn run(cmd: &str, flags: &Flags) {
                     dissemination_attempts: dissemination,
                     consumers_unrandomized: true,
                     seed: 0xc0117,
-                    parallelism: epidemic::Parallelism::Auto,
                 };
                 let r = bench::run_campaign(cfg);
                 println!("  {}", bench::community_sim::render(cfg, &r));

@@ -78,11 +78,6 @@ pub struct CampaignConfig {
     pub consumers_unrandomized: bool,
     /// Base RNG/ASLR seed.
     pub seed: u64,
-    /// How many threads boot the host population. Each host's state is
-    /// a pure function of `(app, seed + index)`, so any thread count
-    /// yields the identical population; the subsequent hit-list walk is
-    /// inherently sequential and stays on one thread.
-    pub parallelism: Parallelism,
 }
 
 /// Build host `i`'s configuration (pure function of `cfg` and `i`).
@@ -99,37 +94,11 @@ fn host_config(cfg: &CampaignConfig, i: usize) -> Config {
     c
 }
 
-/// Boot the host population, in parallel when configured.
+/// Boot the host population in hit-list order.
 fn boot_hosts(cfg: &CampaignConfig, app: &apps::App) -> Vec<Sweeper> {
-    let k = cfg
-        .parallelism
-        .shards(cfg.hosts as u64)
-        .min(cfg.hosts.max(1));
-    if k <= 1 {
-        return (0..cfg.hosts)
-            .map(|i| Sweeper::protect(app, host_config(cfg, i)).expect("protect"))
-            .collect();
-    }
-    // Contiguous index ranges, one per worker; concatenating the
-    // workers' outputs in range order reproduces hit-list order.
-    let per = cfg.hosts.div_ceil(k);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|w| {
-                let lo = w * per;
-                let hi = ((w + 1) * per).min(cfg.hosts);
-                scope.spawn(move || {
-                    (lo..hi)
-                        .map(|i| Sweeper::protect(app, host_config(cfg, i)).expect("protect"))
-                        .collect::<Vec<Sweeper>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("boot worker"))
-            .collect()
-    })
+    (0..cfg.hosts)
+        .map(|i| Sweeper::protect(app, host_config(cfg, i)).expect("protect"))
+        .collect()
 }
 
 /// Run the campaign with the CVS unlink-hijack worm.
@@ -236,7 +205,6 @@ mod tests {
             dissemination_attempts: 2,
             consumers_unrandomized: false,
             seed: 5000,
-            parallelism: Parallelism::Fixed(1),
         };
         let r = run_campaign(cfg);
         assert_eq!(r.compromised(), 0, "{:?}", r.outcomes);
@@ -263,7 +231,6 @@ mod tests {
             dissemination_attempts: usize::MAX,
             consumers_unrandomized: true,
             seed: 6000,
-            parallelism: Parallelism::Fixed(2),
         };
         let r = run_campaign(cfg);
         assert_eq!(r.compromised(), 8, "{:?}", r.outcomes);
@@ -280,7 +247,6 @@ mod tests {
             dissemination_attempts: 3,
             consumers_unrandomized: true,
             seed: 7000,
-            parallelism: Parallelism::Fixed(1),
         };
         let r = run_campaign(cfg);
         assert_eq!(r.antibody_live_from, Some(3));
@@ -303,7 +269,6 @@ mod tests {
             dissemination_attempts: 2,
             consumers_unrandomized: true,
             seed: 8000,
-            parallelism: Parallelism::Fixed(1),
         };
         let fast = run_campaign(base);
         let slow = run_campaign(CampaignConfig {
@@ -316,27 +281,5 @@ mod tests {
             fast.compromised(),
             slow.compromised()
         );
-    }
-
-    #[test]
-    fn parallel_boot_reproduces_the_serial_campaign() {
-        let base = CampaignConfig {
-            hosts: 12,
-            producer_every: 4,
-            dissemination_attempts: 2,
-            consumers_unrandomized: true,
-            seed: 9000,
-            parallelism: Parallelism::Fixed(1),
-        };
-        let serial = run_campaign(base);
-        for k in [2usize, 4, 8] {
-            let parallel = run_campaign(CampaignConfig {
-                parallelism: Parallelism::Fixed(k),
-                ..base
-            });
-            assert_eq!(serial.outcomes, parallel.outcomes, "k={k}");
-            assert_eq!(serial.antibody_live_from, parallel.antibody_live_from);
-            assert_eq!(serial.gamma1_ms, parallel.gamma1_ms);
-        }
     }
 }

@@ -27,11 +27,6 @@ pub struct ThroughputRun {
 }
 
 impl ThroughputRun {
-    /// Requests per virtual second.
-    pub fn rps(&self) -> f64 {
-        self.served as f64 / self.secs
-    }
-
     /// Payload megabits per virtual second (the paper's Figure 4 unit).
     pub fn mbps(&self) -> f64 {
         (self.bytes as f64 * 8.0 / 1e6) / self.secs
@@ -227,7 +222,6 @@ mod tests {
         let r = run_protected(&app, Config::producer(3), Target::Squid, 1, 50);
         assert_eq!(r.served, 50);
         assert!(r.secs > 0.0);
-        assert!(r.rps() > 0.0);
         assert!(r.checkpoints >= 1);
     }
 

@@ -19,7 +19,6 @@ pub mod manager;
 pub mod proxy;
 pub mod recovery;
 pub mod replay;
-pub mod syscall_log;
 
 pub use domains::{recovery_digest, DomainLedger, DomainRecovery, DomainRefusal};
 pub use incremental::{mem_digest, DedupeStore, DeltaRecord, PageKey, StoreStats};
@@ -29,4 +28,3 @@ pub use recovery::{
     recover, recover_domain, DomainConns, RecoveryKind, RecoveryOutcome, ResumeReport,
 };
 pub use replay::{NoFault, ReplayEnd, ReplayFault, ReplayOutcome, ReplaySession};
-pub use syscall_log::{divergence, Divergence, SyscallLog, SyscallLogError, SyscallRecord};

@@ -304,15 +304,6 @@ impl CheckpointManager {
         rec
     }
 
-    /// Take a checkpoint if one is due; returns its id if taken.
-    pub fn maybe_take(&mut self, m: &mut Machine) -> Option<CkptId> {
-        if self.due(m) {
-            Some(self.take(m))
-        } else {
-            None
-        }
-    }
-
     /// The retained checkpoint with the given id.
     pub fn get(&self, id: CkptId) -> Option<&Checkpoint> {
         self.ring.iter().find(|c| c.id == id)
@@ -652,8 +643,6 @@ mod tests {
         assert!(!mgr.due(&m));
         m.run(&mut NopHook, 2000);
         assert!(mgr.due(&m));
-        assert!(mgr.maybe_take(&mut m).is_some());
-        assert!(mgr.maybe_take(&mut m).is_none());
     }
 
     #[test]

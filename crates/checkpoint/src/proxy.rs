@@ -171,6 +171,24 @@ impl Proxy {
             .collect()
     }
 
+    /// The log id of every guest connection of a machine replayed from a
+    /// checkpoint taken at `conns_at` delivered connections, indexed by
+    /// guest connection id: the first `conns_at` unfiltered log entries,
+    /// then [`replay_set`](Self::replay_set)`(conns_at, drop)`.
+    ///
+    /// The prefix is shorter than `conns_at` only when later drops
+    /// shrank the unfiltered log below it, and then the replay set is
+    /// empty, so the prefix length is always `conns_at.min(len)`.
+    pub fn guest_to_log(&self, conns_at: usize, drop: &[usize]) -> Vec<usize> {
+        self.log
+            .iter()
+            .filter(|c| !c.filtered)
+            .take(conns_at)
+            .chain(self.replay_set(conns_at, drop))
+            .map(|c| c.log_id)
+            .collect()
+    }
+
     /// The log id of the most recent delivered (unfiltered) connection at
     /// or before the given cycle count — the usual attack suspect.
     pub fn last_delivered_before(&self, cycles: u64) -> Option<usize> {
@@ -243,6 +261,15 @@ mod tests {
         let rs = p.replay_set(conns_at, &[3]);
         let inputs: Vec<&[u8]> = rs.iter().map(|c| c.input.as_slice()).collect();
         assert_eq!(inputs, vec![b"b".as_slice(), b"d".as_slice()]);
+        // Guest ids of the replayed machine: the pre-checkpoint prefix,
+        // then the replay set.
+        assert_eq!(p.guest_to_log(conns_at, &[3]), vec![0, 1, 4]);
+        // Drops that shrink the unfiltered log below `conns_at` leave a
+        // short prefix and no replay set.
+        for id in [0, 1, 3, 4] {
+            p.mark_dropped(id);
+        }
+        assert!(p.guest_to_log(conns_at, &[]).is_empty());
     }
 
     #[test]

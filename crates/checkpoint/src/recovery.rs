@@ -155,27 +155,13 @@ pub fn recover(
     }
     let replayed = out.machine;
 
-    // Build the replayed machine's guest-id -> log-id mapping: the first
-    // `conns_at` guest connections are the pre-checkpoint unfiltered log
-    // entries (in order), followed by the replay set.
+    // The replayed machine's guest-id -> log-id mapping. Its
+    // pre-checkpoint prefix can be *shorter* than `conns_at` when earlier
+    // recoveries retroactively dropped pre-checkpoint connections; its
+    // real length keeps the replay-work accounting below honest.
     let conns_at = mgr.get(ckpt).map(|c| c.conns_at).unwrap_or(0);
-    let mut mapping: Vec<usize> = proxy
-        .log()
-        .iter()
-        .filter(|c| !c.filtered)
-        .take(conns_at)
-        .map(|c| c.log_id)
-        .collect();
-    // The prefix can be *shorter* than `conns_at` when earlier recoveries
-    // retroactively dropped pre-checkpoint connections; remember its real
-    // length so the replay-work accounting below cannot be skewed by it.
-    let prefix_len = mapping.len();
-    mapping.extend(
-        proxy
-            .replay_set(conns_at, drop_ids)
-            .iter()
-            .map(|c| c.log_id),
-    );
+    let mapping = proxy.guest_to_log(conns_at, drop_ids);
+    let prefix_len = conns_at.min(mapping.len());
 
     // Session-consistency check against committed output.
     for (guest_id, &log_id) in mapping.iter().enumerate() {

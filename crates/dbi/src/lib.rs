@@ -9,13 +9,16 @@
 //! [`effects::effects`] decoder shared by taint analysis and slicing, and
 //! a full [`trace::TraceRecorder`].
 
-pub mod coverage;
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod effects;
 pub mod instr;
 pub mod tool;
 pub mod trace;
 
-pub use coverage::Coverage;
 pub use effects::{effects, Effects, Flow, Loc};
 pub use instr::{Instrumenter, ToolId};
 pub use tool::{Tool, Watch};

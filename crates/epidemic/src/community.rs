@@ -836,18 +836,15 @@ fn run_engine<S: HostSet>(p: &CommunityParams) -> CommunityOutcome {
                 sh.generate(p, &bounds, tick, flagged, out, fb);
             }
         } else {
+            // `scope` joins every worker and re-raises a worker's panic.
             std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
+                for ((sh, out), fb) in shards
                     .iter_mut()
                     .zip(outboxes.iter_mut())
                     .zip(failure_bufs.iter_mut())
-                    .map(|((sh, out), fb)| {
-                        let bounds = &bounds;
-                        scope.spawn(move || sh.generate(p, bounds, tick, flagged, out, fb))
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("generate worker");
+                {
+                    let bounds = &bounds;
+                    scope.spawn(move || sh.generate(p, bounds, tick, flagged, out, fb));
                 }
             });
         }
@@ -874,31 +871,26 @@ fn run_engine<S: HostSet>(p: &CommunityParams) -> CommunityOutcome {
         // The distribution network is only *read* here (protection /
         // throttle flags); `Option<&DistNet>` is freely shared across
         // the scoped workers. Failure records land in per-shard scratch
-        // buffers, folded after the barrier.
+        // buffers, folded after the barrier. Each shard's result lands in
+        // its own slot.
         let dist_ref = dist.as_ref();
-        let applied: Vec<(u64, bool)> = if !go_parallel {
-            shards
-                .iter_mut()
-                .zip(inboxes.iter())
-                .zip(failure_bufs.iter_mut())
-                .map(|((sh, inbox), fb)| sh.apply(p, inbox, tick, dist_ref, fb))
-                .collect()
+        let mut applied = vec![(0u64, false); shards.len()];
+        let work = shards
+            .iter_mut()
+            .zip(inboxes.iter())
+            .zip(failure_bufs.iter_mut())
+            .zip(applied.iter_mut());
+        if !go_parallel {
+            for (((sh, inbox), fb), slot) in work {
+                *slot = sh.apply(p, inbox, tick, dist_ref, fb);
+            }
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .zip(inboxes.iter())
-                    .zip(failure_bufs.iter_mut())
-                    .map(|((sh, inbox), fb)| {
-                        scope.spawn(move || sh.apply(p, inbox, tick, dist_ref, fb))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("apply worker"))
-                    .collect()
-            })
-        };
+                for (((sh, inbox), fb), slot) in work {
+                    scope.spawn(move || *slot = sh.apply(p, inbox, tick, dist_ref, fb));
+                }
+            });
+        }
 
         // Post-apply barrier: fold this tick's failure records and make
         // flag decisions against the fully folded pool (shard- and

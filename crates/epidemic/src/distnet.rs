@@ -70,7 +70,7 @@
 use antibody::bundle::{Antibody, AntibodyItem};
 use antibody::signature::Signature;
 use antibody::vsef::VsefSpec;
-use antibody::CertifiedBundle;
+use antibody::{CertifiedBundle, CertifyError};
 
 use crate::rng::{draw, to_unit};
 use crate::soa::HostBits;
@@ -285,8 +285,9 @@ pub struct DistNet {
     /// Shard bounds, for counter attribution.
     bounds: Vec<(u64, u64)>,
     /// The bundle each producer transmits: sealed honestly, or forged
-    /// for Byzantine producers. Index = producer id.
-    bundles: Vec<CertifiedBundle>,
+    /// for Byzantine producers. Index = producer id. `None` when the
+    /// antibody carried no evidence to seal: consumers reject it.
+    bundles: Vec<Option<CertifiedBundle>>,
     /// Byzantine flag per producer.
     byz: Vec<bool>,
     /// The community certification key.
@@ -377,9 +378,11 @@ impl DistNet {
             let is_byz =
                 p.byzantine > 0.0 && to_unit(draw(seed, DOMAIN_BYZANTINE, prod)) < p.byzantine;
             byz.push(is_byz);
-            let honest = CertifiedBundle::seal(prod as u32, 0, &honest_ab, key)
-                .expect("model antibody carries evidence");
-            let bundle = if is_byz {
+            let honest = CertifiedBundle::seal(prod as u32, 0, &honest_ab, key);
+            let bundle = honest.map(|honest| {
+                if !is_byz {
+                    return honest;
+                }
                 match draw(seed, DOMAIN_FORGE, prod) % 3 {
                     // Forged tag: an outsider-grade forgery.
                     0 => honest.forged_bad_tag(),
@@ -390,9 +393,7 @@ impl DistNet {
                     // Valid-looking bundle whose evidence is benign.
                     _ => honest.forged_mismatched_evidence(key, b"benign".to_vec()),
                 }
-            } else {
-                honest
-            };
+            });
             bundles.push(bundle);
         }
         let consumers = producers..hosts;
@@ -467,7 +468,11 @@ impl DistNet {
         }
         // Verify-before-deploy: decode + keyed tag + fail-closed payload
         // + evidence consistency. The *only* path into `protected_set`.
-        match self.bundles[src as usize].verify(self.key) {
+        let verdict = self.bundles[src as usize]
+            .as_ref()
+            .ok_or(CertifyError::NoEvidence)
+            .and_then(|b| b.verify(self.key));
+        match verdict {
             Ok(_antibody) => {
                 if self.byz[src as usize] {
                     // A forgery passed verification: certification is

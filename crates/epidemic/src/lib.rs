@@ -29,6 +29,11 @@
 //! - [`rng`] — the counter-based deterministic RNG every stochastic
 //!   engine draws from.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod community;
 pub mod contact;
 pub mod distnet;

@@ -31,6 +31,11 @@
 //!    the virtual clock, so the decode-cache and serial/parallel
 //!    community parity suites remain bit-identical with metrics on.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -374,24 +374,21 @@ impl Assembler {
                 }
                 _ => return self.err(format!("{mn} [rd, off], rs")),
             },
-            m if alu(m).is_some() => {
-                let op = alu(m).expect("checked");
-                match self.three(&ops)? {
-                    (Operand::Reg(rd), Operand::Reg(rs1), Operand::Reg(rs2)) => {
-                        self.emit_op(Op::Alu { op, rd, rs1, rs2 }, None)
-                    }
-                    (Operand::Reg(rd), Operand::Reg(rs1), Operand::Imm(v)) => self.emit_op(
-                        Op::AluI {
-                            op,
-                            rd,
-                            rs1,
-                            imm: v as i32,
-                        },
-                        None,
-                    ),
-                    _ => return self.err(format!("{m} rd, rs1, rs2|imm")),
+            m if let Some(op) = alu(m) => match self.three(&ops)? {
+                (Operand::Reg(rd), Operand::Reg(rs1), Operand::Reg(rs2)) => {
+                    self.emit_op(Op::Alu { op, rd, rs1, rs2 }, None)
                 }
-            }
+                (Operand::Reg(rd), Operand::Reg(rs1), Operand::Imm(v)) => self.emit_op(
+                    Op::AluI {
+                        op,
+                        rd,
+                        rs1,
+                        imm: v as i32,
+                    },
+                    None,
+                ),
+                _ => return self.err(format!("{m} rd, rs1, rs2|imm")),
+            },
             "cmp" => match self.two(&ops)? {
                 (Operand::Reg(rs1), Operand::Reg(rs2)) => self.emit_op(Op::Cmp { rs1, rs2 }, None),
                 (Operand::Reg(rs1), Operand::Imm(v)) => {
@@ -410,22 +407,19 @@ impl Assembler {
                 Operand::Imm(v) => self.emit_op(Op::Jmp { target: v as u32 }, None),
                 _ => return self.err("jmp label"),
             },
-            m if cond(m).is_some() => {
-                let c = cond(m).expect("checked");
-                match self.one(&ops)? {
-                    Operand::Label(s, a) => {
-                        self.emit_op(Op::JCond { cond: c, target: 0 }, Some((s, a)))
-                    }
-                    Operand::Imm(v) => self.emit_op(
-                        Op::JCond {
-                            cond: c,
-                            target: v as u32,
-                        },
-                        None,
-                    ),
-                    _ => return self.err(format!("{m} label")),
+            m if let Some(c) = cond(m) => match self.one(&ops)? {
+                Operand::Label(s, a) => {
+                    self.emit_op(Op::JCond { cond: c, target: 0 }, Some((s, a)))
                 }
-            }
+                Operand::Imm(v) => self.emit_op(
+                    Op::JCond {
+                        cond: c,
+                        target: v as u32,
+                    },
+                    None,
+                ),
+                _ => return self.err(format!("{m} label")),
+            },
             "jmpr" => match self.one(&ops)? {
                 Operand::Reg(rs) => self.emit_op(Op::JmpR { rs }, None),
                 _ => return self.err("jmpr rs"),

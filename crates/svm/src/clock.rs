@@ -69,11 +69,6 @@ impl Clock {
         self.cycles as f64 / CYCLES_PER_SEC as f64
     }
 
-    /// Elapsed virtual time in milliseconds.
-    pub fn millis(&self) -> f64 {
-        self.seconds() * 1e3
-    }
-
     /// Elapsed virtual time in whole microseconds (guest `time` syscall).
     pub fn micros(&self) -> u64 {
         self.cycles / (CYCLES_PER_SEC / 1_000_000)
@@ -118,6 +113,5 @@ mod tests {
         let mut c = Clock::new();
         c.tick(CYCLES_PER_SEC / 1000);
         assert_eq!(c.micros(), 1000);
-        assert!((c.millis() - 1.0).abs() < 1e-9);
     }
 }

@@ -403,19 +403,6 @@ impl Op {
             _ => return None,
         })
     }
-
-    /// Whether this instruction can write memory (used by red-zone tools).
-    pub fn is_store(&self) -> bool {
-        matches!(
-            self,
-            Op::St { .. } | Op::StB { .. } | Op::Push { .. } | Op::Call { .. } | Op::CallR { .. }
-        )
-    }
-
-    /// Whether this instruction transfers control indirectly (hijack sink).
-    pub fn is_indirect_branch(&self) -> bool {
-        matches!(self, Op::JmpR { .. } | Op::CallR { .. } | Op::Ret)
-    }
 }
 
 /// Syscall numbers understood by the VM.
@@ -643,25 +630,5 @@ mod tests {
             assert_eq!(s.num(), n);
         }
         assert!(Syscall::from_num(10).is_none());
-    }
-
-    #[test]
-    fn store_and_branch_classification() {
-        assert!(Op::St {
-            rd: Reg(0),
-            rs: Reg(1),
-            off: 0
-        }
-        .is_store());
-        assert!(Op::Push { rs: Reg(1) }.is_store());
-        assert!(!Op::Ld {
-            rd: Reg(0),
-            rs: Reg(1),
-            off: 0
-        }
-        .is_store());
-        assert!(Op::Ret.is_indirect_branch());
-        assert!(Op::CallR { rs: Reg(2) }.is_indirect_branch());
-        assert!(!Op::Jmp { target: 0 }.is_indirect_branch());
     }
 }

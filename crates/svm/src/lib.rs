@@ -30,6 +30,11 @@
 //! execution is fully deterministic given the same inputs, which is what
 //! makes Sweeper's rollback/re-execute analysis loop possible.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod alloc;
 pub mod asm;
 pub mod clock;

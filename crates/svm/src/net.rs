@@ -153,11 +153,6 @@ impl NetState {
         self.pending_accept.retain(|&id| (id as usize) < len);
     }
 
-    /// Total bytes written by the guest across all connections.
-    pub fn total_output(&self) -> usize {
-        self.conns.iter().map(|c| c.output.len()).sum()
-    }
-
     fn conn_mut(&mut self, conn: u32) -> Result<&mut Conn, String> {
         self.conns
             .get_mut(conn as usize)
@@ -215,7 +210,6 @@ mod tests {
         assert!(n.read(c, 1).is_err());
         assert!(n.write(c, b"y").is_err());
         assert_eq!(n.conn(c).expect("conn").output, b"resp");
-        assert_eq!(n.total_output(), 4);
     }
 
     #[test]

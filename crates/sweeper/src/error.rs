@@ -25,10 +25,6 @@ pub enum SweeperError {
     /// corruption in transit). The runtime skips deployment and keeps
     /// recovering; the error is surfaced on the timeline.
     CorruptAntibody(antibody::BundleError),
-    /// A persisted syscall log failed to decode (truncation or
-    /// corruption). Replay verification falls back to the conservative
-    /// path instead of trusting the damaged log.
-    CorruptLog(checkpoint::SyscallLogError),
 }
 
 impl fmt::Display for SweeperError {
@@ -39,7 +35,6 @@ impl fmt::Display for SweeperError {
                 write!(f, "instrumentation tool unavailable: {tool}")
             }
             SweeperError::CorruptAntibody(e) => write!(f, "corrupt antibody bundle: {e}"),
-            SweeperError::CorruptLog(e) => write!(f, "corrupt syscall log: {e}"),
         }
     }
 }
@@ -50,7 +45,6 @@ impl std::error::Error for SweeperError {
             SweeperError::Vm(e) => Some(e),
             SweeperError::ToolUnavailable { .. } => None,
             SweeperError::CorruptAntibody(e) => Some(e),
-            SweeperError::CorruptLog(e) => Some(e),
         }
     }
 }
@@ -64,12 +58,6 @@ impl From<SvmError> for SweeperError {
 impl From<antibody::BundleError> for SweeperError {
     fn from(e: antibody::BundleError) -> SweeperError {
         SweeperError::CorruptAntibody(e)
-    }
-}
-
-impl From<checkpoint::SyscallLogError> for SweeperError {
-    fn from(e: checkpoint::SyscallLogError) -> SweeperError {
-        SweeperError::CorruptLog(e)
     }
 }
 

@@ -21,6 +21,11 @@
 //!   the `chaos` harness drives; no-ops in production.
 //! - **[`report`]** — Table 2/3-style rendering of attack reports.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod config;
 pub mod error;
 pub mod fault;

@@ -61,12 +61,21 @@ impl StepTimings {
     /// Read the Table 3 timings off the `pipeline.*` spans recorded by
     /// [`analyze_attack`] in an [`obs::MetricsRegistry`].
     ///
-    /// Uses the **last** span of each name, i.e. the most recent
-    /// analysis run. Returns `None` when no pipeline has run (no
-    /// `pipeline.total` span). `pipeline.slicing` is optional (slicing
-    /// disabled → 0 ms, matching the inline accounting).
+    /// Reads the most recent *completed* analysis run: the spans after
+    /// the previous `pipeline.total` up to the last one. Runs that
+    /// aborted in between record only spans that the completed run
+    /// records again later (a run that records `pipeline.slicing` always
+    /// reaches `pipeline.total`), so the last span of each name in that
+    /// window is the completed run's. Returns `None` when no pipeline has
+    /// completed. `pipeline.slicing` is optional (slicing disabled or its
+    /// tool failed → 0 ms, matching the inline accounting).
     pub fn from_spans(reg: &obs::MetricsRegistry) -> Option<StepTimings> {
-        let ms = |name: &str| reg.last_span(name).map(|s| s.ms());
+        let spans = reg.spans();
+        let is_total = |s: &obs::Span| s.name == "pipeline.total";
+        let end = spans.iter().rposition(is_total)?;
+        let start = spans[..end].iter().rposition(is_total).map_or(0, |i| i + 1);
+        let run = &spans[start..=end];
+        let ms = |name: &str| run.iter().rev().find(|s| s.name == name).map(obs::Span::ms);
         Some(StepTimings {
             memory_state_ms: ms("pipeline.memory_state")?,
             memory_bug_ms: ms("pipeline.memory_bug")?,
@@ -385,7 +394,7 @@ pub fn analyze_attack(
             if !sources.is_empty() {
                 input.via_taint = true;
                 // Map replay guest conn ids back to proxy log ids.
-                let replay_map: Vec<usize> = guest_to_log_map(proxy, conns_at, &[]);
+                let replay_map = proxy.guest_to_log(conns_at, &[]);
                 let mut ids: Vec<usize> = sources
                     .iter()
                     .filter_map(|(c, _)| replay_map.get(*c as usize).copied())
@@ -564,19 +573,6 @@ fn taint_verified(input: &InputFinding, slice: &Slice) -> Option<bool> {
     })
 }
 
-/// Map replay guest connection ids to proxy log ids.
-fn guest_to_log_map(proxy: &Proxy, conns_at: usize, drop: &[usize]) -> Vec<usize> {
-    let mut map: Vec<usize> = proxy
-        .log()
-        .iter()
-        .filter(|c| !c.filtered)
-        .take(conns_at)
-        .map(|c| c.log_id)
-        .collect();
-    map.extend(proxy.replay_set(conns_at, drop).iter().map(|c| c.log_id));
-    map
-}
-
 /// Initial VSEFs from the memory-state recommendation.
 fn initial_vsefs(core: &CoreDumpReport) -> Vec<VsefSpec> {
     use analysis::InitialRecommendation as R;
@@ -621,6 +617,60 @@ fn refined_vsefs(findings: &[analysis::MemBugFinding]) -> Vec<VsefSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sweeper;
+
+    /// Fails one named analysis tool.
+    struct FailTool(&'static str);
+    impl checkpoint::ReplayFault for FailTool {}
+    impl FaultHooks for FailTool {
+        fn fail_tool(&mut self, step: &'static str) -> bool {
+            step == self.0
+        }
+    }
+
+    fn analyze(
+        s: &mut Sweeper,
+        reg: &mut obs::MetricsRegistry,
+        faults: &mut dyn FaultHooks,
+    ) -> Option<AnalysisReport> {
+        s.timeline.record(Event::AttackDetected {
+            cause: "test".into(),
+        });
+        analyze_attack(
+            &s.machine,
+            &s.mgr,
+            &s.proxy,
+            &mut s.timeline,
+            reg,
+            &s.config,
+            faults,
+        )
+    }
+
+    #[test]
+    fn span_timings_read_only_the_last_completed_run() {
+        // Regression: `from_spans` took the last span of each name over
+        // the whole registry, so a run whose slicing tool failed
+        // reported the previous run's slicing time, and a run aborted at
+        // memory-state lent its span to the previous run's timings.
+        let app = apps::httpd1::app().expect("app");
+        let mut s = Sweeper::protect(&app, Config::producer(1)).expect("protect");
+        s.proxy
+            .offer(&mut s.machine, apps::httpd1::exploit_crash(&app).input, &[]);
+        while s.machine.run(&mut svm::NopHook, 2_000_000).is_running() {}
+        assert!(matches!(s.machine.status(), svm::Status::Faulted(_)));
+        s.timeline.advance_to(s.machine.clock.cycles());
+
+        let mut reg = obs::MetricsRegistry::new();
+        let first = analyze(&mut s, &mut reg, &mut crate::NoFaultHooks).expect("analysis");
+        assert!(first.timings.slicing_ms > 0.0);
+        let second = analyze(&mut s, &mut reg, &mut FailTool("slicing")).expect("analysis");
+        assert_eq!(second.timings.slicing_ms, 0.0);
+        assert_eq!(StepTimings::from_spans(&reg), Some(second.timings.clone()));
+
+        assert!(analyze(&mut s, &mut reg, &mut FailTool("memory-state")).is_none());
+        assert_eq!(StepTimings::from_spans(&reg), Some(second.timings));
+    }
 
     fn finding(conn: u32, offsets: &[u32]) -> InputFinding {
         InputFinding {

@@ -13,8 +13,8 @@ use antibody::{
 };
 use apps::App;
 use checkpoint::{
-    divergence, recover, recover_domain, recovery_digest, CheckpointManager, CkptId, Divergence,
-    InputFilter, Proxy, RecoveryKind, RecoveryOutcome, ResumeReport, SyscallLog,
+    recover, recover_domain, recovery_digest, CheckpointManager, CkptId, InputFilter, Proxy,
+    RecoveryKind, RecoveryOutcome, ResumeReport,
 };
 use dbi::{Instrumenter, ToolId};
 use svm::clock::cycles_to_secs;
@@ -986,25 +986,6 @@ impl Sweeper {
         Ok(status)
     }
 
-    /// Verify a recovery replay against a *persisted* Flashback syscall
-    /// log (paper §4.1): decode the stored byte buffer and compare its
-    /// `write()` records against the replay's.
-    ///
-    /// The buffer may have crossed a disk or the network, so it is
-    /// decoded defensively: a truncated or corrupted log is rejected as
-    /// [`SweeperError::CorruptLog`] — the caller then falls back to the
-    /// conservative session-consistency check instead of trusting a
-    /// damaged log. (Before the bounds-checked decoder this path would
-    /// read past the buffer on logs truncated mid-record; the chaos
-    /// harness' corrupt-log fault family keeps it honest.)
-    pub fn verify_replay_log(
-        original_bytes: &[u8],
-        replayed: &SyscallLog,
-    ) -> Result<Divergence, SweeperError> {
-        let original = SyscallLog::from_bytes(original_bytes)?;
-        Ok(divergence(&original, replayed, true))
-    }
-
     /// A point-in-time operator summary of the protected host.
     pub fn status(&self) -> HostStatus {
         HostStatus {
@@ -1742,62 +1723,6 @@ mod recovery_mode_tests {
         assert!(matches!(
             s.offer_request(httpd1::benign_request("b.html")),
             RequestOutcome::Served { .. }
-        ));
-    }
-}
-
-#[cfg(test)]
-mod replay_log_tests {
-    use super::*;
-    use checkpoint::SyscallRecord;
-    use svm::isa::Syscall;
-
-    fn log_with(ret: u32) -> SyscallLog {
-        let mut log = SyscallLog::new();
-        log.push(SyscallRecord {
-            pc: 0x40,
-            syscall: Syscall::Write,
-            args: [1, 0x2000, 4, 0],
-            ret,
-        });
-        log
-    }
-
-    #[test]
-    fn persisted_log_verification_roundtrips() {
-        let live = log_with(4);
-        let bytes = live.to_bytes();
-        let replay = log_with(4);
-        match Sweeper::verify_replay_log(&bytes, &replay) {
-            Ok(Divergence::None) => {}
-            other => panic!("{other:?}"),
-        }
-        // A changed write is pinpointed, not silently accepted.
-        let diverged = log_with(3);
-        assert!(matches!(
-            Sweeper::verify_replay_log(&bytes, &diverged),
-            Ok(Divergence::At { index: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn truncated_persisted_log_is_rejected_not_trusted() {
-        // Regression: a log truncated mid-record (or wholly corrupted)
-        // must surface as SweeperError::CorruptLog — the conservative
-        // fallback path — and must never panic the verifier.
-        let bytes = log_with(4).to_bytes();
-        let replay = log_with(4);
-        for cut in 0..bytes.len() {
-            match Sweeper::verify_replay_log(&bytes[..cut], &replay) {
-                Err(SweeperError::CorruptLog(_)) => {}
-                other => panic!("cut {cut}: {other:?}"),
-            }
-        }
-        let mut garbage = bytes.clone();
-        garbage[0] = b'Z';
-        assert!(matches!(
-            Sweeper::verify_replay_log(&garbage, &replay),
-            Err(SweeperError::CorruptLog(_))
         ));
     }
 }
