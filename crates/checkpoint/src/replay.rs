@@ -107,6 +107,14 @@ impl<'a> ReplaySession<'a> {
         })
     }
 
+    /// The checkpointed machine this session replays from, as
+    /// materialized once at creation. Lent so that a tool seeding its
+    /// state from the checkpoint image (the memory-bug detector) reads
+    /// the same image without rebuilding the delta chain.
+    pub fn image(&self) -> &Machine {
+        &self.machine
+    }
+
     /// Exclude a logged connection from re-injection (recovery drops the
     /// attacker's input this way).
     pub fn dropping(mut self, log_ids: &[usize]) -> Self {

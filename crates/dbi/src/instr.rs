@@ -29,13 +29,19 @@ struct Slot {
 /// Multiplexes events from a [`Machine`] to attached [`Tool`]s.
 ///
 /// Implements [`svm::Hook`], so it is passed to `Machine::run`. Overhead
-/// cycles accumulate internally; call [`Instrumenter::charge`] to transfer
-/// them to a machine's virtual clock (done by the drivers that model
-/// instrumented execution time).
+/// cycles accumulate internally, one share per tool; call
+/// [`Instrumenter::charge`] to transfer them to a machine's virtual clock
+/// (done by the drivers that model instrumented execution time), or
+/// [`Instrumenter::take_overhead_of`] to account one tool's share alone.
 #[derive(Default)]
 pub struct Instrumenter {
     slots: Vec<Option<Slot>>,
-    overhead: u64,
+    /// Uncharged overhead cycles per slot. A share outlives its tool's
+    /// detach (armed or explicit) until it is taken or charged.
+    shares: Vec<u64>,
+    /// Attached tools with an armed `detach_after` limit; the
+    /// per-instruction detach sweep runs only while this is nonzero.
+    armed: usize,
     /// Lifetime total of overhead cycles charged onto a machine's clock.
     charged_total: u64,
     /// Lifetime total of overhead cycles taken (accounted out-of-band).
@@ -68,15 +74,17 @@ impl Instrumenter {
             }
         }
         self.slots.push(Some(slot));
+        self.shares.push(0);
         ToolId(self.slots.len() - 1)
     }
 
     /// Detach a tool, returning it (e.g. to read out its findings).
     pub fn detach(&mut self, id: ToolId) -> Option<Box<dyn Tool>> {
-        self.slots
-            .get_mut(id.0)
-            .and_then(|s| s.take())
-            .map(|s| s.tool)
+        let slot = self.slots.get_mut(id.0)?.take()?;
+        if slot.detach_after.is_some() {
+            self.armed -= 1;
+        }
+        Some(slot.tool)
     }
 
     /// Arm a mid-execution detach: once the tool has received `events`
@@ -89,7 +97,9 @@ impl Instrumenter {
     /// of 0 detaches before the next event is delivered.
     pub fn set_detach_after(&mut self, id: ToolId, events: u64) {
         if let Some(Some(s)) = self.slots.get_mut(id.0) {
-            s.detach_after = Some(events);
+            if s.detach_after.replace(events).is_none() {
+                self.armed += 1;
+            }
         }
     }
 
@@ -141,22 +151,26 @@ impl Instrumenter {
             .unwrap_or(0)
     }
 
-    /// Accumulated (uncharged) instrumentation overhead in cycles.
+    /// Accumulated (uncharged) instrumentation overhead in cycles: the
+    /// sum of every tool's share.
     pub fn pending_overhead(&self) -> u64 {
-        self.overhead
+        self.shares.iter().sum()
     }
 
     /// Transfer accumulated overhead onto `m`'s virtual clock.
     pub fn charge(&mut self, m: &mut Machine) {
-        m.clock.tick(self.overhead);
-        self.charged_total += self.overhead;
-        self.overhead = 0;
+        let overhead: u64 = self.shares.iter_mut().map(std::mem::take).sum();
+        m.clock.tick(overhead);
+        self.charged_total += overhead;
     }
 
-    /// Drop accumulated overhead without charging (sandboxed replays whose
-    /// time is accounted separately).
-    pub fn take_overhead(&mut self) -> u64 {
-        let taken = std::mem::take(&mut self.overhead);
+    /// Take one tool's share of the accumulated overhead without charging
+    /// it (sandboxed replays whose time is accounted separately): what
+    /// its delivered events cost, also after an armed limit detached it.
+    /// Several tools sharing one replay are each accounted this way. A
+    /// reused [`ToolId`] continues its slot's share.
+    pub fn take_overhead_of(&mut self, id: ToolId) -> u64 {
+        let taken = self.shares.get_mut(id.0).map_or(0, std::mem::take);
         self.taken_total += taken;
         taken
     }
@@ -166,7 +180,7 @@ impl Instrumenter {
     /// (`dbi.tool.<name>.events`) plus the pending / charged / taken
     /// overhead totals in cycles. Absolute mirrors — safe to re-export.
     pub fn export_metrics(&self, reg: &mut obs::MetricsRegistry) {
-        reg.set_counter("dbi.overhead.pending_cycles", self.overhead);
+        reg.set_counter("dbi.overhead.pending_cycles", self.pending_overhead());
         reg.set_counter("dbi.overhead.charged_cycles", self.charged_total);
         reg.set_counter("dbi.overhead.taken_cycles", self.taken_total);
         reg.set_counter("dbi.auto_detached_total", self.auto_detached_total);
@@ -200,24 +214,27 @@ impl Hook for Instrumenter {
     fn on_insn(&mut self, m: &Machine, pc: u32, op: &Op) {
         // Sweep armed detach limits *before* delivering: a tool whose
         // event budget is spent vanishes exactly as if the DBI runtime
-        // detached it mid-flight (findings discarded).
-        for s in self.slots.iter_mut() {
-            if let Some(slot) = s {
-                if slot.detach_after.is_some_and(|n| slot.events >= n) {
+        // detached it mid-flight (findings discarded, share kept).
+        if self.armed > 0 {
+            for s in self.slots.iter_mut() {
+                if s.as_ref()
+                    .is_some_and(|slot| slot.detach_after.is_some_and(|n| slot.events >= n))
+                {
                     *s = None;
+                    self.armed -= 1;
                     self.auto_detached_total += 1;
                 }
             }
         }
-        let mut overhead = 0;
-        for s in self.slots.iter_mut().flatten() {
-            if s.watch.covers(pc) {
-                s.tool.on_insn(m, pc, op);
-                s.events += 1;
-                overhead += s.insn_cost;
+        for (s, share) in self.slots.iter_mut().zip(&mut self.shares) {
+            if let Some(s) = s {
+                if s.watch.covers(pc) {
+                    s.tool.on_insn(m, pc, op);
+                    s.events += 1;
+                    *share += s.insn_cost;
+                }
             }
         }
-        self.overhead += overhead;
     }
 
     fn on_mem_read(&mut self, m: &Machine, pc: u32, addr: u32, size: u8, val: u32) {
@@ -515,6 +532,64 @@ mod tests {
         assert!(ins.get::<Counter>(id).is_none());
         assert_eq!(ins.pending_overhead(), 0, "no event was ever delivered");
         assert_eq!(ins.auto_detached_total(), 1);
+    }
+
+    #[test]
+    fn per_tool_shares_sum_to_the_total_and_survive_an_armed_detach() {
+        let mut m =
+            boot(".text\nmain:\n movi r0, 1\n movi r0, 2\n movi r0, 3\n movi r0, 4\n halt\n");
+        let mut ins = Instrumenter::new();
+        let a = ins.attach(Box::new(Counter::new(Watch::All, 3)));
+        let b = ins.attach(Box::new(Counter::new(Watch::All, 100)));
+        // Re-arming keeps one armed limit: the count must not underflow
+        // when the limit fires.
+        ins.set_detach_after(b, 4);
+        ins.set_detach_after(b, 2);
+        m.run(&mut ins, 1_000_000);
+        assert!(ins.get::<Counter>(b).is_none(), "b detached after 2 events");
+        assert_eq!(ins.auto_detached_total(), 1);
+        let total = ins.pending_overhead();
+        assert_eq!(total, 5 * 3 + 2 * 100);
+        assert_eq!(
+            ins.take_overhead_of(b),
+            200,
+            "the detached tool keeps its share"
+        );
+        assert_eq!(ins.take_overhead_of(b), 0, "a share is taken once");
+        assert_eq!(ins.pending_overhead(), 15);
+        assert_eq!(ins.take_overhead_of(a), 15);
+        assert_eq!(ins.pending_overhead(), 0);
+        assert_eq!(ins.get::<Counter>(a).expect("a").insns, 5);
+    }
+
+    #[test]
+    fn charge_clears_every_share() {
+        let mut m = boot(".text\nmain:\n movi r0, 1\n movi r0, 2\n halt\n");
+        let mut ins = Instrumenter::new();
+        let a = ins.attach(Box::new(Counter::new(Watch::All, 2)));
+        let b = ins.attach(Box::new(Counter::new(Watch::All, 5)));
+        m.run(&mut ins, 1_000_000);
+        let before = m.clock.cycles();
+        ins.charge(&mut m);
+        assert_eq!(m.clock.cycles(), before + 3 * (2 + 5));
+        assert_eq!(ins.take_overhead_of(a), 0);
+        assert_eq!(ins.take_overhead_of(b), 0);
+        assert_eq!(ins.pending_overhead(), 0);
+    }
+
+    #[test]
+    fn explicit_detach_disarms_its_limit() {
+        let mut ins = Instrumenter::new();
+        let a = ins.attach(Box::new(Counter::new(Watch::All, 1)));
+        ins.set_detach_after(a, 1);
+        ins.detach(a);
+        // The reused slot carries no limit: the new tool sees every
+        // instruction and nothing is auto-detached.
+        let b = ins.attach(Box::new(Counter::new(Watch::All, 1)));
+        let mut m = boot(".text\nmain:\n movi r0, 1\n movi r0, 2\n halt\n");
+        m.run(&mut ins, 1_000_000);
+        assert_eq!(ins.get::<Counter>(b).expect("b").insns, 3);
+        assert_eq!(ins.auto_detached_total(), 0);
     }
 
     #[test]

@@ -53,12 +53,8 @@ impl Watch {
 ///
 /// All event methods default to no-ops; implement only what the tool
 /// needs. Event methods mirror [`svm::Hook`] exactly.
-///
-/// Tools are `Send` so whole protected hosts can be booted on worker
-/// threads (the parallel community campaign constructs its population
-/// concurrently); tools are plain data, so this costs nothing.
 #[allow(unused_variables)]
-pub trait Tool: Any + Send {
+pub trait Tool: Any {
     /// Short human-readable tool name (appears in reports).
     fn name(&self) -> &str;
 

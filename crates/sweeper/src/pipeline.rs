@@ -1,25 +1,33 @@
 //! The post-attack analysis pipeline (paper §2.2 / §3.2).
 //!
-//! After the lightweight monitor trips, Sweeper repeatedly rolls back and
-//! re-executes, each time attaching a heavier tool:
+//! After the lightweight monitor trips, Sweeper analyses the faulted
+//! image, then rolls back and re-executes the attack window with the
+//! heavyweight tools attached:
 //!
 //! 1. **Memory-state analysis** of the faulted image (milliseconds) →
 //!    the *initial* VSEF, released immediately.
-//! 2. **Memory-bug detection** on a replay → the *refined* VSEF.
-//! 3. **Taint analysis** on a replay → the responsible input (falling
+//! 2. **Memory-bug detection** on the replay → the *refined* VSEF.
+//! 3. **Taint analysis** on the replay → the responsible input (falling
 //!    back to one-request-at-a-time isolation, as §5.1 measures) → the
 //!    input signature and the recovery drop set.
-//! 4. **Backward slicing** on a traced replay → cross-verification of
-//!    steps 2–3 ("if they identify an issue which is not in the slice,
-//!    then they are incorrect").
+//! 4. **Backward slicing** on the replay's trace → cross-verification
+//!    of steps 2–3 ("if they identify an issue which is not in the
+//!    slice, then they are incorrect").
 //!
-//! Every step's (virtual) latency is charged to the timeline, and every
-//! produced antibody item is timestamped for piecemeal distribution.
+//! The paper re-executes once per tool. The tools only observe, so here
+//! steps 2–4 share one instrumented replay with every available tool
+//! attached (as DoubleTake does). The sequence survives on the virtual
+//! clock: each step is charged the attach cost, the replay's cycles and
+//! its own tool's overhead, in the order memory-bug → taint → slicing,
+//! so every antibody item is timestamped for piecemeal distribution at
+//! the stamp a replay per tool would give it.
 
 use analysis::{backward_slice, CoreDumpReport, MemBugDetector, MemBugKind, Slice, TaintTool};
 use antibody::{exact_from, substring_from_taint, Antibody, AntibodyItem, VsefSpec};
-use checkpoint::{CheckpointManager, CkptId, NoFault, Proxy, ReplayEnd, ReplaySession};
-use dbi::{Instrumenter, TraceRecorder};
+use checkpoint::{
+    CheckpointManager, CkptId, NoFault, Proxy, ReplayEnd, ReplayOutcome, ReplaySession,
+};
+use dbi::{Instrumenter, Tool, ToolId, TraceRecorder};
 use svm::clock::cycles_to_secs;
 use svm::loader::Layout;
 use svm::Machine;
@@ -186,26 +194,82 @@ pub struct AnalysisReport {
     pub symbols: svm::loader::SymbolMap,
 }
 
-/// Find the most recent retained checkpoint whose replay reproduces the
-/// fault (stepping further back if the window is too short). These probe
-/// replays run outside the fault seam.
-pub fn find_reproducing_checkpoint(
+/// Whether a fault-free, uninstrumented replay of `session` reproduces
+/// the fault. This is the rule that picks the analysis checkpoint. It
+/// runs outside the fault seam, so a replay whose inputs were dropped or
+/// corrupted cannot make a window that holds the attack look too short.
+pub fn replay_reproduces(session: &ReplaySession) -> bool {
+    matches!(
+        session.run(&mut svm::NopHook, &mut NoFault).end,
+        ReplayEnd::Faulted(_)
+    )
+}
+
+/// The one instrumented replay the analysis steps share.
+struct SharedReplay {
+    /// The checkpoint it replayed from.
+    ckpt: CkptId,
+    out: ReplayOutcome,
+    ins: Instrumenter,
+    /// Each step's tool; `None` when the tool failed to attach.
+    membug: Option<ToolId>,
+    taint: Option<ToolId>,
+    trace: Option<ToolId>,
+}
+
+/// Attach `tool` for pipeline step `step`, arming the detach the fault
+/// seam asks for.
+fn attach_armed(
+    ins: &mut Instrumenter,
+    faults: &mut dyn FaultHooks,
+    step: &'static str,
+    tool: Box<dyn Tool>,
+) -> ToolId {
+    let id = ins.attach(tool);
+    if let Some(n) = faults.tool_detach_after(step) {
+        ins.set_detach_after(id, n);
+    }
+    id
+}
+
+/// Replay the attack window once, under `faults`, with the memory-bug,
+/// taint and trace tools attached as the flags ask. Starts at the latest
+/// checkpoint and steps back while the window does not reproduce the
+/// fault: a candidate is kept when the instrumented replay faults, or
+/// else when [`replay_reproduces`] says the window holds the attack (the
+/// instrumented results then degrade the analysis). `None` when no
+/// retained checkpoint reproduces it.
+fn shared_replay(
     mgr: &CheckpointManager,
     proxy: &Proxy,
     budget: u64,
-) -> Option<CkptId> {
-    let mut candidate = mgr.latest().map(|c| c.id)?;
+    faults: &mut dyn FaultHooks,
+    [membug, taint, trace]: [bool; 3],
+) -> Option<SharedReplay> {
+    let mut ckpt = mgr.latest()?.id;
     loop {
-        let out = ReplaySession::new(mgr, proxy, candidate)?
-            .with_budget(budget)
-            .run(&mut svm::NopHook, &mut NoFault);
-        if matches!(out.end, ReplayEnd::Faulted(_)) {
-            return Some(candidate);
+        let session = ReplaySession::new(mgr, proxy, ckpt)?.with_budget(budget);
+        let mut ins = Instrumenter::new();
+        let membug = membug.then(|| {
+            let det = MemBugDetector::attach_to(session.image());
+            attach_armed(&mut ins, faults, "memory-bug", Box::new(det))
+        });
+        let taint =
+            taint.then(|| attach_armed(&mut ins, faults, "taint", Box::new(TaintTool::new())));
+        let trace = trace
+            .then(|| attach_armed(&mut ins, faults, "slicing", Box::new(TraceRecorder::new())));
+        let out = session.run(&mut ins, &mut *faults);
+        if matches!(out.end, ReplayEnd::Faulted(_)) || replay_reproduces(&session) {
+            return Some(SharedReplay {
+                ckpt,
+                out,
+                ins,
+                membug,
+                taint,
+                trace,
+            });
         }
-        // Step back one checkpoint.
-        let prev = CkptId(candidate.0.checked_sub(1)?);
-        mgr.get(prev)?;
-        candidate = prev;
+        ckpt = CkptId(ckpt.0.checked_sub(1)?);
     }
 }
 
@@ -232,16 +296,25 @@ fn record_tool_failure(
 /// layout for distribution. `config` supplies the slicing toggle and the
 /// replay budget.
 ///
+/// Steps 2–4 share one instrumented replay per candidate checkpoint (see
+/// the module doc). Each step is still charged to the timeline on its
+/// own, in order: the attach cost, the replay's cycles and its own
+/// tool's overhead.
+///
 /// Each phase additionally records a `pipeline.*` span (virtual stamps
 /// from the timeline, with wall-clock mirrors) into `metrics` — Table 3
 /// reads off those spans via [`StepTimings::from_spans`], and the
 /// differential suite checks them against [`timings_from_timeline`].
+/// The shared replay's wall time is the `pipeline.replay` span, whose
+/// virtual extent is empty because the steps carry its charge.
 ///
 /// `faults` mediates every seam (see [`FaultHooks`]): analysis-tool
-/// failures degrade the corresponding step's contribution, armed DBI
-/// detaches are installed before each replay, and every analysis replay
-/// injects its inputs through it. [`NoFaultHooks`](crate::NoFaultHooks)
-/// is exactly production behaviour.
+/// failures are drawn before the shared replay and leave that tool out
+/// of it, degrading the step's contribution; armed DBI detaches are
+/// installed per tool; the shared replay and the isolation fallback's
+/// replays inject their inputs through it.
+/// [`NoFaultHooks`](crate::NoFaultHooks) is exactly production
+/// behaviour.
 pub fn analyze_attack(
     live: &Machine,
     mgr: &CheckpointManager,
@@ -293,48 +366,49 @@ pub fn analyze_attack(
     metrics.record_span("pipeline.first_vsef", detection_at, timeline.now());
     let mut best_vsef_at = timeline.now();
 
-    // Locate a checkpoint that reproduces the attack.
-    let ckpt = find_reproducing_checkpoint(mgr, proxy, replay_budget)?;
+    // A tool that fails to attach is left out of the shared replay.
+    let membug_failed = faults.fail_tool("memory-bug");
+    let taint_failed = faults.fail_tool("taint");
+    let slicing_failed = config.run_slicing && faults.fail_tool("slicing");
 
-    // ---- Step 2: memory-bug detection on a replay. ---------------------
+    // ---- The shared replay (its charge is split among steps 2–4). -----
+    let sp_replay = metrics.start_span("pipeline.replay", timeline.now());
+    let tools = [
+        !membug_failed,
+        !taint_failed,
+        config.run_slicing && !slicing_failed,
+    ];
+    let mut rep = shared_replay(mgr, proxy, replay_budget, faults, tools)?;
+    metrics.end_span(sp_replay, timeline.now());
+    let ckpt = rep.ckpt;
+
+    // ---- Step 2: memory-bug detection. ---------------------------------
     let sp2 = metrics.start_span("pipeline.memory_bug", timeline.now());
-    let membug: Vec<analysis::MemBugFinding> = if faults.fail_tool("memory-bug") {
+    let mut step2_cycles = ATTACH_COST_CYCLES;
+    let membug: Vec<analysis::MemBugFinding> = match rep.membug {
         // The detector failed to attach: the refined VSEF is lost, but
         // the initial one already shipped — degrade, don't abort.
-        record_tool_failure(metrics, timeline, "memory-bug");
-        timeline.advance_by(ATTACH_COST_CYCLES);
-        metrics.end_span(sp2, timeline.now());
-        timings.memory_bug_ms = cycles_to_secs(ATTACH_COST_CYCLES) * 1e3;
-        timeline.record(Event::AnalysisStep {
-            step: "memory-bug",
-            duration_ms: timings.memory_bug_ms,
-        });
-        Vec::new()
-    } else {
-        let ckpt_machine = mgr.materialize(ckpt)?;
-        let det = MemBugDetector::attach_to(&ckpt_machine);
-        let mut ins = Instrumenter::new();
-        let det_id = ins.attach(Box::new(det));
-        if let Some(n) = faults.tool_detach_after("memory-bug") {
-            ins.set_detach_after(det_id, n);
+        None => {
+            record_tool_failure(metrics, timeline, "memory-bug");
+            Vec::new()
         }
-        let out = ReplaySession::new(mgr, proxy, ckpt)?
-            .with_budget(replay_budget)
-            .run(&mut ins, &mut *faults);
-        let step2_cycles = ATTACH_COST_CYCLES + out.cycles + ins.take_overhead();
-        timeline.advance_by(step2_cycles);
-        metrics.end_span(sp2, timeline.now());
-        timings.memory_bug_ms = cycles_to_secs(step2_cycles) * 1e3;
-        timeline.record(Event::AnalysisStep {
-            step: "memory-bug",
-            duration_ms: timings.memory_bug_ms,
-        });
-        // A `None` here covers both "no findings" and "tool detached
-        // mid-replay" — either way the refined VSEF is simply absent.
-        ins.get::<MemBugDetector>(det_id)
-            .map(|d| d.findings().to_vec())
-            .unwrap_or_default()
+        Some(id) => {
+            step2_cycles += rep.out.cycles + rep.ins.take_overhead_of(id);
+            // A `None` here covers both "no findings" and "tool detached
+            // mid-replay" — either way the refined VSEF is simply absent.
+            rep.ins
+                .get::<MemBugDetector>(id)
+                .map(|d| d.findings().to_vec())
+                .unwrap_or_default()
+        }
     };
+    timeline.advance_by(step2_cycles);
+    metrics.end_span(sp2, timeline.now());
+    timings.memory_bug_ms = cycles_to_secs(step2_cycles) * 1e3;
+    timeline.record(Event::AnalysisStep {
+        step: "memory-bug",
+        duration_ms: timings.memory_bug_ms,
+    });
     let refined = refined_vsefs(&membug);
     for v in &refined {
         antibody.push(
@@ -353,74 +427,22 @@ pub fn analyze_attack(
     let sp3 = metrics.start_span("pipeline.taint", timeline.now());
     let conns_at = mgr.get(ckpt)?.conns_at;
     let mut input = InputFinding::default();
-    let mut step3_cycles;
-    if faults.fail_tool("taint") {
+    let mut step3_cycles = ATTACH_COST_CYCLES;
+    match rep.taint {
         // Taint never ran: the paper's own isolation fallback below is
         // the degradation path — the attack input is still identified,
         // just slower and without byte offsets.
-        record_tool_failure(metrics, timeline, "taint");
-        step3_cycles = ATTACH_COST_CYCLES;
-    } else {
-        let mut ins3 = Instrumenter::new();
-        let taint_id = ins3.attach(Box::new(TaintTool::new()));
-        if let Some(n) = faults.tool_detach_after("taint") {
-            ins3.set_detach_after(taint_id, n);
-        }
-        let out3 = ReplaySession::new(mgr, proxy, ckpt)?
-            .with_budget(replay_budget)
-            .run(&mut ins3, &mut *faults);
-        step3_cycles = ATTACH_COST_CYCLES + out3.cycles + ins3.take_overhead();
-        let replayed_machine = &out3.machine;
-        if let Some(taint) = ins3.get::<TaintTool>(taint_id) {
-            // Prefer a control-transfer alert; otherwise query taint at the
-            // corrupt location the fault names (heap attacks).
-            let mut sources = taint
-                .alerts()
-                .first()
-                .map(|a| a.sources.clone())
-                .unwrap_or_default();
-            if sources.is_empty() {
-                if let svm::Status::Faulted(f) = replayed_machine.status() {
-                    if let Some(addr) = f.fault_addr() {
-                        // The corrupt chunk header (HeapAbort) or the slot the
-                        // allocator was about to dereference.
-                        sources = taint.taint_of_mem(addr, 8);
-                        if sources.is_empty() {
-                            sources = taint.taint_of_mem(addr.wrapping_sub(8), 16);
-                        }
-                    }
-                }
-            }
-            if !sources.is_empty() {
-                input.via_taint = true;
-                // Map replay guest conn ids back to proxy log ids.
-                let replay_map = proxy.guest_to_log(conns_at, &[]);
-                let mut ids: Vec<usize> = sources
-                    .iter()
-                    .filter_map(|(c, _)| replay_map.get(*c as usize).copied())
-                    .collect();
-                ids.sort_unstable();
-                ids.dedup();
-                let primary_guest = sources.iter().next().map(|(c, _)| *c).unwrap_or_default();
-                input.offsets = sources
-                    .iter()
-                    .filter(|(c, _)| *c == primary_guest)
-                    .map(|(_, o)| *o)
-                    .collect();
-                input.primary_conn = primary_guest;
-                input.attack_log_ids = ids;
-            }
-        }
-        // Also add taint-filter VSEF material when taint implicated input.
-        if input.via_taint {
-            if let Some(taint) = ins3.get::<TaintTool>(taint_id) {
-                if let Some(alert) = taint.alerts().first() {
-                    let mut prop: Vec<u32> = taint.propagation_pcs().iter().copied().collect();
-                    prop.truncate(64);
-                    let spec = VsefSpec::TaintFilter {
-                        prop_pcs: prop,
-                        sink_pc: alert.pc,
-                    };
+        None => record_tool_failure(metrics, timeline, "taint"),
+        Some(id) => {
+            step3_cycles += rep.out.cycles + rep.ins.take_overhead_of(id);
+            let replay_map = proxy.guest_to_log(conns_at, &[]);
+            let found = rep
+                .ins
+                .get::<TaintTool>(id)
+                .and_then(|taint| taint_finding(taint, &rep.out.machine, &replay_map));
+            if let Some((finding, filter)) = found {
+                input = finding;
+                if let Some(spec) = filter {
                     timeline.advance_by(1_000_000);
                     antibody.push(AntibodyItem::Vsef(norm(spec)), ms_since_detect(timeline));
                     timeline.record(Event::AntibodyReleased {
@@ -497,54 +519,47 @@ pub fn analyze_attack(
     metrics.record_span("pipeline.initial", detection_at, timeline.now());
 
     // ---- Step 4: backward slicing (verification). -----------------------
-    let slicing_failed = config.run_slicing && faults.fail_tool("slicing");
     if slicing_failed {
         // Cross-verification is lost, but the antibody is complete:
         // report it explicitly and ship without the slice verdict.
         record_tool_failure(metrics, timeline, "slicing");
     }
-    let slice = if config.run_slicing && !slicing_failed {
-        let sp4 = metrics.start_span("pipeline.slicing", timeline.now());
-        let mut ins4 = Instrumenter::new();
-        let tr_id = ins4.attach(Box::new(TraceRecorder::new()));
-        if let Some(n) = faults.tool_detach_after("slicing") {
-            ins4.set_detach_after(tr_id, n);
+    let slice = match rep.trace {
+        None => None,
+        Some(tr_id) => {
+            let sp4 = metrics.start_span("pipeline.slicing", timeline.now());
+            let step4_cycles =
+                ATTACH_COST_CYCLES + rep.out.cycles + rep.ins.take_overhead_of(tr_id);
+            timeline.advance_by(step4_cycles);
+            let sp4_end = timeline.now();
+            timings.slicing_ms = cycles_to_secs(step4_cycles) * 1e3;
+            timeline.record(Event::AnalysisStep {
+                step: "slicing",
+                duration_ms: timings.slicing_ms,
+            });
+            let verdict = rep.ins.get::<TraceRecorder>(tr_id).map(|trace| {
+                let crit = trace.len().saturating_sub(1);
+                let slice = backward_slice(trace, crit, true);
+                // Double-free findings flow through allocator-internal
+                // metadata the instruction trace cannot see; they are not
+                // slice-verifiable (the paper's tools share this blind spot
+                // for libc-internal dataflow).
+                let membug_verified = membug
+                    .iter()
+                    .find(|f| f.kind != MemBugKind::DoubleFree)
+                    .map(|f| slice.contains_pc(f.pc));
+                SliceVerdict {
+                    slice_len: slice.len(),
+                    membug_verified,
+                    taint_verified: taint_verified(&input, &slice),
+                }
+            });
+            // The wall mirror covers the slice and the replay's drop; the
+            // virtual extent ends where the step's charge does.
+            drop(rep);
+            metrics.end_span(sp4, sp4_end);
+            verdict
         }
-        let out4 = ReplaySession::new(mgr, proxy, ckpt)?
-            .with_budget(replay_budget)
-            .run(&mut ins4, &mut *faults);
-        let step4_cycles = ATTACH_COST_CYCLES + out4.cycles + ins4.take_overhead();
-        timeline.advance_by(step4_cycles);
-        let sp4_end = timeline.now();
-        timings.slicing_ms = cycles_to_secs(step4_cycles) * 1e3;
-        timeline.record(Event::AnalysisStep {
-            step: "slicing",
-            duration_ms: timings.slicing_ms,
-        });
-        let verdict = ins4.get::<TraceRecorder>(tr_id).map(|trace| {
-            let crit = trace.len().saturating_sub(1);
-            let slice = backward_slice(trace, crit, true);
-            // Double-free findings flow through allocator-internal
-            // metadata the instruction trace cannot see; they are not
-            // slice-verifiable (the paper's tools share this blind spot
-            // for libc-internal dataflow).
-            let membug_verified = membug
-                .iter()
-                .find(|f| f.kind != MemBugKind::DoubleFree)
-                .map(|f| slice.contains_pc(f.pc));
-            SliceVerdict {
-                slice_len: slice.len(),
-                membug_verified,
-                taint_verified: taint_verified(&input, &slice),
-            }
-        });
-        // The wall mirror covers the slice and the trace's drop; the
-        // virtual extent ends where the replay's charge does.
-        drop(ins4);
-        metrics.end_span(sp4, sp4_end);
-        verdict
-    } else {
-        None
     };
     timings.total_ms = ms_since_detect(timeline);
     metrics.record_span("pipeline.total", detection_at, timeline.now());
@@ -559,6 +574,60 @@ pub fn analyze_attack(
         ckpt,
         symbols: live.symbols.clone(),
     })
+}
+
+/// What the taint tool says about the attack input, read after the
+/// replay that left `replayed` behind: the finding, plus the
+/// taint-filter VSEF when a control-transfer alert names the sink.
+/// `replay_map` maps replay guest connection ids to proxy log ids.
+/// `None` when taint implicated no input bytes.
+fn taint_finding(
+    taint: &TaintTool,
+    replayed: &Machine,
+    replay_map: &[usize],
+) -> Option<(InputFinding, Option<VsefSpec>)> {
+    // Prefer a control-transfer alert; otherwise query taint at the
+    // corrupt location the fault names (heap attacks).
+    let alert = taint.alerts().first();
+    let mut sources = alert.map(|a| a.sources.clone()).unwrap_or_default();
+    if sources.is_empty() {
+        if let svm::Status::Faulted(f) = replayed.status() {
+            if let Some(addr) = f.fault_addr() {
+                // The corrupt chunk header (HeapAbort) or the slot the
+                // allocator was about to dereference.
+                sources = taint.taint_of_mem(addr, 8);
+                if sources.is_empty() {
+                    sources = taint.taint_of_mem(addr.wrapping_sub(8), 16);
+                }
+            }
+        }
+    }
+    let &(primary_conn, _) = sources.iter().next()?;
+    let mut attack_log_ids: Vec<usize> = sources
+        .iter()
+        .filter_map(|(c, _)| replay_map.get(*c as usize).copied())
+        .collect();
+    attack_log_ids.sort_unstable();
+    attack_log_ids.dedup();
+    let finding = InputFinding {
+        attack_log_ids,
+        offsets: sources
+            .iter()
+            .filter(|(c, _)| *c == primary_conn)
+            .map(|(_, o)| *o)
+            .collect(),
+        primary_conn,
+        via_taint: true,
+    };
+    let filter = alert.map(|alert| {
+        let mut prop: Vec<u32> = taint.propagation_pcs().iter().copied().collect();
+        prop.truncate(64);
+        VsefSpec::TaintFilter {
+            prop_pcs: prop,
+            sink_pc: alert.pc,
+        }
+    });
+    Some((finding, filter))
 }
 
 /// Whether the slice confirms taint's finding: some implicated byte of
@@ -670,6 +739,55 @@ mod tests {
 
         assert!(analyze(&mut s, &mut reg, &mut FailTool("memory-state")).is_none());
         assert_eq!(StepTimings::from_spans(&reg), Some(second.timings));
+    }
+
+    /// Drops every input of a replay that re-injects more than one
+    /// connection: the shared replay loses the whole attack window,
+    /// while the isolation fallback's one-connection replays go through.
+    #[derive(Default)]
+    struct DropWindow {
+        window: usize,
+    }
+    impl checkpoint::ReplayFault for DropWindow {
+        fn reorder(&mut self, inputs: &mut Vec<(usize, Vec<u8>)>) {
+            self.window = inputs.len();
+        }
+        fn on_replay_input(&mut self, _log_id: usize, _input: &mut Vec<u8>) -> bool {
+            self.window < 2
+        }
+    }
+    impl FaultHooks for DropWindow {}
+
+    #[test]
+    fn a_replay_that_lost_its_inputs_does_not_move_the_checkpoint() {
+        // The instrumented replay sees no input and cannot fault. The
+        // fault-free replay of the same window still reproduces, so the
+        // analysis keeps the latest checkpoint and degrades to isolation
+        // instead of stepping back past the only checkpoint (`None`).
+        let app = apps::httpd1::app().expect("app");
+        let mut s = Sweeper::protect(&app, Config::producer(1)).expect("protect");
+        let latest = s.mgr.latest().expect("checkpoint").id;
+        for req in [
+            apps::httpd1::benign_request("warm"),
+            apps::httpd1::exploit_crash(&app).input,
+        ] {
+            s.proxy.offer(&mut s.machine, req, &[]);
+            while s.machine.run(&mut svm::NopHook, 2_000_000).is_running() {}
+        }
+        assert!(matches!(s.machine.status(), svm::Status::Faulted(_)));
+        s.timeline.advance_to(s.machine.clock.cycles());
+
+        let mut reg = obs::MetricsRegistry::new();
+        let report = analyze(&mut s, &mut reg, &mut DropWindow::default())
+            .expect("the window still reproduces the fault");
+        assert_eq!(report.ckpt, latest);
+        assert!(report.membug.is_empty(), "{:?}", report.membug);
+        assert!(!report.input.via_taint);
+        assert_eq!(
+            report.input.attack_log_ids,
+            vec![1],
+            "the exploit, isolated"
+        );
     }
 
     fn finding(conn: u32, offsets: &[u32]) -> InputFinding {

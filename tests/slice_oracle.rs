@@ -8,8 +8,8 @@
 //! on random programs with branches, calls, several input reads on two
 //! connections and an indirect-call sink, at every criterion, with and
 //! without control dependencies; and on each guest's crash exploit,
-//! replayed from its reproducing checkpoint the way the analysis
-//! pipeline replays it.
+//! replayed from its checkpoint the way the analysis pipeline replays
+//! it.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -22,7 +22,7 @@ use sweeper_repro::svm::asm::assemble;
 use sweeper_repro::svm::isa::Op;
 use sweeper_repro::svm::loader::Aslr;
 use sweeper_repro::svm::{Machine, NopHook, Status};
-use sweeper_repro::sweeper::pipeline::find_reproducing_checkpoint;
+use sweeper_repro::sweeper::pipeline::replay_reproduces;
 use sweeper_repro::sweeper::Config;
 
 /// What last wrote a location.
@@ -348,14 +348,15 @@ fn one_pass_slice_equals_oracle_on_every_guest_exploit() {
         );
 
         // Replay the attack window under the trace recorder, as the
-        // pipeline's slicing step does.
-        let ckpt = find_reproducing_checkpoint(&mgr, &proxy, budget).expect("reproduces");
+        // pipeline's shared replay does for its slicing step.
+        let ckpt = mgr.latest().expect("checkpoint").id;
+        let session = ReplaySession::new(&mgr, &proxy, ckpt)
+            .expect("session")
+            .with_budget(budget);
+        assert!(replay_reproduces(&session), "{}", app.name);
         let mut ins = Instrumenter::new();
         let id = ins.attach(Box::new(TraceRecorder::new()));
-        ReplaySession::new(&mgr, &proxy, ckpt)
-            .expect("session")
-            .with_budget(budget)
-            .run(&mut ins, &mut NoFault);
+        session.run(&mut ins, &mut NoFault);
         let trace = take_trace(&mut ins, id);
         assert!(!trace.is_empty(), "{}", app.name);
 
