@@ -22,6 +22,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+mod addr;
 pub mod callstack;
 pub mod coredump;
 pub mod membug;

@@ -14,8 +14,9 @@
 //! [`backward_slice`] makes one backward pass over the trace, from the
 //! criterion down to index 0. It keeps a *demand set*: the locations some
 //! slice member reads whose writer has not been reached yet. Registers
-//! are a bitmask, the flags one bit, memory bytes an integer-keyed hash
-//! set. At each index, in this order:
+//! and the flags are one bitmask, in the layout of
+//! [`dbi::effects::access`]; memory bytes are an integer-keyed hash set.
+//! At each index, in this order:
 //!
 //! 1. input events recorded there, latest first, turn each demanded byte
 //!    they delivered into an input dependency and drop it from the set;
@@ -26,18 +27,25 @@
 //!    member, so the chain reaches every branch before the criterion;
 //! 4. a member's reads join the set.
 //!
+//! Each step reads the entry's [`access`] masks and its memory range
+//! `addr .. addr + len` directly: a register step is one AND and one OR,
+//! and no per-entry location list is built. The memory set holds only
+//! demanded bytes, so its size follows the slice, not the guest's
+//! address span.
+//!
 //! Without control dependencies the pass stops once nothing is demanded.
 //! It is the last-writer relation of a forward pass, resolved lazily, so
 //! nothing is allocated per trace entry. The forward-pass and worklist
 //! formulation it replaced is kept as the test oracle in
 //! `tests/slice_oracle.rs`.
 
-use std::collections::{BTreeSet, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeSet;
 
-use dbi::effects::Loc;
+use dbi::effects::access;
 use dbi::trace::{TraceEvent, TraceRecorder};
-use svm::isa::{Op, NUM_REGS};
+use svm::isa::Op;
+
+use crate::addr::AddrSet;
 
 /// A computed backward slice.
 #[derive(Debug, Clone, Default)]
@@ -68,66 +76,35 @@ impl Slice {
     }
 }
 
-// The register part of the demand set is one `u32` bit per register.
-const _: () = assert!(NUM_REGS <= 32);
-
-/// Hasher for guest addresses: one multiply, rotated so the bucket bits
-/// depend on every address bit (Fibonacci hashing).
-#[derive(Default)]
-struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(u32::from(b) ^ (self.0 as u32));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = u64::from(n)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(32);
-    }
-}
-
 /// Locations demanded by the slice built so far.
 #[derive(Default)]
 struct Demand {
+    /// Registers and flags, as an [`access`] mask.
     regs: u32,
-    flags: bool,
-    mem: HashSet<u32, BuildHasherDefault<AddrHasher>>,
+    mem: AddrSet,
 }
 
 impl Demand {
-    fn insert(&mut self, loc: Loc) {
-        match loc {
-            Loc::Reg(r) => self.regs |= 1 << r,
-            Loc::Flags => self.flags = true,
-            Loc::MemByte(a) => {
-                self.mem.insert(a);
-            }
+    fn insert_mem(&mut self, addr: u32, len: u32) {
+        for i in 0..len {
+            self.mem.insert(addr.wrapping_add(i));
         }
     }
 
-    /// Drop `loc`; whether it was demanded.
-    fn remove(&mut self, loc: Loc) -> bool {
-        match loc {
-            Loc::Reg(r) => {
-                let was = self.regs & (1 << r) != 0;
-                self.regs &= !(1 << r);
-                was
-            }
-            Loc::Flags => std::mem::take(&mut self.flags),
-            Loc::MemByte(a) => self.mem.remove(&a),
+    /// Drop the bytes `addr .. addr + len`; whether any was demanded.
+    fn remove_mem(&mut self, addr: u32, len: u32) -> bool {
+        if self.mem.is_empty() {
+            return false;
         }
+        let mut hit = false;
+        for i in 0..len {
+            hit |= self.mem.remove(&addr.wrapping_add(i));
+        }
+        hit
     }
 
     fn is_empty(&self) -> bool {
-        self.regs == 0 && !self.flags && self.mem.is_empty()
+        self.regs == 0 && self.mem.is_empty()
     }
 }
 
@@ -159,9 +136,10 @@ pub fn backward_slice(trace: &TraceRecorder, criterion: usize, include_control: 
     let mut demand = Demand::default();
     let mut members = vec![criterion];
     let mut input_deps = Vec::new();
-    for &r in trace.reads(criterion) {
-        demand.insert(r);
-    }
+    let crit = &trace.entries[criterion];
+    let acc = access(&crit.op);
+    demand.regs = acc.reads;
+    demand.insert_mem(crit.addr, acc.mem_read);
     for idx in (0..criterion).rev() {
         if !include_control && demand.is_empty() {
             break;
@@ -172,20 +150,21 @@ pub fn backward_slice(trace: &TraceRecorder, criterion: usize, include_control: 
             }
             inputs.pop();
             for i in 0..len {
-                if demand.remove(Loc::MemByte(addr.wrapping_add(i))) {
+                if demand.mem.remove(&addr.wrapping_add(i)) {
                     input_deps.push((conn, off + i));
                 }
             }
         }
-        let mut joined = include_control && is_branch(&trace.entries[idx].op);
-        for &w in trace.writes(idx) {
-            joined |= demand.remove(w);
-        }
+        let e = &trace.entries[idx];
+        let acc = access(&e.op);
+        let mut joined = include_control && is_branch(&e.op);
+        joined |= demand.regs & acc.writes != 0;
+        demand.regs &= !acc.writes;
+        joined |= demand.remove_mem(e.addr, acc.mem_write);
         if joined {
             members.push(idx);
-            for &r in trace.reads(idx) {
-                demand.insert(r);
-            }
+            demand.regs |= acc.reads;
+            demand.insert_mem(e.addr, acc.mem_read);
         }
     }
 

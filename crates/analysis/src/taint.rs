@@ -7,15 +7,32 @@
 //! target — a return address or function pointer — raises an alert that
 //! names the exact input bytes responsible, which is what drives input
 //! signature generation and fast recovery.
+//!
+//! # Shadow
+//!
+//! Every location holds an optional shared [`TaintSet`], kept where
+//! indexing is cheapest:
+//!
+//! - registers in an array indexed by register number;
+//! - the flags in one slot;
+//! - memory in 4 KiB shadow pages, one slot per guest byte, found by one
+//!   lookup of the page number and an index into the page. A page is
+//!   allocated when a byte in it is first tainted; clearing a byte on an
+//!   unallocated page is a no-op.
+//!
+//! Untainted is `None` everywhere. `tests/taint_oracle.rs` checks the
+//! tool against a `HashMap<Loc, TaintSet>` shadow.
 
 use std::any::Any;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dbi::effects::{effects, Loc};
 use dbi::tool::{Tool, Watch};
-use svm::isa::Op;
+use svm::isa::{Op, NUM_REGS};
 use svm::Machine;
+
+use crate::addr::AddrMap;
 
 /// Provenance of one tainted byte: `(connection id, stream offset)`.
 pub type TaintSource = (u32, u32);
@@ -34,10 +51,62 @@ pub struct TaintAlert {
     pub sources: BTreeSet<TaintSource>,
 }
 
+/// Guest bytes per shadow page, as a power of two.
+const PAGE_BITS: u32 = 12;
+/// Guest bytes per shadow page.
+const PAGE: usize = 1 << PAGE_BITS;
+
+/// The taint of every location; see the module docs.
+#[derive(Default)]
+struct Shadow {
+    regs: [Option<TaintSet>; NUM_REGS],
+    flags: Option<TaintSet>,
+    pages: AddrMap<Box<[Option<TaintSet>; PAGE]>>,
+}
+
+impl Shadow {
+    fn get(&self, loc: Loc) -> Option<&TaintSet> {
+        match loc {
+            Loc::Reg(r) => self.regs.get(usize::from(r))?.as_ref(),
+            Loc::Flags => self.flags.as_ref(),
+            Loc::MemByte(a) => self.pages.get(&(a >> PAGE_BITS))?[a as usize % PAGE].as_ref(),
+        }
+    }
+
+    fn insert(&mut self, loc: Loc, set: TaintSet) {
+        let slot = match loc {
+            Loc::Reg(r) => &mut self.regs[usize::from(r)],
+            Loc::Flags => &mut self.flags,
+            Loc::MemByte(a) => {
+                let page = self
+                    .pages
+                    .entry(a >> PAGE_BITS)
+                    .or_insert_with(|| Box::new([const { None }; PAGE]));
+                &mut page[a as usize % PAGE]
+            }
+        };
+        *slot = Some(set);
+    }
+
+    fn remove(&mut self, loc: Loc) {
+        let slot = match loc {
+            Loc::Reg(r) => self.regs.get_mut(usize::from(r)),
+            Loc::Flags => Some(&mut self.flags),
+            Loc::MemByte(a) => self
+                .pages
+                .get_mut(&(a >> PAGE_BITS))
+                .map(|page| &mut page[a as usize % PAGE]),
+        };
+        if let Some(slot) = slot {
+            *slot = None;
+        }
+    }
+}
+
 /// The dynamic taint analysis tool.
 #[derive(Default)]
 pub struct TaintTool {
-    shadow: HashMap<Loc, TaintSet>,
+    shadow: Shadow,
     alerts: Vec<TaintAlert>,
     /// Propagation log: pcs of instructions that moved taint (the raw
     /// material for taint-based VSEFs).
@@ -45,7 +114,7 @@ pub struct TaintTool {
 }
 
 impl TaintTool {
-    /// A fresh tool with an empty shadow map.
+    /// A fresh tool with an empty shadow.
     pub fn new() -> TaintTool {
         TaintTool::default()
     }
@@ -62,7 +131,7 @@ impl TaintTool {
 
     /// Taint of a register.
     pub fn taint_of_reg(&self, reg: u8) -> BTreeSet<TaintSource> {
-        self.taint_of(&Loc::Reg(reg))
+        self.taint_of(Loc::Reg(reg))
     }
 
     /// Union taint of a memory range (the pipeline queries the corrupt
@@ -70,16 +139,14 @@ impl TaintTool {
     pub fn taint_of_mem(&self, addr: u32, len: u32) -> BTreeSet<TaintSource> {
         let mut out = BTreeSet::new();
         for i in 0..len {
-            out.extend(
-                self.taint_of(&Loc::MemByte(addr.wrapping_add(i)))
-                    .iter()
-                    .copied(),
-            );
+            if let Some(s) = self.shadow.get(Loc::MemByte(addr.wrapping_add(i))) {
+                out.extend(s.iter().copied());
+            }
         }
         out
     }
 
-    fn taint_of(&self, loc: &Loc) -> BTreeSet<TaintSource> {
+    fn taint_of(&self, loc: Loc) -> BTreeSet<TaintSource> {
         self.shadow
             .get(loc)
             .map(|s| s.as_ref().clone())
@@ -90,7 +157,7 @@ impl TaintTool {
     /// tainted location's set itself (shared, not copied) when exactly
     /// one is, and a fresh union only when two or more are.
     fn union_of(&self, locs: &[Loc]) -> Option<TaintSet> {
-        let mut hits = locs.iter().filter_map(|l| self.shadow.get(l));
+        let mut hits = locs.iter().filter_map(|&l| self.shadow.get(l));
         let first = hits.next()?;
         let Some(second) = hits.next() else {
             return Some(first.clone());
@@ -123,7 +190,7 @@ impl Tool for TaintTool {
         if let Some((loc, target)) = &e.indirect_target {
             let tainted = match loc {
                 Loc::MemByte(a) => self.taint_of_mem(*a, 4),
-                other => self.taint_of(other),
+                other => self.taint_of(*other),
             };
             if !tainted.is_empty() {
                 self.alerts.push(TaintAlert {
@@ -139,8 +206,8 @@ impl Tool for TaintTool {
         // overwrite removes taint. Address registers and stack-pointer
         // bookkeeping are deliberately not flows (classic TaintCheck
         // policy); slicing covers those dependencies instead. `e` and its
-        // flow lists live on the stack, so the heap is touched only by
-        // the shadow map itself and by a union set built when two or
+        // flow lists live on the stack, so the heap is touched only by a
+        // shadow page's first taint and by a union set built when two or
         // more sources of one flow are tainted.
         let mut propagated = false;
         for f in &e.flows {
@@ -149,9 +216,7 @@ impl Tool for TaintTool {
                     propagated = true;
                     self.shadow.insert(f.to, set);
                 }
-                None => {
-                    self.shadow.remove(&f.to);
-                }
+                None => self.shadow.remove(f.to),
             }
         }
         if propagated {
@@ -159,7 +224,7 @@ impl Tool for TaintTool {
         }
         for w in &e.writes {
             if !e.flows.iter().any(|f| f.to == *w) {
-                self.shadow.remove(w);
+                self.shadow.remove(*w);
             }
         }
     }

@@ -6,12 +6,23 @@
 //! folds over these effect sets, which is why they live here in the
 //! instrumentation layer rather than in each tool.
 //!
-//! [`effects`] runs once per instruction under taint and slicing, and at
-//! every watched pc under a VSEF runtime, so it does not allocate: every
-//! list in [`Effects`] and [`Flow`] is an [`Inline`] array sized to the
-//! ISA's worst case, and both types are `Copy`. The capacities are exact
-//! maxima, not guesses, because no instruction touches more than one
-//! 4-byte word of memory:
+//! Two decoders share one view of the ISA:
+//!
+//! - [`effects`] resolves everything, value flows and indirect targets
+//!   included. It runs once per instruction under taint analysis, and at
+//!   every watched pc under a VSEF runtime.
+//! - [`access`] is the compact, state-free part: register reads and
+//!   writes as bitmasks ([`FLAGS_BIT`] stands for the flags) and the
+//!   lengths of the memory read and write. Together with the one address
+//!   the op touches, [`mem_addr`], it names the same locations as
+//!   [`Effects::reads`] and [`Effects::writes`]; the trace recorder keeps
+//!   only that address, and the slicer works on the masks.
+//!
+//! [`effects`] takes its own address from [`mem_addr`] as well. It does
+//! not allocate: every list in [`Effects`] and [`Flow`] is an [`Inline`]
+//! array sized to the ISA's worst case, and both types are `Copy`. The
+//! capacities are exact maxima, not guesses, because no instruction
+//! touches more than one 4-byte word of memory:
 //!
 //! - [`MAX_READS`] = 5: `ld`/`ldb` read a base register plus up to 4
 //!   bytes, `ret`/`pop` read SP plus 4 bytes, and `sys` reads r0–r3;
@@ -21,12 +32,13 @@
 //!
 //! A push past a capacity would be a bug in [`effects`] and panics on the
 //! bounds check; `tests/effects_oracle.rs` checks every op against the
-//! earlier heap-allocated decoder, element for element.
+//! earlier heap-allocated decoder, element for element, and [`access`]
+//! against [`effects`], location set for location set.
 
 use core::fmt;
 use core::ops::Deref;
 
-use svm::isa::{Op, Reg};
+use svm::isa::{Op, Reg, NUM_REGS};
 use svm::Machine;
 
 /// Most locations one instruction reads.
@@ -149,6 +161,98 @@ pub struct Effects {
     pub reads_flags: bool,
 }
 
+/// Bit of [`Access::reads`] and [`Access::writes`] that stands for the
+/// comparison flags; bit `r` below it stands for register `r`.
+pub const FLAGS_BIT: u32 = 1 << NUM_REGS;
+
+const _: () = assert!(NUM_REGS < 32);
+
+/// What one instruction touches, independent of machine state: the
+/// registers as bitmasks and the memory as lengths at [`mem_addr`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Access {
+    /// Registers read, one bit each, plus [`FLAGS_BIT`].
+    pub reads: u32,
+    /// Registers written, one bit each, plus [`FLAGS_BIT`].
+    pub writes: u32,
+    /// Bytes read from memory at [`mem_addr`] (0: none).
+    pub mem_read: u32,
+    /// Bytes written to memory at [`mem_addr`] (0: none).
+    pub mem_write: u32,
+}
+
+/// The registers and memory lengths `op` reads and writes.
+pub fn access(op: &Op) -> Access {
+    let bit = |r: Reg| 1u32 << r.0;
+    let sp = bit(Reg::SP);
+    let regs = |reads, writes| Access {
+        reads,
+        writes,
+        ..Access::default()
+    };
+    match *op {
+        Op::Nop | Op::Halt | Op::Jmp { .. } => Access::default(),
+        Op::MovI { rd, .. } => regs(0, bit(rd)),
+        Op::Mov { rd, rs } => regs(bit(rs), bit(rd)),
+        Op::Ld { rd, rs, .. } => Access {
+            mem_read: 4,
+            ..regs(bit(rs), bit(rd))
+        },
+        Op::LdB { rd, rs, .. } => Access {
+            mem_read: 1,
+            ..regs(bit(rs), bit(rd))
+        },
+        Op::St { rd, rs, .. } => Access {
+            mem_write: 4,
+            ..regs(bit(rd) | bit(rs), 0)
+        },
+        Op::StB { rd, rs, .. } => Access {
+            mem_write: 1,
+            ..regs(bit(rd) | bit(rs), 0)
+        },
+        Op::Alu { rd, rs1, rs2, .. } => regs(bit(rs1) | bit(rs2), bit(rd)),
+        Op::AluI { rd, rs1, .. } => regs(bit(rs1), bit(rd)),
+        Op::Cmp { rs1, rs2 } => regs(bit(rs1) | bit(rs2), FLAGS_BIT),
+        Op::CmpI { rs1, .. } => regs(bit(rs1), FLAGS_BIT),
+        Op::JCond { .. } => regs(FLAGS_BIT, 0),
+        Op::JmpR { rs } => regs(bit(rs), 0),
+        Op::Call { .. } => Access {
+            mem_write: 4,
+            ..regs(sp, sp)
+        },
+        Op::CallR { rs } | Op::Push { rs } => Access {
+            mem_write: 4,
+            ..regs(bit(rs) | sp, sp)
+        },
+        Op::Ret => Access {
+            mem_read: 4,
+            ..regs(sp, sp)
+        },
+        Op::Pop { rd } => Access {
+            mem_read: 4,
+            ..regs(sp, bit(rd) | sp)
+        },
+        // r0–r3 in, r0 out.
+        Op::Sys { .. } => regs(0b1111, 1),
+    }
+}
+
+/// The one memory address `op` reads or writes on machine `m` (no
+/// instruction does both), or 0 when it touches no memory.
+///
+/// Must be called *before* the instruction executes.
+pub fn mem_addr(m: &Machine, op: &Op) -> u32 {
+    match *op {
+        Op::Ld { rs: base, off, .. }
+        | Op::LdB { rs: base, off, .. }
+        | Op::St { rd: base, off, .. }
+        | Op::StB { rd: base, off, .. } => m.cpu.get(base).wrapping_add(off as u32),
+        Op::Call { .. } | Op::CallR { .. } | Op::Push { .. } => m.cpu.sp().wrapping_sub(4),
+        Op::Ret | Op::Pop { .. } => m.cpu.sp(),
+        _ => 0,
+    }
+}
+
 fn push_mem<const N: usize>(v: &mut Inline<Loc, N>, addr: u32, len: u32) {
     for i in 0..len {
         v.push(Loc::MemByte(addr.wrapping_add(i)));
@@ -170,6 +274,7 @@ fn sources(regs: &[Reg]) -> Inline<Loc, MAX_SOURCES> {
 /// are taken from current register values).
 pub fn effects(m: &Machine, op: &Op) -> Effects {
     let mut e = Effects::default();
+    let addr = mem_addr(m, op);
     let r = |reg: Reg| Loc::Reg(reg.0);
     let mem_locs = |addr: u32, len: u32| {
         let mut locs = Inline::default();
@@ -193,8 +298,7 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
                 to: r(rd),
             });
         }
-        Op::Ld { rd, rs, off } => {
-            let addr = m.cpu.get(rs).wrapping_add(off as u32);
+        Op::Ld { rd, rs, .. } => {
             e.reads.push(r(rs));
             push_mem(&mut e.reads, addr, 4);
             e.mem_read = Some((addr, 4));
@@ -206,8 +310,7 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
                 to: r(rd),
             });
         }
-        Op::LdB { rd, rs, off } => {
-            let addr = m.cpu.get(rs).wrapping_add(off as u32);
+        Op::LdB { rd, rs, .. } => {
             e.reads.push(r(rs));
             push_mem(&mut e.reads, addr, 1);
             e.mem_read = Some((addr, 1));
@@ -217,8 +320,7 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
                 to: r(rd),
             });
         }
-        Op::St { rd, rs, off } => {
-            let addr = m.cpu.get(rd).wrapping_add(off as u32);
+        Op::St { rd, rs, .. } => {
             e.reads.push(r(rd));
             e.reads.push(r(rs));
             push_mem(&mut e.writes, addr, 4);
@@ -230,8 +332,7 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
                 });
             }
         }
-        Op::StB { rd, rs, off } => {
-            let addr = m.cpu.get(rd).wrapping_add(off as u32);
+        Op::StB { rd, rs, .. } => {
             e.reads.push(r(rd));
             e.reads.push(r(rs));
             push_mem(&mut e.writes, addr, 1);
@@ -284,41 +385,37 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
             e.indirect_target = Some((r(rs), m.cpu.get(rs)));
         }
         Op::Call { .. } => {
-            let sp = m.cpu.sp().wrapping_sub(4);
             e.reads.push(r(Reg::SP));
             e.writes.push(r(Reg::SP));
-            push_mem(&mut e.writes, sp, 4);
-            e.mem_write = Some((sp, 4));
+            push_mem(&mut e.writes, addr, 4);
+            e.mem_write = Some((addr, 4));
             // The pushed return address is constant-derived: the flows
             // (none) clear any stale taint in the slot and leave SP
             // untainted. Slicing still sees the SP dependency above.
         }
         Op::CallR { rs } => {
-            let sp = m.cpu.sp().wrapping_sub(4);
             e.reads.push(r(rs));
             e.reads.push(r(Reg::SP));
             e.writes.push(r(Reg::SP));
-            push_mem(&mut e.writes, sp, 4);
-            e.mem_write = Some((sp, 4));
+            push_mem(&mut e.writes, addr, 4);
+            e.mem_write = Some((addr, 4));
             e.indirect_target = Some((r(rs), m.cpu.get(rs)));
         }
         Op::Ret => {
-            let sp = m.cpu.sp();
             e.reads.push(r(Reg::SP));
-            push_mem(&mut e.reads, sp, 4);
-            e.mem_read = Some((sp, 4));
+            push_mem(&mut e.reads, addr, 4);
+            e.mem_read = Some((addr, 4));
             e.writes.push(r(Reg::SP));
-            let target = m.mem.read_u32(0, sp).unwrap_or(0);
-            e.indirect_target = Some((Loc::MemByte(sp), target));
+            let target = m.mem.read_u32(0, addr).unwrap_or(0);
+            e.indirect_target = Some((Loc::MemByte(addr), target));
         }
         Op::Push { rs } => {
-            let sp = m.cpu.sp().wrapping_sub(4);
             e.reads.push(r(rs));
             e.reads.push(r(Reg::SP));
             e.writes.push(r(Reg::SP));
-            push_mem(&mut e.writes, sp, 4);
-            e.mem_write = Some((sp, 4));
-            for &l in &mem_locs(sp, 4) {
+            push_mem(&mut e.writes, addr, 4);
+            e.mem_write = Some((addr, 4));
+            for &l in &mem_locs(addr, 4) {
                 e.flows.push(Flow {
                     from: sources(&[rs]),
                     to: l,
@@ -326,14 +423,13 @@ pub fn effects(m: &Machine, op: &Op) -> Effects {
             }
         }
         Op::Pop { rd } => {
-            let sp = m.cpu.sp();
             e.reads.push(r(Reg::SP));
-            push_mem(&mut e.reads, sp, 4);
-            e.mem_read = Some((sp, 4));
+            push_mem(&mut e.reads, addr, 4);
+            e.mem_read = Some((addr, 4));
             e.writes.push(r(rd));
             e.writes.push(r(Reg::SP));
             e.flows.push(Flow {
-                from: mem_locs(sp, 4),
+                from: mem_locs(addr, 4),
                 to: r(rd),
             });
         }

@@ -6,8 +6,9 @@
 //! process*, the property Sweeper's deferred-analysis design hinges on —
 //! per-pc selective instrumentation ([`tool::Watch`]) that makes VSEFs
 //! cheap, virtual-cycle overhead accounting, the resolved dataflow
-//! [`effects::effects`] decoder shared by taint analysis and slicing, and
-//! a full [`trace::TraceRecorder`].
+//! [`effects::effects`] decoder behind taint analysis and VSEFs, its
+//! compact state-free part [`effects::access`] behind slicing, and a full
+//! [`trace::TraceRecorder`].
 
 #![cfg_attr(
     not(test),

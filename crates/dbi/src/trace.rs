@@ -9,48 +9,42 @@
 //!
 //! # Layout
 //!
-//! Slicing needs only each instruction's resolved read and write
-//! locations, so the recorder keeps just those, not the full
-//! [`Effects`](crate::effects::Effects). Every instruction appends its
-//! reads and then its writes to one flat `Vec<Loc>` arena; its
-//! [`TraceEntry`] holds `pc`, `op`, `mem_write` and three offsets into
-//! that arena:
+//! A [`TraceEntry`] is 16 bytes: `pc`, the decoded `op` and `addr`, the
+//! one memory address the op touches ([`mem_addr`]). Everything else a
+//! consumer needs follows from those without the machine state: the
+//! registers and memory lengths come from [`access`]`(op)`, and the
+//! memory bytes from `addr`. Recording an instruction is one address
+//! computation and one push, and a trace is two growing buffers (entries
+//! and events).
 //!
-//! ```text
-//! locs:   [ r0 r0 | w0 | r1 | w1 w1 w1 w1 | ... ]
-//!           ^start  ^mid ^end = start of entry 1
-//! ```
-//!
-//! [`TraceRecorder::reads`] and [`TraceRecorder::writes`] return the two
-//! slices of entry `i`. A trace is then two growing buffers instead of
-//! several `Vec`s per instruction, and dropping it is two frees.
+//! [`TraceRecorder::reads`], [`TraceRecorder::writes`] and
+//! [`TraceRecorder::mem_write`] derive an entry's locations that way, as
+//! lists; the slicer skips the lists and reads the [`access`] masks
+//! directly.
 
 use std::any::Any;
 
 use svm::alloc::FreeKind;
-use svm::isa::{Op, Syscall};
+use svm::isa::{Op, Syscall, NUM_REGS};
 use svm::Machine;
 
-use crate::effects::{effects, Loc};
+use crate::effects::{access, mem_addr, Loc, FLAGS_BIT};
 use crate::tool::{Tool, Watch};
 
 /// One dynamic instruction in the trace. Its position in
 /// [`TraceRecorder::entries`] is its dynamic index.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceEntry {
     /// Program counter.
     pub pc: u32,
     /// Decoded instruction.
     pub op: Op,
-    /// Memory region written, as `(addr, len)`, if any.
-    pub mem_write: Option<(u32, u32)>,
-    /// Arena offset of the first read location.
-    start: usize,
-    /// Arena offset of the first write location (one past the reads).
-    mid: usize,
-    /// One past the last write location.
-    end: usize,
+    /// The memory address `op` read or wrote ([`mem_addr`]); 0 when it
+    /// touched no memory.
+    pub addr: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<TraceEntry>() == 16);
 
 /// A non-instruction event interleaved with the trace.
 #[derive(Debug, Clone)]
@@ -96,8 +90,6 @@ pub struct TraceRecorder {
     pub entries: Vec<TraceEntry>,
     /// Interleaved non-instruction events.
     pub events: Vec<TraceEvent>,
-    /// Read and write locations of every entry, back to back.
-    locs: Vec<Loc>,
 }
 
 impl TraceRecorder {
@@ -121,25 +113,52 @@ impl TraceRecorder {
         self.entries.last()
     }
 
-    /// Locations instruction `i` read (its data dependencies).
+    /// Locations instruction `i` read (its data dependencies):
+    /// registers in ascending order, then the flags, then the memory
+    /// bytes.
     ///
     /// # Panics
     ///
     /// If `i` is out of range.
-    pub fn reads(&self, i: usize) -> &[Loc] {
+    pub fn reads(&self, i: usize) -> Vec<Loc> {
         let e = &self.entries[i];
-        &self.locs[e.start..e.mid]
+        let acc = access(&e.op);
+        locs(acc.reads, e.addr, acc.mem_read)
     }
 
-    /// Locations instruction `i` wrote.
+    /// Locations instruction `i` wrote, in the order of
+    /// [`TraceRecorder::reads`].
     ///
     /// # Panics
     ///
     /// If `i` is out of range.
-    pub fn writes(&self, i: usize) -> &[Loc] {
+    pub fn writes(&self, i: usize) -> Vec<Loc> {
         let e = &self.entries[i];
-        &self.locs[e.mid..e.end]
+        let acc = access(&e.op);
+        locs(acc.writes, e.addr, acc.mem_write)
     }
+
+    /// Memory region instruction `i` wrote, as `(addr, len)`, if any.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is out of range.
+    pub fn mem_write(&self, i: usize) -> Option<(u32, u32)> {
+        let e = &self.entries[i];
+        let len = access(&e.op).mem_write;
+        (len > 0).then_some((e.addr, len))
+    }
+}
+
+/// The locations an [`access`] mask and a memory range name.
+fn locs(mask: u32, addr: u32, len: u32) -> Vec<Loc> {
+    let regs = (0..NUM_REGS as u8).filter(|r| mask & (1 << r) != 0);
+    let mut v: Vec<Loc> = regs.map(Loc::Reg).collect();
+    if mask & FLAGS_BIT != 0 {
+        v.push(Loc::Flags);
+    }
+    v.extend((0..len).map(|i| Loc::MemByte(addr.wrapping_add(i))));
+    v
 }
 
 impl Tool for TraceRecorder {
@@ -158,18 +177,10 @@ impl Tool for TraceRecorder {
     }
 
     fn on_insn(&mut self, m: &Machine, pc: u32, op: &Op) {
-        let e = effects(m, op);
-        let start = self.locs.len();
-        self.locs.extend_from_slice(&e.reads);
-        let mid = self.locs.len();
-        self.locs.extend_from_slice(&e.writes);
         self.entries.push(TraceEntry {
             pc,
             op: *op,
-            mem_write: e.mem_write,
-            start,
-            mid,
-            end: self.locs.len(),
+            addr: mem_addr(m, op),
         });
     }
 
@@ -233,7 +244,7 @@ mod tests {
         let st = &tr.entries[2];
         assert!(matches!(st.op, Op::St { .. }));
         let buf = m.symbols.addr_of("buf").expect("buf");
-        assert_eq!(st.mem_write, Some((buf, 4)));
+        assert_eq!(tr.mem_write(2), Some((buf, 4)));
         assert_eq!(tr.reads(2), [Loc::Reg(1), Loc::Reg(2)]);
         let bytes: Vec<Loc> = (0..4).map(|i| Loc::MemByte(buf + i)).collect();
         assert_eq!(tr.writes(2), bytes);

@@ -11,8 +11,19 @@
 //! element in order. Named cases drive every variant at its maximal
 //! shape, check each list against its capacity, and pin the capacities
 //! to the maxima the ISA actually reaches.
+//!
+//! The same cases check the compact decoder against `effects`: the
+//! locations named by `access(op)`'s register masks and memory lengths
+//! at `mem_addr(m, op)` must be exactly the sets of `effects(m, op)`'s
+//! reads and writes, and the lengths and address must give its
+//! `mem_read` and `mem_write`.
 
-use dbi::effects::{effects, Effects, Loc, MAX_FLOWS, MAX_READS, MAX_SOURCES, MAX_WRITES};
+use std::collections::BTreeSet;
+
+use dbi::effects::{
+    access, effects, mem_addr, Effects, Loc, FLAGS_BIT, MAX_FLOWS, MAX_READS, MAX_SOURCES,
+    MAX_WRITES,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use svm::asm::assemble;
@@ -272,13 +283,40 @@ fn set_stack(m: &mut Machine, stack: Stack) {
     }
 }
 
-/// Check `effects` against the reference model on `m`.
+/// The locations a register mask and a memory range name.
+fn expand(mask: u32, addr: u32, len: u32) -> BTreeSet<Loc> {
+    assert_eq!(mask & !(FLAGS_BIT | (FLAGS_BIT - 1)), 0, "stray bits");
+    let regs = (0..NUM_REGS as u8).filter(|r| mask & (1 << r) != 0);
+    let flags = (mask & FLAGS_BIT != 0).then_some(Loc::Flags);
+    let mem = (0..len).map(|i| Loc::MemByte(addr.wrapping_add(i)));
+    regs.map(Loc::Reg).chain(flags).chain(mem).collect()
+}
+
+/// Check `access` and `mem_addr` against `e = effects(m, op)`.
+fn access_agrees(m: &Machine, op: &Op, e: &Effects) -> Result<(), String> {
+    let (acc, addr) = (access(op), mem_addr(m, op));
+    let range = |len: u32| (len > 0).then_some((addr, len));
+    let reads: BTreeSet<Loc> = e.reads.iter().copied().collect();
+    let writes: BTreeSet<Loc> = e.writes.iter().copied().collect();
+    if expand(acc.reads, addr, acc.mem_read) != reads
+        || expand(acc.writes, addr, acc.mem_write) != writes
+        || range(acc.mem_read) != e.mem_read
+        || range(acc.mem_write) != e.mem_write
+    {
+        return Err(format!("{op:?}: {acc:?} at {addr:#x} vs effects {e:?}"));
+    }
+    Ok(())
+}
+
+/// Check `effects` against the reference model on `m`, and `access`
+/// against `effects`.
 fn agree(m: &Machine, op: &Op) -> Result<Effects, String> {
     let e = effects(m, op);
     let (new, old) = (as_old(&e), old_effects(m, op));
     if new != old {
         return Err(format!("{op:?}: {new:?} vs oracle {old:?}"));
     }
+    access_agrees(m, op, &e)?;
     Ok(e)
 }
 

@@ -11,7 +11,8 @@
 # Stages, in order (tier 1 always runs first):
 #   tier1        release build + full test suite + rustfmt
 #                (scripts/tier1.sh — the per-commit gate)
-#   clippy       whole-workspace clippy, warnings denied
+#   clippy       whole-workspace clippy, then the benchmark package's,
+#                warnings denied
 #   doc          whole-workspace rustdoc, warnings denied, so a deleted
 #                or renamed item cannot leave a dangling doc link
 #   crates       the member crates' own tests (tier 1's `cargo test`
@@ -113,7 +114,8 @@ stage_tier1() {
 }
 
 stage_clippy() {
-    cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings &&
+        cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 }
 
 stage_doc() {

@@ -64,14 +64,14 @@ fn oracle_slice(trace: &TraceRecorder, criterion: usize, include_control: bool) 
 
     for (idx, entry) in trace.entries.iter().enumerate() {
         let mut d = Vec::new();
-        for r in trace.reads(idx) {
+        for r in &trace.reads(idx) {
             if let Some(w) = last_writer.get(r) {
                 d.push(*w);
             }
         }
         deps.push(d);
         ctrl_dep.push(last_branch);
-        for w in trace.writes(idx) {
+        for w in &trace.writes(idx) {
             last_writer.insert(*w, Writer::Insn(idx));
         }
         // Input delivered by this instruction (a read syscall) marks the
