@@ -275,7 +275,7 @@ impl Tool for VsefRuntime {
     }
 
     fn watches(&self) -> Watch {
-        Watch::Pcs(self.by_pc.keys().copied().collect())
+        Watch::pcs(self.by_pc.keys().copied())
     }
 
     fn insn_cost(&self) -> u64 {

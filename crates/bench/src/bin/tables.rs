@@ -321,8 +321,13 @@ fn run(cmd: &str, flags: &Flags) {
         "vsef" => {
             let (base, vsef, overhead, sites) = vsef_overhead(200);
             println!(
-                "VSEF overhead (section 5.3, Squid): baseline {base:.2} Mbps vs VSEF {vsef:.2} Mbps -> {:.2}% drop ({sites} instrumented sites)\n",
+                "VSEF overhead (section 5.3, Squid): baseline {base:.2} Mbps vs VSEF {vsef:.2} Mbps -> {:.2}% drop ({sites} instrumented sites)",
                 overhead * 100.0
+            );
+            let (none_ms, deployed_ms) = bench::vsef_wall_ms(200, 9);
+            println!(
+                "  host wall time to serve the 200 requests (median of 9 alternating pairs): no antibody {none_ms:.2} ms vs antibody deployed {deployed_ms:.2} ms -> {:+.1}%\n",
+                (deployed_ms / none_ms - 1.0) * 100.0
             );
         }
         "endtoend" => println!("{}", end_to_end_gamma()),

@@ -88,46 +88,82 @@ pub fn table3() -> String {
 pub fn vsef_overhead(n: usize) -> (f64, f64, f64, usize) {
     use apps::workload::Target;
     let app = squid::app().expect("app");
-    let base = crate::driver::run_protected(
-        &app,
-        Config {
-            checkpoint_interval: u64::MAX,
-            ..Config::producer(21)
-        },
-        Target::Squid,
-        7,
-        n,
-    );
-    // Produce the antibody once, then deploy it on a fresh instance.
-    let (_s, report) = attack_run(&app, squid::exploit_crash(&app).input, 0x5ca1e);
-    let antibody = report.analysis.expect("analysis").antibody;
+    let base = crate::driver::run_protected(&app, vsef_config(), Target::Squid, 7, n);
+    let antibody = squid_antibody(&app);
     let sites: usize = antibody.vsefs().iter().map(|v| v.site_count()).sum();
-    let mut protected = Sweeper::protect(
-        &app,
-        Config {
-            checkpoint_interval: u64::MAX,
-            ..Config::producer(21)
-        },
-    )
-    .expect("protect");
+    let mut protected = Sweeper::protect(&app, vsef_config()).expect("protect");
     protected.deploy_antibody(&antibody);
-    let mut w = apps::workload::Workload::new(Target::Squid, 7);
     let start = protected.timeline.now();
-    let mut bytes = 0usize;
-    let mut served = 0usize;
-    for _ in 0..n {
-        let req = w.next_request();
-        let l = req.len();
-        if let RequestOutcome::Served { bytes: b, .. } = protected.offer_request(req) {
-            bytes += b + l;
-            served += 1;
-        }
-    }
-    assert_eq!(served, n, "VSEF must not false-positive on benign traffic");
+    let bytes = serve_benign_squid(&mut protected, n);
     let secs = svm::clock::cycles_to_secs(protected.timeline.now() - start);
     let vsef_mbps = bytes as f64 * 8.0 / 1e6 / secs;
     let overhead = (secs - base.secs) / base.secs;
     (base.mbps(), vsef_mbps, overhead, sites)
+}
+
+/// §5.3 in host wall time: serving `n` benign Squid requests with the
+/// Squid antibody deployed versus with none, over `pairs` in-process
+/// pairs (none first in the first pair, then alternating). Each side
+/// boots a fresh host outside the timed region. Returns the median wall
+/// milliseconds `(none_ms, deployed_ms)`.
+pub fn vsef_wall_ms(n: usize, pairs: usize) -> (f64, f64) {
+    let app = squid::app().expect("app");
+    let antibody = squid_antibody(&app);
+    let time = |deploy: bool| {
+        let mut s = Sweeper::protect(&app, vsef_config()).expect("protect");
+        if deploy {
+            s.deploy_antibody(&antibody);
+        }
+        let start = std::time::Instant::now();
+        serve_benign_squid(&mut s, n);
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    let (mut none, mut deployed) = (Vec::new(), Vec::new());
+    for i in 0..pairs {
+        if i.is_multiple_of(2) {
+            none.push(time(false));
+            deployed.push(time(true));
+        } else {
+            deployed.push(time(true));
+            none.push(time(false));
+        }
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(none), median(deployed))
+}
+
+/// The §5.3 host configuration: no checkpoints, so serving is VM work
+/// plus whatever the VSEF runtime costs.
+fn vsef_config() -> Config {
+    Config {
+        checkpoint_interval: u64::MAX,
+        ..Config::producer(21)
+    }
+}
+
+/// The antibody a producer derives from the canonical Squid exploit.
+fn squid_antibody(app: &App) -> antibody::Antibody {
+    let (_s, report) = attack_run(app, squid::exploit_crash(app).input, 0x5ca1e);
+    report.analysis.expect("analysis").antibody
+}
+
+/// Offer `n` benign Squid requests (workload seed 7); every one must be
+/// served. Returns the payload bytes moved (requests + responses).
+fn serve_benign_squid(s: &mut Sweeper, n: usize) -> usize {
+    let mut w = apps::workload::Workload::new(apps::workload::Target::Squid, 7);
+    let mut bytes = 0usize;
+    for _ in 0..n {
+        let req = w.next_request();
+        let l = req.len();
+        match s.offer_request(req) {
+            RequestOutcome::Served { bytes: b, .. } => bytes += b + l,
+            other => panic!("VSEF must not false-positive on benign traffic: {other:?}"),
+        }
+    }
+    bytes
 }
 
 /// One end-to-end observability snapshot, for `tables obs[json]`: run
@@ -225,6 +261,16 @@ mod tests {
             assert!(t.best_vsef_ms <= t.initial_ms + 1e-9);
             assert!(t.initial_ms <= t.total_ms + 1e-9);
         }
+    }
+
+    #[test]
+    fn vsef_wall_time_is_measured_on_both_sides() {
+        let (none_ms, deployed_ms) = vsef_wall_ms(5, 2);
+        assert!(none_ms > 0.0 && none_ms.is_finite(), "{none_ms}");
+        assert!(
+            deployed_ms > 0.0 && deployed_ms.is_finite(),
+            "{deployed_ms}"
+        );
     }
 
     #[test]

@@ -19,4 +19,6 @@ pub use driver::{
     attack_timeline, cadence_sweep, checkpoint_overhead, checkpoint_overhead_with_engine,
     run_protected, CadenceCell, ThroughputRun,
 };
-pub use experiments::{end_to_end_gamma, obs_snapshot, table1, table2, table3, vsef_overhead};
+pub use experiments::{
+    end_to_end_gamma, obs_snapshot, table1, table2, table3, vsef_overhead, vsef_wall_ms,
+};

@@ -8,7 +8,7 @@
 
 use svm::alloc::FreeKind;
 use svm::isa::{Op, Syscall};
-use svm::{Hook, Machine};
+use svm::{Hook, Interest, Machine};
 
 use crate::tool::{Tool, Watch};
 
@@ -40,7 +40,8 @@ pub struct Instrumenter {
     /// detach (armed or explicit) until it is taken or charged.
     shares: Vec<u64>,
     /// Attached tools with an armed `detach_after` limit; the
-    /// per-instruction detach sweep runs only while this is nonzero.
+    /// per-instruction detach sweep runs only while this is nonzero, and
+    /// meanwhile the instrumenter asks for every instruction.
     armed: usize,
     /// Lifetime total of overhead cycles charged onto a machine's clock.
     charged_total: u64,
@@ -198,17 +199,33 @@ impl Instrumenter {
 }
 
 impl Hook for Instrumenter {
-    /// With no tools attached the instrumenter observes nothing, so it
-    /// reports itself passive and the machine takes the streamlined
-    /// dispatch loop (no per-event virtual calls). The machine re-asks
-    /// on every step, so [`Instrumenter::attach`] and
-    /// [`Instrumenter::detach`] are the cache-notification mechanism:
-    /// the very next instruction after a mid-execution attach runs on
-    /// the fully hooked path, and detaching the last tool drops back to
-    /// the fast path — with the predecoded instruction cache staying
-    /// valid across both, since hooks only *observe* decoded ops.
-    fn is_passive(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
+    /// The union of the attached tools' [`Watch`]es, and the other
+    /// events whenever any tool is attached (the VSEF runtime's shadow
+    /// stack and taint sources need them even when it watches no pc).
+    /// While a `detach_after` limit is armed it asks for every
+    /// instruction, so the detach sweep in `on_insn` fires at exactly
+    /// the instruction it always did. With no tool attached it asks for
+    /// nothing and the machine runs unhooked. The machine asks on entry
+    /// to every run and step, so an attach between them is seen by the
+    /// very next instruction; delivery still filters per tool, so the
+    /// events a run delivers after an armed detach narrowed the
+    /// interest reach no tool that did not ask for them.
+    fn interest(&self, out: &mut Interest) {
+        let mut attached = false;
+        for s in self.slots.iter().flatten() {
+            attached = true;
+            match &s.watch {
+                Watch::All => out.add_all_insns(),
+                Watch::Pcs(pcs) => out.add_insn_pcs(pcs),
+                Watch::None => {}
+            }
+        }
+        if attached {
+            out.add_other();
+        }
+        if self.armed > 0 {
+            out.add_all_insns();
+        }
     }
 
     fn on_insn(&mut self, m: &Machine, pc: u32, op: &Op) {
@@ -283,10 +300,9 @@ mod tests {
     use super::*;
     use crate::tool::Watch;
     use std::any::Any;
-    use std::collections::HashSet;
     use svm::asm::assemble;
     use svm::loader::Aslr;
-    use svm::Status;
+    use svm::{Insns, Status};
 
     struct Counter {
         name: String,
@@ -354,9 +370,8 @@ mod tests {
     fn pc_filter_restricts_delivery_and_cost() {
         let mut m = boot(".text\nmain:\n movi r0, 1\n movi r0, 2\n movi r0, 3\n halt\n");
         let entry = m.cpu.pc;
-        let pcs: HashSet<u32> = [entry + 8].into_iter().collect();
         let mut ins = Instrumenter::new();
-        let id = ins.attach(Box::new(Counter::new(Watch::Pcs(pcs), 100)));
+        let id = ins.attach(Box::new(Counter::new(Watch::pcs([entry + 8]), 100)));
         m.run(&mut ins, 1_000_000);
         assert_eq!(
             ins.get::<Counter>(id).expect("t").insns,
@@ -384,18 +399,50 @@ mod tests {
         );
     }
 
+    fn interest_of(ins: &Instrumenter) -> Interest {
+        let mut out = Interest::default();
+        ins.interest(&mut out);
+        out
+    }
+
     #[test]
     fn passivity_tracks_attached_tools() {
         let mut ins = Instrumenter::new();
-        assert!(ins.is_passive(), "empty instrumenter observes nothing");
-        let id = ins.attach(Box::new(Counter::new(Watch::None, 1)));
         assert!(
-            !ins.is_passive(),
-            "any attached tool forces the hooked path (Watch filtering \
-             happens per-event, not per-step)"
+            interest_of(&ins).is_empty(),
+            "empty instrumenter observes nothing"
+        );
+        let id = ins.attach(Box::new(Counter::new(Watch::None, 1)));
+        let i = interest_of(&ins);
+        assert_eq!(i.insns(), Insns::None, "a Watch::None tool wants no pc");
+        assert!(
+            i.other(),
+            "but any attached tool wants the other events (call/ret, \
+             alloc/free, syscall, input)"
         );
         ins.detach(id);
-        assert!(ins.is_passive(), "detaching the last tool restores it");
+        assert!(
+            interest_of(&ins).is_empty(),
+            "detaching the last tool restores it"
+        );
+    }
+
+    #[test]
+    fn interest_is_the_union_of_watches_and_every_pc_while_armed() {
+        let mut ins = Instrumenter::new();
+        let a = ins.attach(Box::new(Counter::new(Watch::pcs([24, 8]), 1)));
+        ins.attach(Box::new(Counter::new(Watch::pcs([16, 8]), 1)));
+        assert_eq!(interest_of(&ins).insns(), Insns::Pcs(&[8, 16, 24]));
+        ins.set_detach_after(a, 5);
+        assert_eq!(
+            interest_of(&ins).insns(),
+            Insns::All,
+            "an armed limit asks for every instruction"
+        );
+        ins.detach(a);
+        assert_eq!(interest_of(&ins).insns(), Insns::Pcs(&[8, 16]));
+        ins.attach(Box::new(Counter::new(Watch::All, 1)));
+        assert_eq!(interest_of(&ins).insns(), Insns::All);
     }
 
     #[test]
@@ -408,7 +455,7 @@ mod tests {
         );
         assert!(m.decode_cache_enabled());
         let mut ins = Instrumenter::new();
-        // Two warm-up iterations on the fast (passive) path.
+        // Two warm-up iterations with nothing attached.
         for _ in 0..6 {
             assert!(m.step_hooked(&mut ins).is_running());
         }
@@ -427,10 +474,10 @@ mod tests {
 
     #[test]
     fn mid_attach_after_superblock_dispatch_sees_every_instruction() {
-        // Warm the superblock tier on the passive fast path, then attach a
-        // tool between dispatches. Liveness is re-checked before every
-        // dispatch, so the attach must force the precise per-instruction
-        // path for the whole remaining run — no block may retire
+        // Warm the superblock tier while nothing is attached, then attach
+        // a tool between runs. The interest is asked on entry to every
+        // run, so the attach must force the precise per-instruction path
+        // for the whole remaining run — no block may retire
         // uninstrumented instructions.
         let mut m = boot(
             ".text\nmain:\n movi r1, 500\nloop:\n addi r0, r0, 1\n \
@@ -440,7 +487,10 @@ mod tests {
         let mut ins = Instrumenter::new();
         assert!(m.run(&mut ins, 1_000).is_running(), "bounded warm-up burst");
         let warmed = m.superblock_stats();
-        assert!(warmed.dispatches > 0, "tier engaged while passive");
+        assert!(
+            warmed.dispatches > 0,
+            "tier engaged while nothing was attached"
+        );
         let before = m.insns_retired;
         let id = ins.attach(Box::new(Counter::new(Watch::All, 0)));
         assert!(matches!(m.run(&mut ins, u64::MAX), Status::Halted(_)));
@@ -519,7 +569,10 @@ mod tests {
             2,
             "only the delivered events were charged"
         );
-        assert!(ins.is_passive(), "machine drops back to the fast path");
+        assert!(
+            interest_of(&ins).is_empty(),
+            "the next run asks for nothing"
+        );
     }
 
     #[test]

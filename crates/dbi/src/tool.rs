@@ -12,7 +12,6 @@
 //!   delivered instruction event, modelling the instrumentation slowdown.
 
 use std::any::Any;
-use std::collections::HashSet;
 
 use svm::alloc::FreeKind;
 use svm::isa::{Op, Syscall};
@@ -23,18 +22,27 @@ use svm::Machine;
 pub enum Watch {
     /// Deliver every instruction (full-program analysis tools).
     All,
-    /// Deliver only these pcs (VSEFs and other pinpoint filters).
-    Pcs(HashSet<u32>),
+    /// Deliver only these pcs (VSEFs and other pinpoint filters). Sorted
+    /// and deduplicated: build it with [`Watch::pcs`].
+    Pcs(Box<[u32]>),
     /// Deliver no instruction events (tools driven by other events only).
     None,
 }
 
 impl Watch {
+    /// Watch exactly `pcs`, in any order and with repeats.
+    pub fn pcs(pcs: impl IntoIterator<Item = u32>) -> Watch {
+        let mut v: Vec<u32> = pcs.into_iter().collect();
+        v.sort_unstable();
+        v.dedup();
+        Watch::Pcs(v.into_boxed_slice())
+    }
+
     /// Whether `pc` is covered.
     pub fn covers(&self, pc: u32) -> bool {
         match self {
             Watch::All => true,
-            Watch::Pcs(set) => set.contains(&pc),
+            Watch::Pcs(pcs) => pcs.binary_search(&pc).is_ok(),
             Watch::None => false,
         }
     }
@@ -43,7 +51,7 @@ impl Watch {
     pub fn site_count(&self) -> Option<usize> {
         match self {
             Watch::All => None,
-            Watch::Pcs(set) => Some(set.len()),
+            Watch::Pcs(pcs) => Some(pcs.len()),
             Watch::None => Some(0),
         }
     }
@@ -114,10 +122,10 @@ mod tests {
     fn watch_covers() {
         assert!(Watch::All.covers(5));
         assert!(!Watch::None.covers(5));
-        let pcs: HashSet<u32> = [8, 16].into_iter().collect();
-        let w = Watch::Pcs(pcs);
-        assert!(w.covers(8));
-        assert!(!w.covers(9));
+        let w = Watch::pcs([16, 8, 16]);
+        assert_eq!(w, Watch::Pcs(Box::new([8, 16])), "sorted, deduplicated");
+        assert!(w.covers(8) && w.covers(16));
+        assert!(!w.covers(9) && !w.covers(0) && !w.covers(20));
         assert_eq!(w.site_count(), Some(2));
         assert_eq!(Watch::All.site_count(), None);
     }

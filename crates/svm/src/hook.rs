@@ -6,37 +6,139 @@
 //! crate builds PIN-style tool multiplexing, mid-execution attach, and
 //! overhead accounting on top of this trait; keeping the trait here lets
 //! `svm` stay dependency-free.
+//!
+//! # Interest
+//!
+//! A hook says up front which events it wants ([`Hook::interest`]), and
+//! the machine skips every call the hook would have ignored. Events fall
+//! into two groups:
+//!
+//! - *instruction events*: [`Hook::on_insn`] plus the
+//!   [`Hook::on_mem_read`]/[`Hook::on_mem_write`] of that instruction,
+//!   wanted for no pc, every pc, or a sorted set of pcs;
+//! - *other events*: call/ret, alloc/free, syscall and input, wanted or
+//!   not as one group.
+//!
+//! [`Machine::run`](crate::machine::Machine::run) and
+//! [`Machine::step_hooked`](crate::machine::Machine::step_hooked) each
+//! ask once, on entry, and never keep the answer across calls, so an
+//! attach between calls (or on a fresh clone) is seen by the very next
+//! instruction. An interest is a promise that the hook ignores every
+//! event outside it; the machine may still deliver more (for the rest of
+//! a run during which the hook's interest narrowed), never less. A hook
+//! must therefore not widen its interest while a run is under way. Only
+//! while a run's interest is empty may the superblock tier execute whole
+//! blocks, since no hook code runs inside a block.
 
 use crate::alloc::FreeKind;
 use crate::isa::{Op, Syscall};
 use crate::machine::Machine;
 
+/// The events a hook wants delivered during one run or step (see the
+/// [module docs](self)). Built by adding to an empty interest, so the
+/// union of several hooks' interests is just each one adding in turn.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Interest {
+    /// Instruction events at every pc (`pcs` is then empty).
+    all: bool,
+    /// Sorted, deduplicated pcs whose instruction events are wanted.
+    pcs: Vec<u32>,
+    /// Call/ret, alloc/free, syscall and input events.
+    other: bool,
+}
+
+/// The instruction events an [`Interest`] asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Insns<'a> {
+    /// None at all.
+    None,
+    /// Every instruction's.
+    All,
+    /// Those of the instructions at these pcs (sorted, deduplicated,
+    /// never empty).
+    Pcs(&'a [u32]),
+}
+
+impl Interest {
+    /// Forget everything added so far, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.all = false;
+        self.pcs.clear();
+        self.other = false;
+    }
+
+    /// Ask for every event.
+    pub fn add_everything(&mut self) {
+        self.add_all_insns();
+        self.add_other();
+    }
+
+    /// Ask for the instruction events of every pc.
+    pub fn add_all_insns(&mut self) {
+        self.all = true;
+        self.pcs.clear();
+    }
+
+    /// Ask for the instruction events of `pcs` (in any order). Merging
+    /// into the existing buffer allocates only when it must grow.
+    pub fn add_insn_pcs(&mut self, pcs: &[u32]) {
+        if self.all || pcs.is_empty() {
+            return;
+        }
+        self.pcs.extend_from_slice(pcs);
+        if !self.pcs.is_sorted_by(|a, b| a < b) {
+            self.pcs.sort_unstable();
+            self.pcs.dedup();
+        }
+    }
+
+    /// Ask for the other events: call/ret, alloc/free, syscall, input.
+    pub fn add_other(&mut self) {
+        self.other = true;
+    }
+
+    /// The instruction events asked for.
+    pub fn insns(&self) -> Insns<'_> {
+        if self.all {
+            Insns::All
+        } else if self.pcs.is_empty() {
+            Insns::None
+        } else {
+            Insns::Pcs(&self.pcs)
+        }
+    }
+
+    /// Whether the other events are asked for.
+    pub fn other(&self) -> bool {
+        self.other
+    }
+
+    /// Whether the instruction events at `pc` are asked for.
+    #[inline]
+    pub fn watches(&self, pc: u32) -> bool {
+        self.all || self.pcs.binary_search(&pc).is_ok()
+    }
+
+    /// Whether nothing at all is asked for.
+    pub fn is_empty(&self) -> bool {
+        !self.all && self.pcs.is_empty() && !self.other
+    }
+}
+
 /// Receiver for execution events.
 ///
-/// All methods default to no-ops so tools implement only what they need.
-/// The `&Machine` argument exposes the full pre-event architectural state.
+/// All event methods default to no-ops so tools implement only what they
+/// need, and [`Hook::interest`] defaults to everything, so such a hook
+/// sees every event. The `&Machine` argument exposes the full pre-event
+/// architectural state.
 pub trait Hook {
-    /// Whether this hook ignores *every* event.
-    ///
-    /// Defaults to `false` (events are delivered). A hook returning
-    /// `true` promises it observes nothing, allowing the machine to use
-    /// the streamlined dispatch loop that skips event delivery
-    /// entirely. The answer is re-checked on **every step**, so a hook
-    /// whose liveness changes mid-execution (e.g. the `dbi`
-    /// instrumenter when a tool attaches) transparently switches the
-    /// machine between the fast path and the fully hooked path — this
-    /// is what keeps mid-execution attach working with the predecoded
-    /// instruction cache enabled.
-    ///
-    /// The superblock tier leans on the same contract, one level up:
-    /// [`Machine::run`](crate::machine::Machine::run) re-asks
-    /// `is_passive` before **every block dispatch** (never caching the
-    /// answer on the machine), and no hook code runs inside a block, so
-    /// an attach between dispatches always lands before the next
-    /// instruction — the tier can never skip an instruction a
-    /// freshly-attached tool was owed.
-    fn is_passive(&self) -> bool {
-        false
+    /// Add the events this hook wants to `out`. The machine clears `out`
+    /// and asks once on entry to each
+    /// [`Machine::run`](crate::machine::Machine::run) and
+    /// [`Machine::step_hooked`](crate::machine::Machine::step_hooked);
+    /// see the [module docs](self) for the contract.
+    fn interest(&self, out: &mut Interest) {
+        out.add_everything();
     }
 
     /// Called before each instruction executes. `op` is already decoded.
@@ -79,17 +181,17 @@ pub trait Hook {
 pub struct NopHook;
 
 impl Hook for NopHook {
-    fn is_passive(&self) -> bool {
-        true
-    }
+    fn interest(&self, _out: &mut Interest) {}
 }
 
 /// Chain two hooks, delivering every event to both (first, then second).
+/// Its interest is the union of theirs.
 pub struct Pair<'a, A: Hook + ?Sized, B: Hook + ?Sized>(pub &'a mut A, pub &'a mut B);
 
 impl<A: Hook + ?Sized, B: Hook + ?Sized> Hook for Pair<'_, A, B> {
-    fn is_passive(&self) -> bool {
-        self.0.is_passive() && self.1.is_passive()
+    fn interest(&self, out: &mut Interest) {
+        self.0.interest(out);
+        self.1.interest(out);
     }
     fn on_insn(&mut self, m: &Machine, pc: u32, op: &Op) {
         self.0.on_insn(m, pc, op);
@@ -126,5 +228,56 @@ impl<A: Hook + ?Sized, B: Hook + ?Sized> Hook for Pair<'_, A, B> {
     fn on_input(&mut self, m: &Machine, conn: u32, stream_off: u32, addr: u32, data: &[u8]) {
         self.0.on_input(m, conn, stream_off, addr, data);
         self.1.on_input(m, conn, stream_off, addr, data);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn interest_unions_pcs_sorted_and_all_absorbs_them() {
+        let mut i = Interest::default();
+        assert!(i.is_empty());
+        assert_eq!(i.insns(), Insns::None);
+        i.add_insn_pcs(&[]);
+        assert!(i.is_empty(), "an empty pc set adds nothing");
+        i.add_insn_pcs(&[40, 8]);
+        i.add_insn_pcs(&[16, 8]);
+        assert_eq!(i.insns(), Insns::Pcs(&[8, 16, 40]));
+        assert!(i.watches(16) && !i.watches(12));
+        assert!(!i.other() && !i.is_empty());
+        i.add_other();
+        i.add_all_insns();
+        i.add_insn_pcs(&[4]);
+        assert_eq!(i.insns(), Insns::All);
+        assert!(i.watches(12));
+        assert!(i.other());
+        i.clear();
+        assert!(i.is_empty());
+    }
+
+    #[test]
+    fn pair_takes_the_union_and_nop_asks_for_nothing() {
+        struct Pcs(&'static [u32]);
+        impl Hook for Pcs {
+            fn interest(&self, out: &mut Interest) {
+                out.add_insn_pcs(self.0);
+            }
+        }
+        let mut out = Interest::default();
+        NopHook.interest(&mut out);
+        assert!(out.is_empty());
+        let (mut a, mut b) = (Pcs(&[12, 4]), NopHook);
+        Pair(&mut a, &mut b).interest(&mut out);
+        assert_eq!(out.insns(), Insns::Pcs(&[4, 12]));
+        assert!(!out.other());
+        struct Everything;
+        impl Hook for Everything {}
+        let mut c = Everything;
+        out.clear();
+        Pair(&mut a, &mut c).interest(&mut out);
+        assert_eq!(out.insns(), Insns::All);
+        assert!(out.other());
     }
 }

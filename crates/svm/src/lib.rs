@@ -16,13 +16,15 @@
 //! - a connection-oriented network endpoint ([`net`]) whose reads carry
 //!   input-stream offsets (the taint source);
 //! - instruction-level instrumentation hooks ([`hook`]) that the `dbi`
-//!   crate turns into PIN-style dynamic instrumentation;
+//!   crate turns into PIN-style dynamic instrumentation; a hook states
+//!   its interest once per run, and the machine makes no call the hook
+//!   would ignore;
 //! - a predecoded-page instruction cache ([`icache`]) that accelerates the
 //!   dispatch loop while staying bit-identical to word-at-a-time decode;
 //! - a superblock execution tier ([`superblock`]) above the icache that
 //!   fuses straight-line decoded runs into closure chains dispatched as
-//!   one unit while no instrumentation hook is live, again bit-identical
-//!   by construction;
+//!   one unit while the run's hook interest is empty, again
+//!   bit-identical by construction;
 //! - a virtual clock with an explicit cost model ([`clock`]) so overhead
 //!   experiments are deterministic.
 //!
@@ -54,7 +56,7 @@ pub mod stdlib;
 pub mod superblock;
 
 pub use error::{Access, Fault, SvmError};
-pub use hook::{Hook, NopHook};
+pub use hook::{Hook, Insns, Interest, NopHook};
 pub use icache::{CacheStats, DecodeCache};
 pub use machine::{Machine, Status};
 pub use superblock::{SbCache, SbStats};

@@ -11,7 +11,7 @@ use crate::asm::Program;
 use crate::clock::{cost, Clock};
 use crate::cpu::Cpu;
 use crate::error::{Fault, SvmError};
-use crate::hook::{Hook, NopHook};
+use crate::hook::{Hook, Interest, NopHook};
 use crate::icache::{CacheStats, DecodeCache};
 use crate::isa::{Op, Reg, Syscall, INSN_SIZE};
 use crate::loader::{self, Aslr, Layout, SymbolMap};
@@ -69,12 +69,25 @@ pub struct Machine {
     /// checkpoints and rollbacks never inherit decode state).
     icache: DecodeCache,
     /// Superblock cache, the execution tier above the decode cache
-    /// (also cold after any clone). The machine holds no other hook
-    /// state: whether the superblock fast path may run is re-derived
-    /// from `Hook::is_passive` on every dispatch, never cached, so a
-    /// clone whose hook goes live before its first step still delivers
-    /// its very first instruction to that hook.
+    /// (also cold after any clone). Blocks run only while the current
+    /// run's hook interest is empty.
     sblocks: SbCache,
+    /// The hook interest of the current `run` or `step_hooked` call,
+    /// asked for on entry to each. Only the buffer outlives a call, and
+    /// a clone starts empty, so a clone whose hook goes live before its
+    /// first step still delivers its very first instruction to it.
+    interest: InterestBuf,
+}
+
+/// The machine's reusable [`Interest`] buffer: a scratch value, so a
+/// clone gets an empty one rather than a copy.
+#[derive(Default)]
+struct InterestBuf(Interest);
+
+impl Clone for InterestBuf {
+    fn clone(&self) -> InterestBuf {
+        InterestBuf::default()
+    }
 }
 
 impl Machine {
@@ -106,6 +119,7 @@ impl Machine {
             status: Status::Running,
             icache: DecodeCache::new(true),
             sblocks: SbCache::new(true),
+            interest: InterestBuf::default(),
         })
     }
 
@@ -253,8 +267,22 @@ impl Machine {
         self.step_hooked(&mut NopHook)
     }
 
-    /// Execute one instruction, delivering events to `hook`.
+    /// Execute one instruction, delivering to `hook` the events it asks
+    /// for ([`Hook::interest`], asked once per call).
     pub fn step_hooked(&mut self, hook: &mut dyn Hook) -> Status {
+        self.ask_interest(hook);
+        self.step_asked(hook)
+    }
+
+    /// Ask `hook` for its interest, into the machine's buffer.
+    fn ask_interest(&mut self, hook: &dyn Hook) {
+        let out = &mut self.interest.0;
+        out.clear();
+        hook.interest(out);
+    }
+
+    /// One step under the interest already asked for.
+    fn step_asked(&mut self, hook: &mut dyn Hook) -> Status {
         match self.status {
             Status::Running => {}
             s @ (Status::Halted(_) | Status::Faulted(_)) => return s,
@@ -274,16 +302,18 @@ impl Machine {
     /// Returns the final status; on cycle exhaustion the status remains
     /// `Running` (the machine is preemptible).
     ///
-    /// While the hook reports itself passive, whole superblocks are
-    /// dispatched through the tier-2 fast path (`svm::superblock`);
-    /// liveness is re-checked before *every* dispatch — never cached on
-    /// the machine — so a tool attached mid-execution (or on a fresh
-    /// clone) observes every subsequent instruction through the
-    /// per-instruction path below. Superblock execution is bit-identical
-    /// to per-instruction execution: same state, faults, cycle
-    /// accounting, and preemption points.
+    /// The hook's [`Hook::interest`] is asked once, on entry, and only
+    /// the events it asks for are delivered. While it asks for nothing,
+    /// whole superblocks are dispatched through the tier-2 fast path
+    /// (`svm::superblock`). The answer is never kept across calls, so a
+    /// tool attached between runs (or on a fresh clone) observes every
+    /// subsequent instruction it asks for. Superblock execution is
+    /// bit-identical to per-instruction execution: same state, faults,
+    /// cycle accounting, and preemption points.
     pub fn run(&mut self, hook: &mut dyn Hook, max_cycles: u64) -> Status {
         let deadline = self.clock.cycles().saturating_add(max_cycles);
+        self.ask_interest(hook);
+        let quiet = self.interest.0.is_empty();
         // Superblock entries are control-transfer targets by
         // construction (blocks end at terminators), so the cache is
         // probed at the start of the run and after every non-sequential
@@ -302,7 +332,7 @@ impl Machine {
             let probe = at_entry
                 && self.status.is_running()
                 && self.sblocks.enabled()
-                && hook.is_passive()
+                && quiet
                 && no_fuse != Some((self.cpu.pc, self.mem.write_seq()));
             if probe {
                 if self.exec_superblock(deadline) {
@@ -314,7 +344,7 @@ impl Machine {
                 no_fuse = Some((self.cpu.pc, self.mem.write_seq()));
             }
             let pre = self.cpu.pc;
-            let s = self.step_hooked(hook);
+            let s = self.step_asked(hook);
             if !s.is_running() || self.clock.cycles() >= deadline {
                 return s;
             }
@@ -392,10 +422,9 @@ impl Machine {
     }
 
     fn exec_one(&mut self, pc: u32, hook: &mut dyn Hook) -> Result<Status, Fault> {
-        // Liveness is re-checked every step: attaching a tool mid-run
-        // flips `is_passive` and the loop transparently drops to the
-        // fully hooked path below.
-        let passive = hook.is_passive();
+        // Instruction events (`on_insn` and this instruction's memory
+        // events) go out only at pcs the run's interest watches.
+        let watched = self.interest.0.watches(pc);
         // Fast path: serve the decoded op from the predecoded-page
         // cache. Any bypass (disabled, unaligned pc, written/unmapped/
         // non-executable page, undecodable word) falls back to the slow
@@ -408,7 +437,7 @@ impl Machine {
                 Op::decode(word, pc)?
             }
         };
-        if !passive {
+        if watched {
             hook.on_insn(self, pc, &op);
         }
         self.insns_retired += 1;
@@ -426,7 +455,7 @@ impl Machine {
                 self.clock.tick(cost::MEM);
                 let addr = self.cpu.get(rs).wrapping_add(off as u32);
                 let v = self.mem.read_u32(pc, addr)?;
-                if !passive {
+                if watched {
                     hook.on_mem_read(self, pc, addr, 4, v);
                 }
                 self.cpu.set(rd, v);
@@ -435,7 +464,7 @@ impl Machine {
                 self.clock.tick(cost::MEM);
                 let addr = self.cpu.get(rs).wrapping_add(off as u32);
                 let v = self.mem.read_u8(pc, addr)? as u32;
-                if !passive {
+                if watched {
                     hook.on_mem_read(self, pc, addr, 1, v);
                 }
                 self.cpu.set(rd, v);
@@ -444,7 +473,7 @@ impl Machine {
                 self.clock.tick(cost::MEM);
                 let addr = self.cpu.get(rd).wrapping_add(off as u32);
                 let v = self.cpu.get(rs);
-                if !passive {
+                if watched {
                     hook.on_mem_write(self, pc, addr, 4, v);
                 }
                 self.mem.write_u32(pc, addr, v)?;
@@ -453,7 +482,7 @@ impl Machine {
                 self.clock.tick(cost::MEM);
                 let addr = self.cpu.get(rd).wrapping_add(off as u32);
                 let v = self.cpu.get(rs) & 0xff;
-                if !passive {
+                if watched {
                     hook.on_mem_write(self, pc, addr, 1, v);
                 }
                 self.mem.write_u8(pc, addr, v as u8)?;
@@ -483,17 +512,17 @@ impl Machine {
             }
             Op::JmpR { rs } => next_pc = self.cpu.get(rs),
             Op::Call { target } => {
-                next_pc = self.do_call(pc, target, hook, passive)?;
+                next_pc = self.do_call(pc, target, hook)?;
             }
             Op::CallR { rs } => {
                 let target = self.cpu.get(rs);
-                next_pc = self.do_call(pc, target, hook, passive)?;
+                next_pc = self.do_call(pc, target, hook)?;
             }
             Op::Ret => {
                 self.clock.tick(cost::MEM);
                 let sp = self.cpu.sp();
                 let ret = self.mem.read_u32(pc, sp)?;
-                if !passive {
+                if self.interest.0.other() {
                     hook.on_ret(self, pc, ret, sp);
                 }
                 self.cpu.set(Reg::SP, sp.wrapping_add(4));
@@ -504,7 +533,7 @@ impl Machine {
                 let sp = self.cpu.sp().wrapping_sub(4);
                 self.check_stack(pc, sp)?;
                 let v = self.cpu.get(rs);
-                if !passive {
+                if watched {
                     hook.on_mem_write(self, pc, sp, 4, v);
                 }
                 self.mem.write_u32(pc, sp, v)?;
@@ -514,7 +543,7 @@ impl Machine {
                 self.clock.tick(cost::MEM);
                 let sp = self.cpu.sp();
                 let v = self.mem.read_u32(pc, sp)?;
-                if !passive {
+                if watched {
                     hook.on_mem_read(self, pc, sp, 4, v);
                 }
                 self.cpu.set(rd, v);
@@ -522,7 +551,7 @@ impl Machine {
             }
             Op::Sys { num } => {
                 let sc = Syscall::from_num(num).ok_or(Fault::BadOpcode { pc, opcode: num })?;
-                match self.do_syscall(pc, sc, hook, passive)? {
+                match self.do_syscall(pc, sc, hook)? {
                     SysOutcome::Done => {}
                     SysOutcome::Halt(code) => return Ok(Status::Halted(code)),
                     SysOutcome::Block(b) => {
@@ -537,18 +566,12 @@ impl Machine {
         Ok(Status::Running)
     }
 
-    fn do_call(
-        &mut self,
-        pc: u32,
-        target: u32,
-        hook: &mut dyn Hook,
-        passive: bool,
-    ) -> Result<u32, Fault> {
+    fn do_call(&mut self, pc: u32, target: u32, hook: &mut dyn Hook) -> Result<u32, Fault> {
         self.clock.tick(cost::MEM);
         let ret_addr = pc.wrapping_add(INSN_SIZE);
         let sp = self.cpu.sp().wrapping_sub(4);
         self.check_stack(pc, sp)?;
-        if !passive {
+        if self.interest.0.other() {
             hook.on_call(self, pc, target, ret_addr, sp);
         }
         self.mem.write_u32(pc, sp, ret_addr)?;
@@ -569,7 +592,6 @@ impl Machine {
         pc: u32,
         sc: Syscall,
         hook: &mut dyn Hook,
-        passive: bool,
     ) -> Result<SysOutcome, Fault> {
         self.clock.tick(cost::SYSCALL);
         self.syscalls_retired += 1;
@@ -594,7 +616,7 @@ impl Machine {
                     Ok(Some((off, data))) => {
                         self.clock.tick(cost::IO_BYTE * data.len() as u64);
                         self.mem.write_bytes(pc, buf, &data)?;
-                        if !passive {
+                        if self.interest.0.other() {
                             hook.on_input(self, conn, off as u32, buf, &data);
                         }
                         data.len() as u32
@@ -619,7 +641,7 @@ impl Machine {
             Syscall::Alloc => {
                 self.clock.tick(cost::ALLOC);
                 let ptr = self.heap.alloc(&mut self.mem, pc, args[0])?;
-                if ptr != 0 && !passive {
+                if ptr != 0 && self.interest.0.other() {
                     hook.on_alloc(self, pc, args[0], ptr);
                 }
                 ptr
@@ -627,7 +649,7 @@ impl Machine {
             Syscall::Free => {
                 self.clock.tick(cost::ALLOC);
                 let kind = self.heap.free(&mut self.mem, pc, args[0])?;
-                if !passive {
+                if self.interest.0.other() {
                     hook.on_free(self, pc, args[0], kind);
                 }
                 0
@@ -641,7 +663,7 @@ impl Machine {
             }
         };
         self.cpu.set(Reg::R0, ret);
-        if !passive {
+        if self.interest.0.other() {
             hook.on_syscall(self, pc, sc, args, ret);
         }
         Ok(SysOutcome::Done)

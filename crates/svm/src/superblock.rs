@@ -2,7 +2,7 @@
 //!
 //! The predecoded instruction cache ([`crate::icache`]) removed
 //! fetch+decode from the hot loop, but dispatch itself still pays the
-//! full per-instruction toll: a status check, a hook-liveness check, a
+//! full per-instruction toll: a status check, a hook-interest check, a
 //! cache probe, and a jump-table dispatch for every retired instruction.
 //! This module adds a second tier above it, in the spirit of the
 //! check-once-per-executable-region pattern JITScanner-style systems
@@ -32,10 +32,9 @@
 //! ticks, same fault at the same pc with the cpu frozen exactly as the
 //! interpreter would freeze it, and the same preemption point under a
 //! cycle deadline. The dispatcher (`Machine::run`) only enters this tier
-//! while the active [`crate::hook::Hook`] reports itself passive, and it
-//! re-checks liveness before every dispatch, so a tool attached
-//! mid-execution still observes every subsequent instruction through the
-//! per-instruction path.
+//! while the run's [`crate::hook::Interest`] is empty; it asks the hook
+//! on entry to every run, so a tool attached between runs still observes
+//! every subsequent instruction through the per-instruction path.
 //!
 //! Invalidation reuses the memory write generations exactly as the
 //! icache does: blocks are keyed by `(entry pc, Layout::cache_tag, NX)`,
@@ -209,9 +208,9 @@ pub struct SbCache {
 impl Clone for SbCache {
     /// Cloning yields a *cold* cache: clones are checkpoints/rollbacks
     /// and must recompile everything against their own memory. Together
-    /// with the dispatcher re-checking hook liveness on every dispatch,
-    /// this guarantees a clone's first instruction is never skipped by a
-    /// passive-path decision made before the clone.
+    /// with the dispatcher asking the hook's interest on entry to every
+    /// run, this guarantees a clone's first instruction is never skipped
+    /// by a decision made before the clone.
     fn clone(&self) -> SbCache {
         SbCache::new(self.enabled)
     }

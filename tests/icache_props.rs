@@ -221,7 +221,8 @@ fn dense_interleaving_invalidates_and_stays_in_parity() {
     );
 }
 
-/// Counts every instruction it is shown; never passive.
+/// Counts every instruction it is shown; asks for every event (the
+/// default interest).
 #[derive(Default)]
 struct CountHook {
     insns: u64,
@@ -238,7 +239,7 @@ impl Hook for CountHook {
 /// "hook is passive" anywhere copyable, a hook attaching between the
 /// clone and its first step could miss the clone's first instruction(s)
 /// — the superblock tier would dispatch a whole block before anyone
-/// re-asked. Liveness must be re-derived on the clone's first dispatch.
+/// re-asked. The hook's interest must be asked on the clone's first run.
 #[test]
 fn clone_does_not_inherit_passive_fast_path_decision() {
     let prog = assemble(SMC_LOOP_GUEST).expect("asm");

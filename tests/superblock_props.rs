@@ -17,7 +17,7 @@ use sweeper_repro::checkpoint::{CheckpointManager, CkptId};
 use sweeper_repro::svm::asm::assemble;
 use sweeper_repro::svm::isa::Op;
 use sweeper_repro::svm::loader::Aslr;
-use sweeper_repro::svm::{Hook, Machine};
+use sweeper_repro::svm::{Hook, Interest, Machine};
 
 /// Same perpetual guest-store SMC guest as `tests/icache_props.rs`:
 /// alternating templates are installed into an executable buffer and
@@ -117,8 +117,10 @@ struct ToggleHook {
 }
 
 impl Hook for ToggleHook {
-    fn is_passive(&self) -> bool {
-        !self.live
+    fn interest(&self, out: &mut Interest) {
+        if self.live {
+            out.add_everything();
+        }
     }
     fn on_insn(&mut self, _m: &Machine, _pc: u32, _op: &Op) {
         self.insns += 1;
