@@ -317,13 +317,12 @@ impl Tool for VsefRuntime {
                         }
                         if let Some(req) = caller {
                             // Refined VSEF: only when called (transitively
-                            // directly) by the implicated function.
+                            // directly) by the implicated function. Labels
+                            // are unique, so the symbol a return address
+                            // resolves to starts at `req` exactly when it
+                            // is the implicated function.
                             let caller_ok = self.shadow.frames().iter().any(|f| {
-                                m.symbols
-                                    .resolve(f.ret_addr)
-                                    .and_then(|s| m.symbols.addr_of(&s.name))
-                                    .map(|a| a == req)
-                                    .unwrap_or(false)
+                                m.symbols.resolve(f.ret_addr).is_some_and(|s| s.addr == req)
                             });
                             if !caller_ok {
                                 continue;

@@ -10,8 +10,11 @@
 //!
 //! - **Per-page arrays** of decoded [`Op`]s ([`SLOTS_PER_PAGE`] slots),
 //!   built lazily the first time any instruction on a page executes.
-//! - **Keyed by (page index, layout tag)**: a layout change (ASLR
-//!   re-randomization, see [`Layout::cache_tag`]) flushes the cache.
+//! - **Keyed by (page index, layout, NX)**: a layout change (ASLR
+//!   re-randomization) or an NX toggle flushes the cache. Neither can change while the machine runs —
+//!   hooks only ever see `&Machine` — so the key is checked once per
+//!   `run` or `step_hooked` call ([`DecodeCache::enter`]), not on every
+//!   lookup.
 //! - **Precise invalidation** on any guest or host write to a cached
 //!   page, via [`Mem::page_gen`] write generations — self-modifying
 //!   code, host shellcode injection, and allocator-metadata stores near
@@ -64,6 +67,11 @@ pub struct CacheStats {
     pub flushes: u64,
 }
 
+/// The slot of `pc` within its page.
+fn slot_of(pc: u32) -> usize {
+    ((pc % PAGE_SIZE as u32) / INSN_SIZE) as usize
+}
+
 /// One predecoded page.
 struct CachedPage {
     /// Guest page number.
@@ -108,17 +116,17 @@ impl CachedPage {
 
 /// The per-machine predecoded instruction cache.
 ///
-/// Lives inside `Machine`; consult it with [`DecodeCache::lookup`]
+/// Lives inside `Machine`; key it with [`DecodeCache::enter`] on entry
+/// to every run or step, then consult it with [`DecodeCache::lookup`]
 /// before the slow fetch+decode path. `Clone` is intentionally *cold*
 /// (an empty cache with the same enable flag): machine clones are
 /// checkpoints, and decode state must never leak across a rollback.
 pub struct DecodeCache {
     enabled: bool,
-    /// Tag of the [`Layout`] the cache was built against.
-    layout_tag: u64,
-    /// NX setting the cache was built against (a toggle flushes, since
-    /// executability of data pages changes under it).
-    nx: bool,
+    /// The [`Layout`] and NX setting the cached pages were decoded
+    /// under (an NX toggle flushes too, since executability of data
+    /// pages changes under it); `None` before the first entry.
+    key: Option<(Layout, bool)>,
     pages: Vec<CachedPage>,
     /// Index of the most recently used page (hot loops stay on one page).
     mru: usize,
@@ -138,8 +146,7 @@ impl DecodeCache {
     pub fn new(enabled: bool) -> DecodeCache {
         DecodeCache {
             enabled,
-            layout_tag: 0,
-            nx: false,
+            key: None,
             pages: Vec::new(),
             mru: 0,
             stats: CacheStats::default(),
@@ -180,20 +187,46 @@ impl DecodeCache {
         self.mru = 0;
     }
 
+    /// Key the cache to the layout and NX setting a run or step is about
+    /// to execute under: a change since the pages were decoded flushes
+    /// them all. Call it on entry to every run or step, before the first
+    /// [`DecodeCache::lookup`].
+    pub fn enter(&mut self, layout: &Layout, nx: bool) {
+        let key = Some((*layout, nx));
+        if self.enabled && self.key != key {
+            self.flush();
+            self.key = key;
+        }
+    }
+
     /// Look up the decoded instruction at `pc`, building/validating the
     /// page entry as needed. `None` means "take the slow path" (which
-    /// reproduces the exact fault, if any).
-    pub fn lookup(&mut self, mem: &Mem, layout: &Layout, pc: u32) -> Option<Op> {
+    /// reproduces the exact fault, if any). The key is the one of the
+    /// last [`DecodeCache::enter`].
+    ///
+    /// The common case — `pc` on the most recently used page, nothing
+    /// written anywhere since that page was last validated, a decodable
+    /// slot — is answered inline; everything else goes out of line.
+    #[inline]
+    pub fn lookup(&mut self, mem: &Mem, pc: u32) -> Option<Op> {
+        if let Some(page) = self.pages.get(self.mru) {
+            if page.pno == pc / PAGE_SIZE as u32
+                && page.seen_seq == mem.write_seq()
+                && pc.is_multiple_of(INSN_SIZE)
+            {
+                if let Some(op) = page.slots[slot_of(pc)] {
+                    self.stats.hits += 1;
+                    return Some(op);
+                }
+            }
+        }
+        self.lookup_slow(mem, pc)
+    }
+
+    #[inline(never)]
+    fn lookup_slow(&mut self, mem: &Mem, pc: u32) -> Option<Op> {
         if !self.enabled {
             return None;
-        }
-        // Key check: (page index, layout tag). A re-randomized layout or
-        // NX toggle invalidates wholesale.
-        let tag = layout.cache_tag();
-        if self.layout_tag != tag || self.nx != mem.nx {
-            self.flush();
-            self.layout_tag = tag;
-            self.nx = mem.nx;
         }
         if !pc.is_multiple_of(INSN_SIZE) {
             // Misaligned fetch can straddle pages; slow path handles it.
@@ -201,7 +234,6 @@ impl DecodeCache {
             return None;
         }
         let pno = pc / PAGE_SIZE as u32;
-        let slot = ((pc % PAGE_SIZE as u32) / INSN_SIZE) as usize;
         let idx = match self.find(pno) {
             Some(i) => i,
             None => {
@@ -231,7 +263,7 @@ impl DecodeCache {
             }
             page.seen_seq = mem.write_seq();
         }
-        match page.slots[slot] {
+        match page.slots[slot_of(pc)] {
             Some(op) => {
                 self.stats.hits += 1;
                 Some(op)
@@ -279,9 +311,9 @@ mod tests {
         };
         let mem = code_mem(&[op, Op::Halt]);
         let mut c = DecodeCache::new(true);
-        let lay = Layout::nominal();
-        assert_eq!(c.lookup(&mem, &lay, 0x1000), Some(op));
-        assert_eq!(c.lookup(&mem, &lay, 0x1008), Some(Op::Halt));
+        c.enter(&Layout::nominal(), mem.nx);
+        assert_eq!(c.lookup(&mem, 0x1000), Some(op));
+        assert_eq!(c.lookup(&mem, 0x1008), Some(Op::Halt));
         assert_eq!(c.stats().misses, 1, "one page build");
         assert_eq!(c.stats().hits, 2);
         assert_eq!(c.cached_pages(), 1);
@@ -291,13 +323,13 @@ mod tests {
     fn write_to_cached_page_invalidates_precisely() {
         let mem = code_mem(&[Op::Nop, Op::Halt]);
         let mut c = DecodeCache::new(true);
-        let lay = Layout::nominal();
-        assert_eq!(c.lookup(&mem, &lay, 0x1000), Some(Op::Nop));
+        c.enter(&Layout::nominal(), mem.nx);
+        assert_eq!(c.lookup(&mem, 0x1000), Some(Op::Nop));
         // Overwrite slot 0 with `halt` via a guest-visible write.
         let mut mem = mem;
         mem.write_bytes_host(0x1000, &Op::Halt.encode()).expect("w");
         assert_eq!(
-            c.lookup(&mem, &lay, 0x1000),
+            c.lookup(&mem, 0x1000),
             Some(Op::Halt),
             "stale Op must not be served after the page was written"
         );
@@ -310,10 +342,10 @@ mod tests {
         // Plant an undecodable opcode in slot 1.
         mem.write_bytes_host(0x1008, &[0x7f; 8]).expect("w");
         let mut c = DecodeCache::new(true);
-        let lay = Layout::nominal();
-        assert_eq!(c.lookup(&mem, &lay, 0x1004), None, "unaligned");
-        assert_eq!(c.lookup(&mem, &lay, 0x1008), None, "undecodable word");
-        assert_eq!(c.lookup(&mem, &lay, 0x9000), None, "unmapped page");
+        c.enter(&Layout::nominal(), mem.nx);
+        assert_eq!(c.lookup(&mem, 0x1004), None, "unaligned");
+        assert_eq!(c.lookup(&mem, 0x1008), None, "undecodable word");
+        assert_eq!(c.lookup(&mem, 0x9000), None, "unmapped page");
         assert_eq!(c.stats().hits, 0);
         assert!(c.stats().bypasses >= 3);
     }
@@ -323,14 +355,20 @@ mod tests {
         let mem = code_mem(&[Op::Nop]);
         let mut c = DecodeCache::new(true);
         let lay = Layout::nominal();
-        assert!(c.lookup(&mem, &lay, 0x1000).is_some());
+        c.enter(&lay, mem.nx);
+        assert!(c.lookup(&mem, 0x1000).is_some());
+        c.enter(&lay, mem.nx);
+        assert_eq!(c.stats().flushes, 0, "same key: nothing flushed");
+        assert_eq!(c.cached_pages(), 1);
         let mut other = Layout::nominal();
         other.code_base += PAGE_SIZE as u32; // re-randomized layout
-        assert!(c.lookup(&mem, &other, 0x1000).is_some());
+        c.enter(&other, mem.nx);
         assert_eq!(c.stats().flushes, 1, "layout change flushed");
+        assert!(c.lookup(&mem, 0x1000).is_some());
         let mut mem = mem;
         mem.nx = true; // RWX page stays executable, but the key changes
-        assert!(c.lookup(&mem, &other, 0x1000).is_some());
+        c.enter(&other, mem.nx);
+        assert!(c.lookup(&mem, 0x1000).is_some());
         assert_eq!(c.stats().flushes, 2, "NX toggle flushed");
     }
 
@@ -338,7 +376,8 @@ mod tests {
     fn clone_is_cold() {
         let mem = code_mem(&[Op::Nop]);
         let mut c = DecodeCache::new(true);
-        assert!(c.lookup(&mem, &Layout::nominal(), 0x1000).is_some());
+        c.enter(&Layout::nominal(), mem.nx);
+        assert!(c.lookup(&mem, 0x1000).is_some());
         let snap = c.clone();
         assert!(snap.enabled());
         assert_eq!(snap.cached_pages(), 0, "clone starts cold");
@@ -349,7 +388,8 @@ mod tests {
     fn disabled_cache_never_answers() {
         let mem = code_mem(&[Op::Nop]);
         let mut c = DecodeCache::new(false);
-        assert_eq!(c.lookup(&mem, &Layout::nominal(), 0x1000), None);
+        c.enter(&Layout::nominal(), mem.nx);
+        assert_eq!(c.lookup(&mem, 0x1000), None);
         assert_eq!(c.stats(), CacheStats::default());
     }
 }

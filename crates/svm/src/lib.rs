@@ -8,9 +8,10 @@
 //!   ([`asm`]) and loader ([`loader`]) supporting address-space
 //!   randomization;
 //! - paged, permission-checked, copy-on-write guest memory ([`mem`]),
-//!   with each page's permission in its page-table slot so that every
-//!   access costs one probe per page it touches, while `write_seq` and
-//!   the per-page write generations still count bytes;
+//!   with a span-indexed page table and each page's permission in its
+//!   slot, so that every access costs one span lookup per page it
+//!   touches, while `write_seq` and the per-page write generations still
+//!   count bytes;
 //! - a deliberately vulnerable in-guest-memory heap allocator ([`alloc`])
 //!   with glibc-style inline boundary tags and unlink semantics;
 //! - a connection-oriented network endpoint ([`net`]) whose reads carry
@@ -19,8 +20,9 @@
 //!   crate turns into PIN-style dynamic instrumentation; a hook states
 //!   its interest once per run, and the machine makes no call the hook
 //!   would ignore;
-//! - a predecoded-page instruction cache ([`icache`]) that accelerates the
-//!   dispatch loop while staying bit-identical to word-at-a-time decode;
+//! - a predecoded-page instruction cache ([`icache`]), keyed once per
+//!   run, that accelerates the dispatch loop while staying bit-identical
+//!   to word-at-a-time decode;
 //! - a superblock execution tier ([`superblock`]) above the icache that
 //!   fuses straight-line decoded runs into closure chains dispatched as
 //!   one unit while the run's hook interest is empty, again

@@ -141,13 +141,14 @@ impl Layout {
         l
     }
 
-    /// A fingerprint of this layout for predecode-cache keying.
+    /// A fingerprint of this layout for superblock-cache keying.
     ///
-    /// The decode cache is keyed by (page index, layout tag): if a
+    /// The superblock cache is keyed by (entry pc, layout tag): if a
     /// machine's layout is ever re-randomized (fresh ASLR draw on
-    /// restart/recovery), the tag changes and every predecoded page is
+    /// restart/recovery), the tag changes and every compiled block is
     /// invalidated wholesale, because absolute jump/call targets decoded
-    /// under the old bases would otherwise survive the slide.
+    /// under the old bases would otherwise survive the slide. (The
+    /// decode cache compares whole layouts, once per run.)
     pub fn cache_tag(&self) -> u64 {
         // FNV-1a over the seven layout words: cheap, deterministic, and
         // distinct for any differing base.

@@ -64,6 +64,8 @@ pub struct Machine {
     /// Count of executed syscall instructions (including blocked
     /// retries, which re-enter the kernel model each attempt).
     pub syscalls_retired: u64,
+    /// Written by [`Machine::step_hooked`] after every step, and by
+    /// [`Machine::run`] only when a step leaves `Running`.
     status: Status,
     /// Predecoded-page instruction cache (cold after any clone, so
     /// checkpoints and rollbacks never inherit decode state).
@@ -271,7 +273,15 @@ impl Machine {
     /// for ([`Hook::interest`], asked once per call).
     pub fn step_hooked(&mut self, hook: &mut dyn Hook) -> Status {
         self.ask_interest(hook);
-        self.step_asked(hook)
+        if !self.enter() {
+            return self.status; // Host must unblock a `Blocked` machine.
+        }
+        let pc = self.cpu.pc;
+        self.status = match self.exec_one(pc, hook) {
+            Ok(s) => s,
+            Err(f) => Status::Faulted(f),
+        };
+        self.status
     }
 
     /// Ask `hook` for its interest, into the machine's buffer.
@@ -281,26 +291,27 @@ impl Machine {
         hook.interest(out);
     }
 
-    /// One step under the interest already asked for.
-    fn step_asked(&mut self, hook: &mut dyn Hook) -> Status {
-        match self.status {
-            Status::Running => {}
-            s @ (Status::Halted(_) | Status::Faulted(_)) => return s,
-            Status::Blocked(_) => return self.status, // Host must unblock.
+    /// Entry of a run or step: whether the machine may execute, and if
+    /// so the decode cache keyed to the layout and NX setting it will
+    /// execute under (neither can change until the call returns).
+    fn enter(&mut self) -> bool {
+        if !self.status.is_running() {
+            return false;
         }
-        let pc = self.cpu.pc;
-        let status = match self.exec_one(pc, hook) {
-            Ok(s) => s,
-            Err(f) => Status::Faulted(f),
-        };
-        self.status = status;
-        status
+        self.icache.enter(&self.layout, self.mem.nx);
+        true
     }
 
     /// Run until the status leaves `Running` or `max_cycles` elapse.
     ///
     /// Returns the final status; on cycle exhaustion the status remains
-    /// `Running` (the machine is preemptible).
+    /// `Running` (the machine is preemptible). A machine that is not
+    /// running on entry (halted, faulted or blocked) returns at once.
+    ///
+    /// The status lives in a local while the run lasts: `self.status`
+    /// is written only when a step leaves `Running` (halt, block or
+    /// fault), and nothing can observe it in between, since hooks only
+    /// ever see `&Machine` (and read `Running` there).
     ///
     /// The hook's [`Hook::interest`] is asked once, on entry, and only
     /// the events it asks for are delivered. While it asks for nothing,
@@ -313,6 +324,9 @@ impl Machine {
     pub fn run(&mut self, hook: &mut dyn Hook, max_cycles: u64) -> Status {
         let deadline = self.clock.cycles().saturating_add(max_cycles);
         self.ask_interest(hook);
+        if !self.enter() {
+            return self.status;
+        }
         let quiet = self.interest.0.is_empty();
         // Superblock entries are control-transfer targets by
         // construction (blocks end at terminators), so the cache is
@@ -330,7 +344,6 @@ impl Machine {
         let mut no_fuse: Option<(u32, u64)> = None;
         loop {
             let probe = at_entry
-                && self.status.is_running()
                 && self.sblocks.enabled()
                 && quiet
                 && no_fuse != Some((self.cpu.pc, self.mem.write_seq()));
@@ -343,12 +356,22 @@ impl Machine {
                 }
                 no_fuse = Some((self.cpu.pc, self.mem.write_seq()));
             }
-            let pre = self.cpu.pc;
-            let s = self.step_asked(hook);
-            if !s.is_running() || self.clock.cycles() >= deadline {
-                return s;
+            let pc = self.cpu.pc;
+            match self.exec_one(pc, hook) {
+                Ok(Status::Running) => {}
+                Ok(s) => {
+                    self.status = s;
+                    return s;
+                }
+                Err(f) => {
+                    self.status = Status::Faulted(f);
+                    return self.status;
+                }
             }
-            at_entry = self.cpu.pc != pre.wrapping_add(INSN_SIZE);
+            if self.clock.cycles() >= deadline {
+                return Status::Running;
+            }
+            at_entry = self.cpu.pc != pc.wrapping_add(INSN_SIZE);
         }
     }
 
@@ -421,6 +444,7 @@ impl Machine {
         true
     }
 
+    #[inline(always)]
     fn exec_one(&mut self, pc: u32, hook: &mut dyn Hook) -> Result<Status, Fault> {
         // Instruction events (`on_insn` and this instruction's memory
         // events) go out only at pcs the run's interest watches.
@@ -430,7 +454,7 @@ impl Machine {
         // non-executable page, undecodable word) falls back to the slow
         // fetch+decode, which raises the precise fault at this pc. Both
         // paths yield bit-identical ops, faults, and cycle accounting.
-        let op = match self.icache.lookup(&self.mem, &self.layout, pc) {
+        let op = match self.icache.lookup(&self.mem, pc) {
             Some(op) => op,
             None => {
                 let word = self.mem.fetch(pc)?;

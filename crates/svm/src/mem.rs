@@ -16,18 +16,25 @@
 //! ([`Mem::page_storage_ids`]) are the same as if every page had been
 //! allocated eagerly.
 //!
+//! The page table is a handful of *spans* — runs of consecutive page
+//! numbers, one per mapped region — over one dense vector of slots, so
+//! finding a page is a scan of at most a few spans and one index, and
+//! walking every page in ascending page order is a flat scan. A
+//! [`Mem::skeleton`] starts with no spans at all; [`Mem::restore_page`]
+//! adds the covering region's span the first time it restores a page
+//! into it, so a skeleton costs only the slots of the regions it gets
+//! pages back for.
+//!
 //! Each page's slot holds its permission next to its bytes, so a guest
-//! access costs one page-table probe per page it touches: a byte, a
-//! word or an 8-byte fetch that lies within one page is checked once
-//! and copied whole, only a page-crossing access splits (into one piece
-//! per page), and bulk reads and writes go a page chunk at a time. Each
-//! piece has exactly the effect of its bytes taken one at a time: a
-//! fault names the first byte whose page refuses the access, after the
-//! bytes before it have landed, and [`Mem::write_seq`] and every page's
-//! generation count bytes.
+//! access costs one span lookup per page it touches: a byte, a word or
+//! an 8-byte fetch that lies within one page is checked once and copied
+//! whole, only a page-crossing access splits (into one piece per page),
+//! and bulk reads and writes go a page chunk at a time. Each piece has
+//! exactly the effect of its bytes taken one at a time: a fault names
+//! the first byte whose page refuses the access, after the bytes before
+//! it have landed, and [`Mem::write_seq`] and every page's generation
+//! count bytes.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::error::{Access, Fault};
@@ -164,7 +171,7 @@ impl Region {
 /// such as the predecoded instruction cache compare generations to
 /// detect self-modifying code without scanning page contents. The
 /// permission is the mapping region's; nothing changes it after
-/// [`Mem::map`], so it lives here, one probe away from the bytes it
+/// [`Mem::map`], so it lives here, one lookup away from the bytes it
 /// guards.
 #[derive(Clone)]
 struct PageSlot {
@@ -180,10 +187,121 @@ const NO_ACCESS: Perm = Perm {
     x: false,
 };
 
+/// A run of `count` consecutive page numbers from `first`, whose slots
+/// are `slots[base..base + count]` of the [`PageTable`].
+#[derive(Clone, Copy)]
+struct Span {
+    first: u32,
+    count: u32,
+    base: usize,
+}
+
+impl Span {
+    /// One past the last page number (as `u64`: a span may end at the
+    /// top of the page-number space).
+    fn end(&self) -> u64 {
+        self.first as u64 + self.count as u64
+    }
+}
+
+/// The page table: a few [`Span`]s, sorted by page number and never
+/// overlapping, over one dense slot vector. A slot is `None` until its
+/// page is mapped or restored.
+#[derive(Clone, Default)]
+struct PageTable {
+    spans: Vec<Span>,
+    slots: Vec<Option<PageSlot>>,
+}
+
+impl PageTable {
+    /// Where page `pno`'s slot lives, if a span covers it.
+    #[inline]
+    fn index(&self, pno: u32) -> Option<usize> {
+        self.spans.iter().find_map(|s| {
+            let d = pno.wrapping_sub(s.first);
+            (d < s.count).then(|| s.base + d as usize)
+        })
+    }
+
+    #[inline]
+    fn get(&self, pno: u32) -> Option<&PageSlot> {
+        self.slots[self.index(pno)?].as_ref()
+    }
+
+    #[inline]
+    fn get_mut(&mut self, pno: u32) -> Option<&mut PageSlot> {
+        let i = self.index(pno)?;
+        self.slots[i].as_mut()
+    }
+
+    /// Put `slot` at page `pno`, adding a one-page span for it if no
+    /// span covers it yet.
+    fn set(&mut self, pno: u32, slot: PageSlot) {
+        let i = match self.index(pno) {
+            Some(i) => i,
+            None => {
+                self.cover(pno, 1);
+                self.slots.len() - 1
+            }
+        };
+        self.slots[i] = Some(slot);
+    }
+
+    /// Add spans for the pages of `first..first + count` that no span
+    /// covers yet, one per maximal uncovered run.
+    fn cover(&mut self, first: u32, count: u32) {
+        let end = first as u64 + count as u64;
+        let mut at = first as u64;
+        let mut gaps = Vec::new();
+        for s in &self.spans {
+            if s.end() <= at {
+                continue;
+            }
+            if s.first as u64 >= end {
+                break;
+            }
+            if (s.first as u64) > at {
+                gaps.push((at, s.first as u64 - at));
+            }
+            at = s.end();
+        }
+        if at < end {
+            gaps.push((at, end - at));
+        }
+        for (first, count) in gaps {
+            let base = self.slots.len();
+            self.slots.resize(base + count as usize, None);
+            let first = first as u32;
+            let pos = self.spans.partition_point(|s| s.first < first);
+            self.spans.insert(
+                pos,
+                Span {
+                    first,
+                    count: count as u32,
+                    base,
+                },
+            );
+        }
+    }
+
+    /// Every held slot with its page number, in ascending page order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &PageSlot)> + '_ {
+        self.spans.iter().flat_map(move |s| {
+            self.slots[s.base..s.base + s.count as usize]
+                .iter()
+                .zip(0..)
+                .filter_map(move |(slot, i)| slot.as_ref().map(|slot| (s.first + i, slot)))
+        })
+    }
+}
+
 /// The guest address space.
+///
+/// Its page table is span-indexed (see the [module docs](self)): one
+/// span per mapped region, so a lookup scans a handful of spans.
 #[derive(Clone)]
 pub struct Mem {
-    pages: BTreeMap<u32, PageSlot>,
+    pages: PageTable,
     regions: Vec<Region>,
     /// Monotone count of byte writes across the whole address space;
     /// see [`Mem::write_seq`].
@@ -203,7 +321,7 @@ impl Mem {
     /// An empty address space with NX disabled (period-accurate default).
     pub fn new() -> Mem {
         Mem {
-            pages: BTreeMap::new(),
+            pages: PageTable::default(),
             regions: Vec::new(),
             write_seq: 0,
             nx: false,
@@ -235,12 +353,13 @@ impl Mem {
         let first = Self::page_of(start);
         let count = len / PAGE_SIZE as u32;
         for p in first..first + count {
-            if self.pages.contains_key(&p) {
+            if self.pages.get(p).is_some() {
                 return Err(format!("page {:#x} already mapped", p * PAGE_SIZE as u32));
             }
         }
+        self.pages.cover(first, count);
         for p in first..first + count {
-            self.pages.insert(
+            self.pages.set(
                 p,
                 PageSlot {
                     data: Arc::new(Page::zeroed()),
@@ -270,15 +389,15 @@ impl Mem {
 
     /// Number of currently mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.iter().count()
     }
 
     /// Number of pages whose storage is shared with a snapshot (`Arc`
     /// strong count > 1). Used by the checkpoint cost model.
     pub fn shared_pages(&self) -> usize {
         self.pages
-            .values()
-            .filter(|p| Arc::strong_count(&p.data) > 1)
+            .iter()
+            .filter(|(_, p)| Arc::strong_count(&p.data) > 1)
             .count()
     }
 
@@ -286,7 +405,9 @@ impl Mem {
     /// accounting): two address spaces hold the same physical page iff
     /// the identities are equal.
     pub fn page_storage_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.pages.values().map(|p| Arc::as_ptr(&p.data) as usize)
+        self.pages
+            .iter()
+            .map(|(_, p)| Arc::as_ptr(&p.data) as usize)
     }
 
     /// Monotone count of byte writes across the whole address space.
@@ -308,12 +429,12 @@ impl Mem {
     /// Two observations of the same page with equal generations are
     /// guaranteed to have seen identical bytes.
     pub fn page_gen(&self, pno: u32) -> u64 {
-        self.pages.get(&pno).map(|p| p.gen).unwrap_or(0)
+        self.pages.get(pno).map_or(0, |p| p.gen)
     }
 
     /// Read-only view of page `pno`'s bytes, if mapped.
     pub fn page_bytes(&self, pno: u32) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages.get(&pno).map(|p| p.data.bytes())
+        self.pages.get(pno).map(|p| p.data.bytes())
     }
 
     /// Whether an instruction fetch from page `pno` would pass the
@@ -321,17 +442,16 @@ impl Mem {
     /// pre-NX "readable implies executable" default).
     pub fn page_exec_ok(&self, pno: u32) -> bool {
         self.pages
-            .get(&pno)
+            .get(pno)
             .is_some_and(|s| s.perm.admits(Access::Exec, self.nx))
     }
 
     /// The slot holding `addr`, and `addr`'s offset in it, if the slot's
-    /// permission admits `access`: one page-table probe. An address with
-    /// no slot is `Unmapped`; a slot that refuses `access` is
-    /// `Protection`.
+    /// permission admits `access`: one span lookup. An address with no
+    /// slot is `Unmapped`; a slot that refuses `access` is `Protection`.
     #[inline]
     fn slot(&self, pc: u32, addr: u32, access: Access) -> Result<(&PageSlot, usize), Fault> {
-        match self.pages.get(&Self::page_of(addr)) {
+        match self.pages.get(Self::page_of(addr)) {
             None => Err(Fault::Unmapped { pc, addr, access }),
             Some(s) if s.perm.admits(access, self.nx) => Ok((s, Self::offset(addr))),
             Some(_) => Err(Fault::Protection { pc, addr, access }),
@@ -343,20 +463,20 @@ impl Mem {
     /// enforces write permission; host writes skip it.
     #[inline]
     fn slot_mut(
-        pages: &mut BTreeMap<u32, PageSlot>,
+        pages: &mut PageTable,
         pc: u32,
         addr: u32,
         guest: bool,
     ) -> Result<(&mut PageSlot, usize), Fault> {
         let access = Access::Write;
-        match pages.get_mut(&Self::page_of(addr)) {
+        match pages.get_mut(Self::page_of(addr)) {
             None => Err(Fault::Unmapped { pc, addr, access }),
             Some(s) if guest && !s.perm.w => Err(Fault::Protection { pc, addr, access }),
             Some(s) => Ok((s, Self::offset(addr))),
         }
     }
 
-    /// Store `data`, which lies within one page, at `addr`: one probe,
+    /// Store `data`, which lies within one page, at `addr`: one lookup,
     /// one copy-on-write step, one copy. `write_seq` grows by the length
     /// and the page's generation becomes the new value.
     #[inline]
@@ -382,7 +502,7 @@ impl Mem {
         Ok(())
     }
 
-    /// Fill `out` from `addr` on, one probe and one copy per page chunk
+    /// Fill `out` from `addr` on, one lookup and one copy per page chunk
     /// (wrapping at the top of the address space). A refused page faults
     /// at its first byte.
     fn load(&self, pc: u32, addr: u32, access: Access, out: &mut [u8]) -> Result<(), Fault> {
@@ -396,7 +516,7 @@ impl Mem {
         Ok(())
     }
 
-    /// `N` bytes from `addr`: one probe and one copy when they lie within
+    /// `N` bytes from `addr`: one lookup and one copy when they lie within
     /// one page, else [`Mem::load`]'s per-page pieces.
     #[inline]
     fn load_array<const N: usize>(
@@ -499,7 +619,7 @@ impl Mem {
     /// Iterate every mapped page number with its write generation, in
     /// ascending page order.
     pub fn page_table(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.pages.iter().map(|(pno, s)| (*pno, s.gen))
+        self.pages.iter().map(|(pno, s)| (pno, s.gen))
     }
 
     /// Iterate every mapped page with its write generation and backing
@@ -508,7 +628,7 @@ impl Mem {
     /// captures: cloning the `Arc` is the same O(1) copy-on-write capture
     /// as [`Mem::page_arc`], without a second page-table lookup).
     pub fn pages(&self) -> impl Iterator<Item = (u32, u64, &Arc<Page>)> + '_ {
-        self.pages.iter().map(|(pno, s)| (*pno, s.gen, &s.data))
+        self.pages.iter().map(|(pno, s)| (pno, s.gen, &s.data))
     }
 
     /// [`Mem::pages`] restricted to the pages whose write generation
@@ -529,18 +649,18 @@ impl Mem {
     /// page goes through `Arc::make_mut` and copies first (the same
     /// copy-on-write discipline [`Mem::snapshot`] relies on).
     pub fn page_arc(&self, pno: u32) -> Option<(Arc<Page>, u64)> {
-        self.pages.get(&pno).map(|s| (Arc::clone(&s.data), s.gen))
+        self.pages.get(pno).map(|s| (Arc::clone(&s.data), s.gen))
     }
 
     /// Clone the address-space *skeleton*: regions, NX flag and the
-    /// `write_seq` watermark, with an **empty** page table. The
-    /// incremental checkpoint engine stores one skeleton per snapshot and
-    /// reconstructs the page table from its delta chain via
+    /// `write_seq` watermark, with an **empty** page table (no spans, no
+    /// slots). The incremental checkpoint engine stores one skeleton per
+    /// snapshot and reconstructs the page table from its delta chain via
     /// [`Mem::restore_page`]; the pair is bit-identical to a full
     /// [`Mem::snapshot`] once every page is restored.
     pub fn skeleton(&self) -> Mem {
         Mem {
-            pages: BTreeMap::new(),
+            pages: PageTable::default(),
             regions: self.regions.clone(),
             write_seq: self.write_seq,
             nx: self.nx,
@@ -553,24 +673,26 @@ impl Mem {
     /// An existing slot keeps its permission and takes the new storage
     /// and generation; a new slot takes the permission of the region
     /// that covers it (no access at all if none does, which a page that
-    /// came from [`Mem::map`] never meets).
+    /// came from [`Mem::map`] never meets). The first page restored into
+    /// a region adds that region's span to the table; a page outside
+    /// every region gets a span of its own.
     pub fn restore_page(&mut self, pno: u32, data: Arc<Page>, gen: u64) {
-        match self.pages.entry(pno) {
-            Entry::Occupied(mut e) => {
-                let slot = e.get_mut();
-                slot.data = data;
-                slot.gen = gen;
-            }
-            Entry::Vacant(e) => {
-                let start = pno.checked_mul(PAGE_SIZE as u32);
-                let perm = self
-                    .regions
-                    .iter()
-                    .find(|r| start.is_some_and(|a| r.contains(a)))
-                    .map_or(NO_ACCESS, |r| r.perm);
-                e.insert(PageSlot { data, gen, perm });
-            }
+        if let Some(slot) = self.pages.get_mut(pno) {
+            slot.data = data;
+            slot.gen = gen;
+            return;
         }
+        let start = pno.checked_mul(PAGE_SIZE as u32);
+        let region = self
+            .regions
+            .iter()
+            .find(|r| start.is_some_and(|a| r.contains(a)));
+        let perm = region.map_or(NO_ACCESS, |r| r.perm);
+        if let Some(r) = region {
+            self.pages
+                .cover(Self::page_of(r.start), r.len / PAGE_SIZE as u32);
+        }
+        self.pages.set(pno, PageSlot { data, gen, perm });
     }
 }
 

@@ -11,14 +11,24 @@
 //! the partial-write-then-fault behaviour of a word store across a page
 //! boundary (into a read-only page and into a hole) and of a `read`
 //! syscall whose buffer runs into an unmapped page.
+//!
+//! A second oracle works at the level of the page table: random `map`s,
+//! skeletons, page restores in random order (a page outside every
+//! region and a restore into an occupied slot among them) and held
+//! snapshots, against a `BTreeMap` reference. Both must agree on which
+//! maps are refused, and after every op on the page count, generations,
+//! executability, sharing and storage identities, and on the full
+//! `pages()`, `page_table()` and `dirty_pages_since` sequences in
+//! ascending page order.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Weak};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use svm::isa::Reg;
 use svm::loader::Aslr;
-use svm::mem::{Mem, Perm, PAGE_SIZE};
+use svm::mem::{Mem, Page, Perm, PAGE_SIZE};
 use svm::{Access, Fault, Machine, NopHook, Status};
 
 /// Byte-at-a-time reference model of guest memory.
@@ -457,4 +467,278 @@ fn read_syscall_into_an_unmapped_page_lands_the_prefix_then_faults() {
     assert_eq!(m.mem.read_bytes(data_end - 3, 3), Ok(b"012".to_vec()));
     assert_eq!(m.mem.write_seq(), seq + 3, "one count per landed byte");
     assert_eq!(m.mem.page_gen((data_end - 1) / PAGE_SIZE as u32), seq + 3);
+}
+
+/// One page of the table reference: its storage (held weakly, so the
+/// reference leaves sharing counts alone), generation and permission.
+struct RefSlot {
+    data: Weak<Page>,
+    gen: u64,
+    perm: Perm,
+}
+
+/// `BTreeMap` reference of a page table: slots by page number, plus the
+/// regions in creation order as `(first page, page count, permission)`.
+#[derive(Default)]
+struct RefTable {
+    slots: BTreeMap<u32, RefSlot>,
+    regions: Vec<(u32, u32, Perm)>,
+}
+
+impl RefTable {
+    fn perm_of(&self, pno: u32) -> Perm {
+        let covers = |&&(first, count, _): &&(u32, u32, Perm)| pno >= first && pno - first < count;
+        self.regions.iter().find(covers).map_or(
+            Perm {
+                r: false,
+                w: false,
+                x: false,
+            },
+            |r| r.2,
+        )
+    }
+}
+
+/// One table-level operation.
+#[derive(Debug, Clone)]
+enum TableOp {
+    /// Map `count` pages from page `first`.
+    Map { first: u32, count: u32, perm: u8 },
+    /// Replace the table by its skeleton, keeping the old one as the
+    /// source of later restores.
+    Skeleton,
+    /// Restore the `sel`-th page of the latest source at a random
+    /// generation.
+    RestoreFromSource { sel: usize, gen: u64 },
+    /// Restore a fresh page at `pno` (maybe outside every region, maybe
+    /// over an occupied slot).
+    RestoreFresh { pno: u32, gen: u64 },
+    /// Hold a snapshot, so the pages it shares count as shared.
+    Hold,
+    /// Drop the oldest held snapshot.
+    Release,
+}
+
+const PERMS: [Perm; 4] = [Perm::R, Perm::RW, Perm::RX, Perm::RWX];
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        (0u32..48, 1u32..8, 0u8..4).prop_map(|(first, count, perm)| TableOp::Map {
+            first,
+            count,
+            perm
+        }),
+        Just(TableOp::Skeleton),
+        (any::<usize>(), 0u64..64).prop_map(|(sel, gen)| TableOp::RestoreFromSource { sel, gen }),
+        (any::<usize>(), 0u64..64).prop_map(|(sel, gen)| TableOp::RestoreFromSource { sel, gen }),
+        (
+            prop_oneof![0u32..64, Just(0xfffff), Just(u32::MAX)],
+            0u64..64
+        )
+            .prop_map(|(pno, gen)| TableOp::RestoreFresh { pno, gen }),
+        Just(TableOp::Hold),
+        Just(TableOp::Release),
+    ]
+}
+
+/// The table under test, its reference, the source of restores and the
+/// held snapshots.
+struct Tables {
+    mem: Mem,
+    reference: RefTable,
+    source: Option<Mem>,
+    held: Vec<Mem>,
+}
+
+impl Tables {
+    fn apply(&mut self, op: &TableOp) -> Result<(), String> {
+        match *op {
+            TableOp::Map { first, count, perm } => {
+                let perm = PERMS[perm as usize];
+                let start = first * PAGE_SIZE as u32;
+                let got = self.mem.map(start, count * PAGE_SIZE as u32, perm, "t");
+                let overlaps =
+                    (first..first + count).any(|p| self.reference.slots.contains_key(&p));
+                if got.is_ok() == overlaps {
+                    return Err(format!("map {first}+{count}: {got:?}, overlap {overlaps}"));
+                }
+                if got.is_ok() {
+                    self.reference.regions.push((first, count, perm));
+                    for pno in first..first + count {
+                        let (data, gen) = self.mem.page_arc(pno).expect("just mapped");
+                        let data = Arc::downgrade(&data);
+                        self.reference
+                            .slots
+                            .insert(pno, RefSlot { data, gen, perm });
+                    }
+                }
+            }
+            TableOp::Skeleton => {
+                let skeleton = self.mem.skeleton();
+                self.source = Some(std::mem::replace(&mut self.mem, skeleton));
+                self.reference.slots.clear();
+            }
+            TableOp::RestoreFromSource { sel, gen } => {
+                let Some(src) = &self.source else {
+                    return Ok(());
+                };
+                let pages: Vec<(u32, Arc<Page>)> =
+                    src.pages().map(|(p, _, d)| (p, d.clone())).collect();
+                if pages.is_empty() {
+                    return Ok(());
+                }
+                let (pno, data) = pages[sel % pages.len()].clone();
+                self.restore(pno, data, gen);
+            }
+            TableOp::RestoreFresh { pno, gen } => {
+                self.restore(pno, Arc::new(Page::zeroed()), gen);
+            }
+            TableOp::Hold => self.held.push(self.mem.snapshot()),
+            TableOp::Release => {
+                if !self.held.is_empty() {
+                    self.held.remove(0);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn restore(&mut self, pno: u32, data: Arc<Page>, gen: u64) {
+        let weak = Arc::downgrade(&data);
+        self.mem.restore_page(pno, data, gen);
+        let perm = match self.reference.slots.get(&pno) {
+            Some(old) => old.perm,
+            None => self.reference.perm_of(pno),
+        };
+        self.reference.slots.insert(
+            pno,
+            RefSlot {
+                data: weak,
+                gen,
+                perm,
+            },
+        );
+    }
+
+    /// The first disagreement between the table and its reference.
+    fn diff(&self) -> Option<String> {
+        let (mem, r) = (&self.mem, &self.reference);
+        if mem.mapped_pages() != r.slots.len() {
+            return Some(format!(
+                "mapped {} vs {}",
+                mem.mapped_pages(),
+                r.slots.len()
+            ));
+        }
+        let want: Vec<(u32, u64, usize)> = r
+            .slots
+            .iter()
+            .map(|(&p, s)| (p, s.gen, s.data.as_ptr() as usize))
+            .collect();
+        let got: Vec<(u32, u64, usize)> = mem
+            .pages()
+            .map(|(p, g, d)| (p, g, Arc::as_ptr(d) as usize))
+            .collect();
+        if got != want {
+            return Some(format!("pages() {got:x?} vs {want:x?}"));
+        }
+        let table: Vec<(u32, u64)> = mem.page_table().collect();
+        if table != want.iter().map(|&(p, g, _)| (p, g)).collect::<Vec<_>>() {
+            return Some(format!("page_table() {table:?}"));
+        }
+        let ids: Vec<usize> = mem.page_storage_ids().collect();
+        if ids != want.iter().map(|w| w.2).collect::<Vec<_>>() {
+            return Some("page_storage_ids() order".to_string());
+        }
+        for g in [0, 1, 17, 32, 63, u64::MAX] {
+            let dirty: Vec<u32> = mem.dirty_pages_since(g).map(|(p, _, _)| p).collect();
+            let want: Vec<u32> = want.iter().filter(|w| w.1 > g).map(|w| w.0).collect();
+            if dirty != want {
+                return Some(format!("dirty_pages_since({g}) {dirty:?} vs {want:?}"));
+            }
+        }
+        let shared = r
+            .slots
+            .values()
+            .filter(|s| s.data.strong_count() > 1)
+            .count();
+        if mem.shared_pages() != shared {
+            return Some(format!("shared {} vs {shared}", mem.shared_pages()));
+        }
+        let probes = (0u32..72).chain([0xfffff, u32::MAX]);
+        for pno in probes {
+            let slot = r.slots.get(&pno);
+            if mem.page_gen(pno) != slot.map_or(0, |s| s.gen) {
+                return Some(format!("page_gen({pno:#x})"));
+            }
+            let exec = slot.is_some_and(|s| if mem.nx { s.perm.x } else { s.perm.r });
+            if mem.page_exec_ok(pno) != exec {
+                return Some(format!("page_exec_ok({pno:#x})"));
+            }
+            if mem.page_bytes(pno).is_some() != slot.is_some() {
+                return Some(format!("page_bytes({pno:#x})"));
+            }
+        }
+        None
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// After every op of a random map / skeleton / restore / snapshot
+    /// sequence, the page table agrees with the `BTreeMap` reference.
+    #[test]
+    fn page_table_matches_the_btreemap_reference(
+        nx in any::<bool>(),
+        ops in vec(arb_table_op(), 1..40),
+    ) {
+        let mut mem = Mem::new();
+        mem.nx = nx;
+        let mut t = Tables { mem, reference: RefTable::default(), source: None, held: Vec::new() };
+        for (i, op) in ops.iter().enumerate() {
+            let applied = t.apply(op);
+            prop_assert!(applied.is_ok(), "op {} = {:?}: {:?}", i, op, applied);
+            let diff = t.diff();
+            prop_assert!(diff.is_none(), "after op {} = {:?}: {:?}", i, op, diff);
+        }
+    }
+}
+
+/// A skeleton holds no pages until restored, and gets them back in
+/// ascending order whatever order they are restored in; a page outside
+/// every region comes back with no access at all.
+#[test]
+fn skeleton_restores_in_any_order_read_back_ascending() {
+    let mut m = Mem::new();
+    m.map(0x8000, 0x3000, Perm::RW, "heap").expect("map");
+    m.map(0x1000, 0x2000, Perm::RX, "code").expect("map");
+    m.write_bytes_host(0x9000, b"x").expect("w");
+    let mut rebuilt = m.skeleton();
+    assert_eq!((rebuilt.mapped_pages(), rebuilt.pages().count()), (0, 0));
+    for pno in [9, 2, 8, 1, 10] {
+        let (data, gen) = m.page_arc(pno).expect("mapped");
+        rebuilt.restore_page(pno, data, gen);
+    }
+    rebuilt.restore_page(0x40, Arc::new(Page::zeroed()), 3);
+    let order: Vec<u32> = rebuilt.page_table().map(|(p, _)| p).collect();
+    assert_eq!(order, [1, 2, 8, 9, 10, 0x40]);
+    assert_eq!(rebuilt.read_bytes(0x9000, 1), Ok(b"x".to_vec()));
+    assert!(rebuilt.page_exec_ok(1) && !rebuilt.page_exec_ok(0x40));
+    assert!(matches!(
+        rebuilt.read_u8(0, 0x40_000),
+        Err(Fault::Protection { .. })
+    ));
+    // A region's pages that were never restored stay unmapped, and a
+    // later `map` over them is accepted, as over any unmapped page.
+    let mut partial = m.skeleton();
+    let (data, gen) = m.page_arc(9).expect("mapped");
+    partial.restore_page(9, data, gen);
+    assert!(partial.read_u8(0, 0x8000).is_err());
+    assert!(partial.map(0x8000, 0x1000, Perm::R, "again").is_ok());
+    assert!(partial.map(0x9000, 0x1000, Perm::R, "again").is_err());
+    assert_eq!(
+        partial.page_table().map(|(p, _)| p).collect::<Vec<_>>(),
+        [8, 9]
+    );
 }

@@ -23,7 +23,8 @@
 #                nonzero exit from any of them fails the stage
 #   no-unsafe    grep gate: the workspace stays `unsafe`-free
 #                (DESIGN.md §7) — belt-and-braces on top of the
-#                workspace-level `unsafe_code = "forbid"` lint
+#                workspace-level `unsafe_code = "forbid"` lint; scans
+#                src, crates, tests and examples
 #   chaos-seeds  quarantined-seed replay: every seed in
 #                tests/chaos_known_seeds.txt re-runs BEFORE the random
 #                smoke, so once-interesting fault mixes stay covered
@@ -134,7 +135,7 @@ stage_examples() {
 
 stage_no_unsafe() {
     if grep -rn --include='*.rs' -E 'unsafe[[:space:]]+(\{|fn|impl|trait)|allow\(unsafe_code\)' \
-        src crates tests; then
+        src crates tests examples; then
         echo "FAIL: 'unsafe' construct found in workspace sources"
         return 1
     fi

@@ -82,3 +82,26 @@ fn incremental_engine_checkpoint_cost_is_pinned() {
         (5_679_000, 293, 11, 496_310_599, 20)
     );
 }
+
+/// A small Squid fleet: the heap-heavy guest, whose pages the page
+/// table and the checkpoint drains touch most. Recorded before the
+/// page table became span-indexed.
+#[test]
+fn squid_fleet_digest_is_pinned() {
+    let out = run(&FleetConfig {
+        target: Target::Squid,
+        ..FleetConfig::smoke(8, 7)
+    })
+    .expect("fleet runs");
+    assert_eq!(
+        (
+            out.digest,
+            out.served,
+            out.attacks,
+            out.bundles_deployed,
+            out.metrics.counter("recovery.domain_rollbacks"),
+        ),
+        (0x7071_7d59_4817_4241, 4, 9, 7, 9),
+        "fleet outcome moved"
+    );
+}
