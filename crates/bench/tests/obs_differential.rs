@@ -7,7 +7,57 @@
 //! stamps) on every guest.
 
 use bench::experiments::attack_run;
-use sweeper::{timings_from_timeline, StepTimings};
+use svm::clock::cycles_to_secs;
+use sweeper::{Event, StepTimings, Timeline};
+
+/// Re-derive the Table 3 timings of the most recent analysis from the
+/// raw event log: the pre-`obs` computation, kept as an independent
+/// witness for the span accounting.
+fn timings_from_timeline(tl: &Timeline) -> Option<StepTimings> {
+    let (det_idx, det_at) = tl.last_detection()?;
+    let after = &tl.events()[det_idx + 1..];
+    let ms_to = |at: u64| cycles_to_secs(at - det_at) * 1e3;
+    let step_of = |name: &str| {
+        after.iter().find_map(|s| match &s.event {
+            Event::AnalysisStep { step, duration_ms } if *step == name => {
+                Some((s.at_cycles, *duration_ms))
+            }
+            _ => None,
+        })
+    };
+    let (mem_state_at, memory_state_ms) = step_of("memory-state")?;
+    let (_, memory_bug_ms) = step_of("memory-bug")?;
+    let (taint_at, taint_ms) = step_of("taint")?;
+    let slicing = step_of("slicing");
+    // First VSEF: released at the memory-state event's stamp (antibody
+    // pushes are zero-cost); best VSEF: the last refined release, else
+    // the first.
+    let first_vsef_ms = ms_to(mem_state_at);
+    let best_vsef_ms = after
+        .iter()
+        .rev()
+        .find_map(|s| match &s.event {
+            Event::AntibodyReleased { what } if what.starts_with("refined VSEF") => {
+                Some(ms_to(s.at_cycles))
+            }
+            _ => None,
+        })
+        .unwrap_or(first_vsef_ms);
+    // Initial analysis completes with the signature releases, stamped
+    // with the taint step; slicing (when run) sets the total.
+    let initial_ms = ms_to(taint_at);
+    let total_ms = slicing.map(|(at, _)| ms_to(at)).unwrap_or(initial_ms);
+    Some(StepTimings {
+        memory_state_ms,
+        memory_bug_ms,
+        taint_ms,
+        slicing_ms: slicing.map(|(_, d)| d).unwrap_or(0.0),
+        first_vsef_ms,
+        best_vsef_ms,
+        initial_ms,
+        total_ms,
+    })
+}
 
 #[test]
 fn table3_from_spans_matches_inline_and_timeline_on_all_guests() {

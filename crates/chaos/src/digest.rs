@@ -7,8 +7,8 @@
 //! between legs:
 //!
 //! - wall-clock values (`*wall*` gauges, span `ms` is virtual and kept);
-//! - execution-tier internals (`svm.icache.*` and `svm.superblock.*`
-//!   counters differ by construction between the tier legs);
+//! - execution-tier internals (`svm.icache.*` counters differ by
+//!   construction between the tier legs);
 //! - shard-topology counters (`epidemic.events_cross_shard` legitimately
 //!   depends on K; gauges are excluded wholesale because the parity
 //!   contract of the community engine is defined over counters).
@@ -60,10 +60,7 @@ impl Hasher {
 
 /// Whether a metric name is excluded from digests (see module docs).
 fn excluded(name: &str) -> bool {
-    name.contains("icache")
-        || name.contains("superblock")
-        || name.contains("wall")
-        || name == "epidemic.events_cross_shard"
+    name.contains("icache") || name.contains("wall") || name == "epidemic.events_cross_shard"
 }
 
 /// Fold the digest-relevant counters of a registry.
@@ -155,7 +152,6 @@ mod tests {
     #[test]
     fn exclusions_cover_the_leg_dependent_metrics() {
         assert!(excluded("svm.icache.hits"));
-        assert!(excluded("svm.superblock.dispatches"));
         assert!(excluded("epidemic.events_cross_shard"));
         assert!(excluded("epidemic.generate_wall_ms"));
         assert!(!excluded("svm.insns_retired"));

@@ -3,17 +3,17 @@
 //! One fuzz case (= one seed) is:
 //!
 //! 1. **Differential legs** — the scenario's workload runs unfaulted
-//!    on all three execution tiers (icache + superblocks, icache only,
-//!    pure interpreter), and the scenario's community outbreak runs
-//!    with K = 1 and K = 4 shards. The six combined outcome digests
-//!    (tier × K, metrics always on) must be bit-equal: all the knobs
-//!    are pure performance knobs, and any divergence is a determinism
-//!    bug. Every community leg runs on both contact-state backends: the
-//!    SoA bitset backend's outcome must equal the legacy dense
-//!    backend's outside the wall-clock fields (invariant I11, checked on
-//!    every community leg, never relaxed by fired faults). A third of the
-//!    seeds also arm the connection-failure estimator so containment
-//!    draws are fuzzed across both backends.
+//!    on both execution tiers (decode cache, pure interpreter), and the
+//!    scenario's community outbreak runs with K = 1 and K = 4 shards.
+//!    The four combined outcome digests (tier × K, metrics always on)
+//!    must be bit-equal: all the knobs are pure performance knobs, and
+//!    any divergence is a determinism bug. Every community leg runs on
+//!    both contact-state backends: the SoA bitset backend's outcome must
+//!    equal the legacy dense backend's outside the wall-clock fields
+//!    (invariant I11, checked on every community leg, never relaxed by
+//!    fired faults). A third of the seeds also arm the
+//!    connection-failure estimator so containment draws are fuzzed
+//!    across both backends.
 //! 2. **Distribution-network legs (PR 5)** — the same outbreak runs
 //!    with the antibody distribution network on a *perfect* wire at
 //!    K ∈ {1, 4}: its epidemic core must be bit-identical to the legacy
@@ -130,7 +130,6 @@ fn drive(
     scenario: &CaseScenario,
     app: &App,
     cache: bool,
-    superblocks: bool,
     plan: Option<FaultPlan>,
 ) -> Result<FaultedRun, String> {
     let producer = scenario.role == Role::Producer;
@@ -143,7 +142,6 @@ fn drive(
     let outcome = catch_unwind(AssertUnwindSafe(move || -> Result<FaultedRun, String> {
         let mut s = Sweeper::protect(app, config).map_err(|e| format!("protect: {e}"))?;
         s.machine.set_decode_cache(cache);
-        s.machine.set_superblocks(cache && superblocks);
         if let Some(p) = plan {
             s.set_fault_hooks(Box::new(p));
         }
@@ -282,16 +280,15 @@ pub fn run_case(seed: u64) -> CaseReport {
     let wire: WirePlan = plan.wire();
 
     // ---- Differential legs (unfaulted). ------------------------------
-    // Three execution tiers (PR 6): full stack (icache + superblocks),
-    // icache only, and the pure interpreter. All must be bit-identical.
-    let sweeper_legs: Vec<((bool, bool), Result<FaultedRun, String>)> =
-        [(true, true), (true, false), (false, false)]
-            .into_iter()
-            .map(|(cache, sb)| {
-                execs += 1;
-                ((cache, sb), drive(&scenario, &app, cache, sb, None))
-            })
-            .collect();
+    // Both execution tiers, the decode cache and the pure interpreter,
+    // must be bit-identical.
+    let sweeper_legs: Vec<(bool, Result<FaultedRun, String>)> = [true, false]
+        .into_iter()
+        .map(|cache| {
+            execs += 1;
+            (cache, drive(&scenario, &app, cache, None))
+        })
+        .collect();
     let community_legs: Vec<(usize, CommunityOutcome)> = [1usize, 4]
         .into_iter()
         .map(|k| {
@@ -306,7 +303,7 @@ pub fn run_case(seed: u64) -> CaseReport {
 
     let mut baseline: Option<FaultedRun> = None;
     let mut leg_digests: Vec<(String, u64)> = Vec::new();
-    for ((cache, sb), leg) in &sweeper_legs {
+    for (cache, leg) in &sweeper_legs {
         match leg {
             Ok(run) => {
                 // Unfaulted legs must satisfy the catalog too (with the
@@ -314,7 +311,7 @@ pub fn run_case(seed: u64) -> CaseReport {
                 for v in check_faulted_run(run, &FaultStats::default(), run.digest) {
                     violations.push(Violation {
                         invariant: v.invariant,
-                        detail: format!("unfaulted leg cache={cache},sb={sb}: {}", v.detail),
+                        detail: format!("unfaulted leg cache={cache}: {}", v.detail),
                     });
                 }
                 for (k, epi) in &community_legs {
@@ -322,7 +319,7 @@ pub fn run_case(seed: u64) -> CaseReport {
                         .u64(run.digest)
                         .u64(digest_community(epi))
                         .finish();
-                    leg_digests.push((format!("cache={cache},sb={sb},K={k}"), combined));
+                    leg_digests.push((format!("cache={cache},K={k}"), combined));
                 }
                 if *cache && baseline.is_none() {
                     baseline = Some(run.clone());
@@ -330,7 +327,7 @@ pub fn run_case(seed: u64) -> CaseReport {
             }
             Err(msg) => violations.push(Violation {
                 invariant: "I1",
-                detail: format!("unfaulted leg cache={cache},sb={sb}: {msg}"),
+                detail: format!("unfaulted leg cache={cache}: {msg}"),
             }),
         }
     }
@@ -502,7 +499,7 @@ pub fn run_case(seed: u64) -> CaseReport {
 
     // ---- Faulted run. ------------------------------------------------
     execs += 1;
-    let faulted = drive(&scenario, &app, true, true, Some(plan));
+    let faulted = drive(&scenario, &app, true, Some(plan));
     let fired_hooks = *stats.lock().unwrap();
     let mut fired = fired_hooks;
     fired.wire_faults = wire_fired;

@@ -725,32 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn rollback_starts_with_cold_superblock_cache() {
-        let mut m = boot_counter();
-        assert!(m.superblocks_enabled(), "superblock tier on by default");
-        let mut mgr = CheckpointManager::new(0, 8);
-        let id = mgr.take(&mut m);
-        // Warm the live machine's superblock tier well past the checkpoint.
-        m.run(&mut NopHook, 5000);
-        assert!(m.superblock_stats().dispatches > 0, "live tier warmed");
-        let mut rb = mgr.rollback(id).expect("rollback");
-        let cold = rb.superblock_stats();
-        assert_eq!(
-            (cold.built, cold.dispatches, cold.insns),
-            (0, 0, 0),
-            "no superblock state survives rollback"
-        );
-        // Replay rebuilds blocks from the restored memory image and the
-        // replayed machine stays bit-identical to the pre-rollback run.
-        rb.run(&mut NopHook, 1000);
-        let warm = rb.superblock_stats();
-        assert!(
-            warm.built > 0 && warm.dispatches > 0,
-            "replay rebuilds fresh"
-        );
-    }
-
-    #[test]
     fn latest_before_selects_pre_attack_checkpoint() {
         let mut m = boot_counter();
         let mut mgr = CheckpointManager::new(0, 8);

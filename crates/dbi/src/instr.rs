@@ -473,41 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn mid_attach_after_superblock_dispatch_sees_every_instruction() {
-        // Warm the superblock tier while nothing is attached, then attach
-        // a tool between runs. The interest is asked on entry to every
-        // run, so the attach must force the precise per-instruction path
-        // for the whole remaining run — no block may retire
-        // uninstrumented instructions.
-        let mut m = boot(
-            ".text\nmain:\n movi r1, 500\nloop:\n addi r0, r0, 1\n \
-             addi r0, r0, 1\n subi r1, r1, 1\n cmpi r1, 0\n jnz loop\n halt\n",
-        );
-        assert!(m.superblocks_enabled());
-        let mut ins = Instrumenter::new();
-        assert!(m.run(&mut ins, 1_000).is_running(), "bounded warm-up burst");
-        let warmed = m.superblock_stats();
-        assert!(
-            warmed.dispatches > 0,
-            "tier engaged while nothing was attached"
-        );
-        let before = m.insns_retired;
-        let id = ins.attach(Box::new(Counter::new(Watch::All, 0)));
-        assert!(matches!(m.run(&mut ins, u64::MAX), Status::Halted(_)));
-        let tail = m.insns_retired - before;
-        assert_eq!(
-            ins.get::<Counter>(id).expect("tool").insns,
-            tail,
-            "tool saw every instruction retired after the attach"
-        );
-        assert_eq!(
-            m.superblock_stats().dispatches,
-            warmed.dispatches,
-            "no superblock dispatched while a tool was live"
-        );
-    }
-
-    #[test]
     fn detach_returns_tool_with_findings() {
         let mut m = boot(".text\nmain:\n movi r0, 64\n sys alloc\n halt\n");
         let mut ins = Instrumenter::new();

@@ -26,9 +26,7 @@
 //! instruction. An interest is a promise that the hook ignores every
 //! event outside it; the machine may still deliver more (for the rest of
 //! a run during which the hook's interest narrowed), never less. A hook
-//! must therefore not widen its interest while a run is under way. Only
-//! while a run's interest is empty may the superblock tier execute whole
-//! blocks, since no hook code runs inside a block.
+//! must therefore not widen its interest while a run is under way.
 
 use crate::alloc::FreeKind;
 use crate::isa::{Op, Syscall};

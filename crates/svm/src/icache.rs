@@ -32,12 +32,9 @@
 //! word) falls back to that slow path, so faults surface at the same
 //! pc with the same payload and the virtual clock advances identically.
 //!
-//! This is the middle of three execution tiers (interpreter → icache →
-//! [`superblock`](crate::superblock)). The superblock tier reuses the
-//! same write-generation scheme but keeps its **own** counters: a
-//! single dirtying event observed by both tiers is one invalidation in
-//! each tier's stats, and the two sets are never summed — see
-//! [`Machine::icache_stats`](crate::machine::Machine::icache_stats).
+//! The cache is the machine's only accelerator; the interpreter it
+//! falls back to on a bypass also runs alone, as its reference
+//! ([`Machine::with_decode_cache`](crate::machine::Machine::with_decode_cache)).
 
 use crate::isa::{Op, INSN_SIZE};
 use crate::loader::Layout;

@@ -110,9 +110,6 @@ impl AluOp {
     /// Evaluate the operation on two unsigned operands.
     ///
     /// `pc` is used only to populate the [`Fault::DivByZero`] payload.
-    /// Both execution tiers (the interpreter in `machine` and the
-    /// superblock compiler in `superblock`) call this single definition,
-    /// so ALU semantics cannot drift between them.
     pub fn eval(self, a: u32, b: u32, pc: u32) -> Result<u32, Fault> {
         Ok(match self {
             AluOp::Add => a.wrapping_add(b),

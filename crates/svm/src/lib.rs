@@ -21,12 +21,8 @@
 //!   its interest once per run, and the machine makes no call the hook
 //!   would ignore;
 //! - a predecoded-page instruction cache ([`icache`]), keyed once per
-//!   run, that accelerates the dispatch loop while staying bit-identical
-//!   to word-at-a-time decode;
-//! - a superblock execution tier ([`superblock`]) above the icache that
-//!   fuses straight-line decoded runs into closure chains dispatched as
-//!   one unit while the run's hook interest is empty, again
-//!   bit-identical by construction;
+//!   run: the machine's one accelerator, bit-identical to the
+//!   word-at-a-time interpreter it keeps beside it as its reference;
 //! - a virtual clock with an explicit cost model ([`clock`]) so overhead
 //!   experiments are deterministic.
 //!
@@ -55,10 +51,8 @@ pub mod mem;
 pub mod net;
 pub mod rng;
 pub mod stdlib;
-pub mod superblock;
 
 pub use error::{Access, Fault, SvmError};
 pub use hook::{Hook, Insns, Interest, NopHook};
 pub use icache::{CacheStats, DecodeCache};
 pub use machine::{Machine, Status};
-pub use superblock::{SbCache, SbStats};

@@ -141,33 +141,6 @@ impl Layout {
         l
     }
 
-    /// A fingerprint of this layout for superblock-cache keying.
-    ///
-    /// The superblock cache is keyed by (entry pc, layout tag): if a
-    /// machine's layout is ever re-randomized (fresh ASLR draw on
-    /// restart/recovery), the tag changes and every compiled block is
-    /// invalidated wholesale, because absolute jump/call targets decoded
-    /// under the old bases would otherwise survive the slide. (The
-    /// decode cache compares whole layouts, once per run.)
-    pub fn cache_tag(&self) -> u64 {
-        // FNV-1a over the seven layout words: cheap, deterministic, and
-        // distinct for any differing base.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in [
-            self.code_base,
-            self.lib_base,
-            self.data_base,
-            self.heap_base,
-            self.heap_size,
-            self.stack_top,
-            self.stack_size,
-        ] {
-            h ^= w as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
-
     /// Base address of an assembler segment under this layout.
     pub fn seg_base(&self, seg: Seg) -> u32 {
         match seg {
@@ -393,20 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_tag_distinguishes_layouts() {
-        let nominal = Layout::nominal();
-        assert_eq!(nominal.cache_tag(), Layout::nominal().cache_tag());
+    fn randomized_layouts_differ_from_nominal() {
         for seed in 1..16u64 {
             let l = Layout::randomized(Aslr::on(seed));
-            assert_ne!(
-                l.cache_tag(),
-                nominal.cache_tag(),
-                "seed {seed} produced a colliding tag"
-            );
-            assert_eq!(
-                l.cache_tag(),
-                Layout::randomized(Aslr::on(seed)).cache_tag()
-            );
+            assert_ne!(l, Layout::nominal(), "seed {seed} drew the nominal layout");
+            assert_eq!(l, Layout::randomized(Aslr::on(seed)));
         }
     }
 
@@ -414,23 +378,21 @@ mod tests {
     fn rerandomize_never_repeats_a_layout() {
         // Regression for the post-attack reseed: N consecutive
         // re-randomizations of the same base policy must yield N distinct
-        // layouts (cache tags), none equal to the boot layout, and must
-        // not collide with a neighbouring host's boot seed (the old
-        // `seed + k` arithmetic collided with both).
-        use std::collections::HashSet;
+        // layouts, none equal to the boot layout, and must not collide
+        // with a neighbouring host's boot seed (the old `seed + k`
+        // arithmetic collided with both).
         let base = Aslr::on(17);
-        let boot_tag = Layout::randomized(base).cache_tag();
-        let mut seen: HashSet<u64> = HashSet::new();
-        seen.insert(boot_tag);
+        let mut seen = vec![Layout::randomized(base)];
         for n in 1..=64u64 {
             let re = base.rerandomize(n);
             assert!(re.enabled);
             assert_eq!(re.entropy_bits, base.entropy_bits);
-            let tag = Layout::randomized(re).cache_tag();
+            let layout = Layout::randomized(re);
             assert!(
-                seen.insert(tag),
+                !seen.contains(&layout),
                 "re-randomization #{n} repeated an earlier layout"
             );
+            seen.push(layout);
             // Old bug: seed + n equals the boot seed of host 17 + n.
             assert_ne!(
                 re.seed,

@@ -18,7 +18,6 @@ use crate::loader::{self, Aslr, Layout, SymbolMap};
 use crate::mem::Mem;
 use crate::net::{BlockedOn, NetState};
 use crate::rng::XorShift64;
-use crate::superblock::{SbCache, SbCtx, SbStats};
 
 /// Execution status after a step or run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,10 +69,6 @@ pub struct Machine {
     /// Predecoded-page instruction cache (cold after any clone, so
     /// checkpoints and rollbacks never inherit decode state).
     icache: DecodeCache,
-    /// Superblock cache, the execution tier above the decode cache
-    /// (also cold after any clone). Blocks run only while the current
-    /// run's hook interest is empty.
-    sblocks: SbCache,
     /// The hook interest of the current `run` or `step_hooked` call,
     /// asked for on entry to each. Only the buffer outlives a call, and
     /// a clone starts empty, so a clone whose hook goes live before its
@@ -120,7 +115,6 @@ impl Machine {
             syscalls_retired: 0,
             status: Status::Running,
             icache: DecodeCache::new(true),
-            sblocks: SbCache::new(true),
             interest: InterestBuf::default(),
         })
     }
@@ -141,25 +135,20 @@ impl Machine {
         self.status = status;
     }
 
-    /// Builder-style decode-cache knob: `boot(..)?.with_decode_cache(false)`
-    /// yields the pre-cache interpreter (useful for differential parity
-    /// testing and the `vm_decode_cache` benchmarks). The cache is **on**
-    /// by default and is bit-identical to the slow path by construction.
-    ///
-    /// The knob selects the whole accelerated stack: it also sets the
-    /// superblock tier, so `false` drops to the pure word-at-a-time
-    /// interpreter. Refine with [`Machine::with_superblocks`] *after*
-    /// this call for the icache-only middle tier.
+    /// Builder-style decode-cache knob, choosing between the machine's
+    /// two execution tiers: `true` (the default) runs decoded ops from
+    /// the predecoded-page cache, `false` the word-at-a-time
+    /// interpreter, which is the cache's reference for differential
+    /// parity tests. The two are bit-identical by construction.
     pub fn with_decode_cache(mut self, enabled: bool) -> Machine {
         self.set_decode_cache(enabled);
         self
     }
 
-    /// Enable/disable the predecoded instruction cache in place (also
-    /// sets the superblock tier; see [`Machine::with_decode_cache`]).
+    /// Enable/disable the predecoded instruction cache in place (see
+    /// [`Machine::with_decode_cache`]).
     pub fn set_decode_cache(&mut self, enabled: bool) {
         self.icache.set_enabled(enabled);
-        self.sblocks.set_enabled(enabled);
     }
 
     /// Whether the predecoded instruction cache is enabled.
@@ -167,40 +156,23 @@ impl Machine {
         self.icache.enabled()
     }
 
-    /// Builder-style superblock-tier knob, applied on top of the decode
-    /// cache: `with_decode_cache(true).with_superblocks(false)` is the
-    /// icache-only middle tier. The tier is **on** by default and is
-    /// bit-identical to per-instruction execution by construction.
-    pub fn with_superblocks(mut self, enabled: bool) -> Machine {
-        self.sblocks.set_enabled(enabled);
+    /// Inert: returns `self` unchanged. The machine has no superblock
+    /// tier; this is kept only so the `benchmark` package builds, and
+    /// ROADMAP item 3 deletes it together with its caller.
+    pub fn with_superblocks(self, _enabled: bool) -> Machine {
         self
     }
 
-    /// Enable/disable the superblock tier in place.
-    pub fn set_superblocks(&mut self, enabled: bool) {
-        self.sblocks.set_enabled(enabled);
-    }
-
-    /// Whether the superblock execution tier is enabled.
-    pub fn superblocks_enabled(&self) -> bool {
-        self.sblocks.enabled()
-    }
-
     /// Hit/miss/invalidation counters of the decode cache.
-    ///
-    /// Deliberately excludes superblock-tier activity: both tiers
-    /// observe the same dirtying events (a rollback flush and a
-    /// write-generation bump to the same page in one step, say), and a
-    /// merged counter would double-count that single event. Use
-    /// [`Machine::superblock_stats`] for the tier-2 counters.
     pub fn icache_stats(&self) -> CacheStats {
         self.icache.stats()
     }
 
-    /// Dispatch/retire/invalidation counters of the superblock tier
-    /// (kept separate from [`Machine::icache_stats`]; see there).
+    /// Inert: always all-zero. The machine has no superblock tier; this
+    /// is kept only so the `benchmark` package builds, and ROADMAP item
+    /// 3 deletes it together with its caller.
     pub fn superblock_stats(&self) -> SbStats {
-        self.sblocks.stats()
+        SbStats::default()
     }
 
     /// Export this machine's execution counters into an
@@ -220,14 +192,6 @@ impl Machine {
         reg.set_counter("svm.icache.invalidations", st.invalidations);
         reg.set_counter("svm.icache.bypasses", st.bypasses);
         reg.set_counter("svm.icache.flushes", st.flushes);
-        let sb = self.sblocks.stats();
-        reg.set_counter("svm.superblock.built", sb.built);
-        reg.set_counter("svm.superblock.dispatches", sb.dispatches);
-        reg.set_counter("svm.superblock.insns", sb.insns);
-        reg.set_counter("svm.superblock.invalidations", sb.invalidations);
-        reg.set_counter("svm.superblock.bailouts", sb.bailouts);
-        reg.set_counter("svm.superblock.bypasses", sb.bypasses);
-        reg.set_counter("svm.superblock.flushes", sb.flushes);
         reg.set_counter("svm.mem.write_seq", self.mem.write_seq());
         reg.set_counter("svm.heap.allocs", self.heap.allocs);
         reg.set_counter("svm.heap.frees", self.heap.frees);
@@ -242,18 +206,14 @@ impl Machine {
         );
     }
 
-    /// Drop every predecoded page *and* every compiled superblock.
+    /// Drop every predecoded page.
     ///
     /// Required after any out-of-band replacement of this machine's
     /// memory or layout (checkpoint restore does this via `Clone`, which
     /// is already cold; call it explicitly if you swap `mem` by hand).
-    /// Both tiers flush together so rollback can never leave stale fused
-    /// blocks behind a fresh decode cache; each tier records the flush
-    /// in its *own* stats (count-once: one event, one counter per tier,
-    /// never summed — see [`Machine::icache_stats`]).
+    /// The flush counts once in [`Machine::icache_stats`].
     pub fn flush_decode_cache(&mut self) {
         self.icache.flush();
-        self.sblocks.flush();
     }
 
     /// Clear a `Blocked` status so stepping retries the blocked syscall
@@ -314,48 +274,16 @@ impl Machine {
     /// ever see `&Machine` (and read `Running` there).
     ///
     /// The hook's [`Hook::interest`] is asked once, on entry, and only
-    /// the events it asks for are delivered. While it asks for nothing,
-    /// whole superblocks are dispatched through the tier-2 fast path
-    /// (`svm::superblock`). The answer is never kept across calls, so a
-    /// tool attached between runs (or on a fresh clone) observes every
-    /// subsequent instruction it asks for. Superblock execution is
-    /// bit-identical to per-instruction execution: same state, faults,
-    /// cycle accounting, and preemption points.
+    /// the events it asks for are delivered. The answer is never kept
+    /// across calls, so a tool attached between runs (or on a fresh
+    /// clone) observes every subsequent instruction it asks for.
     pub fn run(&mut self, hook: &mut dyn Hook, max_cycles: u64) -> Status {
         let deadline = self.clock.cycles().saturating_add(max_cycles);
         self.ask_interest(hook);
         if !self.enter() {
             return self.status;
         }
-        let quiet = self.interest.0.is_empty();
-        // Superblock entries are control-transfer targets by
-        // construction (blocks end at terminators), so the cache is
-        // probed at the start of the run and after every non-sequential
-        // pc move. Sequentially-advancing stretches — exactly the runs
-        // the tier declined to fuse — skip the probe per instruction
-        // instead of paying a guaranteed miss on every step.
-        let mut at_entry = true;
-        // The entry the tier most recently declined, valid while the
-        // memory write sequence is unchanged (identical memory means an
-        // identical answer). A branch-dense loop whose short body the
-        // tier hands back therefore runs at full icache speed instead
-        // of re-probing its entry every iteration. Skipping a probe is
-        // always safe: it only means the per-instruction path runs.
-        let mut no_fuse: Option<(u32, u64)> = None;
         loop {
-            let probe = at_entry
-                && self.sblocks.enabled()
-                && quiet
-                && no_fuse != Some((self.cpu.pc, self.mem.write_seq()));
-            if probe {
-                if self.exec_superblock(deadline) {
-                    if !self.status.is_running() || self.clock.cycles() >= deadline {
-                        return self.status;
-                    }
-                    continue;
-                }
-                no_fuse = Some((self.cpu.pc, self.mem.write_seq()));
-            }
             let pc = self.cpu.pc;
             match self.exec_one(pc, hook) {
                 Ok(Status::Running) => {}
@@ -371,77 +299,7 @@ impl Machine {
             if self.clock.cycles() >= deadline {
                 return Status::Running;
             }
-            at_entry = self.cpu.pc != pc.wrapping_add(INSN_SIZE);
         }
-    }
-
-    /// Dispatch one superblock at the current pc. Returns `false` when
-    /// the tier has nothing to offer here (no block, terminator at the
-    /// entry, bypass) and the caller should take one per-instruction
-    /// step instead. On `true`, at least one instruction was retired and
-    /// the machine state (cpu, clock, counters, status) is exactly what
-    /// per-instruction execution of the same run would have produced.
-    fn exec_superblock(&mut self, deadline: u64) -> bool {
-        let entry = self.cpu.pc;
-        let Some(blk) = self.sblocks.lookup(&self.mem, &self.layout, entry) else {
-            return false;
-        };
-        let mut ctx = SbCtx {
-            regs: self.cpu.regs,
-            flags: self.cpu.flags,
-            mem: &mut self.mem,
-            clock: &mut self.clock,
-            pc: entry,
-            stack_base: self.layout.stack_top - self.layout.stack_size,
-            stack_top: self.layout.stack_top,
-        };
-        let mut retired = 0u64;
-        let mut done = 0u32;
-        let mut fault: Option<Fault> = None;
-        let mut bailed = false;
-        for op in blk.ops.iter() {
-            ctx.pc = entry + done * INSN_SIZE;
-            retired += 1;
-            ctx.clock.tick(cost::INSN);
-            match op(&mut ctx) {
-                Ok(stored) => {
-                    done += 1;
-                    // Self-modifying code: if the store dirtied the
-                    // block's own page, the remaining fused ops may be
-                    // stale — commit and bail to the interpreter, which
-                    // (re)validates lazily, exactly like the icache.
-                    if stored && ctx.mem.page_gen(blk.pno) != blk.gen {
-                        bailed = true;
-                        break;
-                    }
-                    // Same preemption point the interpreter's run loop
-                    // checks after every instruction.
-                    if ctx.clock.cycles() >= deadline {
-                        break;
-                    }
-                }
-                Err(f) => {
-                    fault = Some(f);
-                    break;
-                }
-            }
-        }
-        // Write the locally-cached registers back at the block exit.
-        let fault_pc = ctx.pc;
-        self.cpu.regs = ctx.regs;
-        self.cpu.flags = ctx.flags;
-        self.insns_retired += retired;
-        match fault {
-            // Freeze at the faulting pc with the faulting instruction
-            // counted — identical to `exec_one`'s fault semantics.
-            Some(f) => {
-                self.cpu.pc = fault_pc;
-                self.status = Status::Faulted(f);
-            }
-            None => self.cpu.pc = entry + done * INSN_SIZE,
-        }
-        self.sblocks.note_dispatch(retired, bailed);
-        true
     }
 
     #[inline(always)]
@@ -692,6 +550,15 @@ impl Machine {
         }
         Ok(SysOutcome::Done)
     }
+}
+
+/// Counters of the superblock tier the machine no longer has: inert,
+/// always zero, kept only so the `benchmark` package builds. ROADMAP
+/// item 3 deletes it together with [`Machine::superblock_stats`].
+#[derive(Debug, Default)]
+pub struct SbStats {
+    /// Instructions retired by the superblock tier: always 0.
+    pub insns: u64,
 }
 
 enum SysOutcome {

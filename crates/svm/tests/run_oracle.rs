@@ -11,12 +11,13 @@
 //! random schedule of runs with random budgets, input, a re-randomized
 //! layout and NX toggles, on four legs of one machine:
 //!
-//! * `run` on the decode-cache tier and a step loop on the same tier,
-//!   which must agree on everything, decode-cache counters included;
-//! * `run` on the full tier (superblocks on), and a step loop on the
-//!   plain interpreter (no decode cache), which must agree with the
-//!   first two on the architectural state: registers, pc, clock,
-//!   retired instructions and syscalls, status and the returned status.
+//! * `run` on the decode-cache tier, a step loop on the same tier and
+//!   `run` on the default machine (no tier chosen), which must agree on
+//!   everything, decode-cache counters included;
+//! * a step loop on the plain interpreter (no decode cache), which must
+//!   agree with the other three on the architectural state: registers,
+//!   pc, clock, retired instructions and syscalls, status and the
+//!   returned status.
 //!
 //! The interpreter leg is what catches a cache that keeps serving a data
 //! page after NX was switched on; the run-vs-step pair catches a run
@@ -258,18 +259,18 @@ impl Leg {
 }
 
 /// The four legs of one guest: run and steps on the decode-cache tier,
-/// run on the full tier, steps on the plain interpreter.
+/// run on the default machine, steps on the plain interpreter.
 fn legs(body: &[(u8, u16)], hooked: bool) -> Vec<Leg> {
     let prog = assemble(&guest(body)).expect("asm");
     let mut m = Machine::boot(&prog, Aslr::off()).expect("boot");
     let conn = m.net.push_streaming_connection(Vec::new());
-    let icache = m.clone().with_decode_cache(true).with_superblocks(false);
-    let full = m.clone().with_decode_cache(true);
+    let icache = m.clone().with_decode_cache(true);
+    let default = m.clone();
     let interp = m.with_decode_cache(false);
     [
         (icache.clone(), Exec::Run),
         (icache, Exec::Steps),
-        (full, Exec::Run),
+        (default, Exec::Run),
         (interp, Exec::Steps),
     ]
     .into_iter()
@@ -287,8 +288,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// After every host op, `run` agrees with a loop of single steps on
-    /// the same tier (decode-cache counters included), and all four
-    /// legs agree on the architectural state and the hook's events.
+    /// the same tier and with the default machine (decode-cache counters
+    /// included), and all four legs agree on the architectural state and
+    /// the hook's events.
     #[test]
     fn run_matches_a_loop_of_steps(
         body in vec((0u8..12, any::<u16>()), 1..8),
@@ -305,13 +307,16 @@ proptest! {
                 prop_assert_eq!(&leg.arch(), &want, "leg {} after op {} = {:?}", k, i, op);
                 prop_assert_eq!(leg.events(), legs[1].events(), "leg {} events after op {}", k, i);
             }
-            prop_assert_eq!(
-                legs[0].icache(),
-                legs[1].icache(),
-                "decode-cache counters after op {} = {:?}",
-                i,
-                op
-            );
+            for k in [0, 2] {
+                prop_assert_eq!(
+                    legs[k].icache(),
+                    legs[1].icache(),
+                    "leg {} decode-cache counters after op {} = {:?}",
+                    k,
+                    i,
+                    op
+                );
+            }
         }
     }
 }
@@ -358,9 +363,7 @@ fn nx_toggle_between_runs_reaches_the_decode_cache() {
                ld r2, [r6, 12]\n st [r9, 12], r2\nloop:\n callr r9\n jmp loop\n\
                tmpl:\n addi r3, r3, 1\n ret\n.data\ncode: .space 16\n";
     let prog = assemble(src).expect("asm");
-    let mut m = Machine::boot(&prog, Aslr::off())
-        .expect("boot")
-        .with_superblocks(false);
+    let mut m = Machine::boot(&prog, Aslr::off()).expect("boot");
     assert_eq!(m.run(&mut NopHook, 2_000), Status::Running);
     assert!(m.cpu.get(svm::isa::Reg(3)) > 0, "the data page ran");
     m.mem.nx = true;

@@ -37,8 +37,6 @@ pub mod timeline;
 pub use config::{Config, RecoveryMode, Role};
 pub use error::SweeperError;
 pub use fault::{FaultHooks, NoFaultHooks};
-pub use pipeline::{
-    analyze_attack, timings_from_timeline, AnalysisReport, InputFinding, SliceVerdict, StepTimings,
-};
+pub use pipeline::{analyze_attack, AnalysisReport, InputFinding, SliceVerdict, StepTimings};
 pub use runtime::{AttackReport, BundleOutcome, HostStatus, PollOutcome, RequestOutcome, Sweeper};
 pub use timeline::{Event, LatencyBook, Stamped, Timeline};

@@ -1744,21 +1744,19 @@ mod rerandomization_tests {
         let mut cfg = Config::producer(77);
         cfg.aslr = Aslr::on(77);
         let mut s = Sweeper::protect(&app, cfg).expect("protect");
-        let mut tags = vec![s.machine.layout.cache_tag()];
+        let mut layouts = vec![s.machine.layout];
         for _ in 0..8 {
             s.restart(&[]);
-            tags.push(s.machine.layout.cache_tag());
+            let layout = s.machine.layout;
+            assert!(!layouts.contains(&layout), "layout repeated: {layout:#x?}");
+            layouts.push(layout);
         }
-        let mut uniq = tags.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), tags.len(), "layout repeated: {tags:#x?}");
         // No restart layout may equal a neighboring host's boot layout
         // (the exact collision the additive scheme produced).
         for n in 1..=8u64 {
-            let neighbor = Layout::randomized(Aslr::on(77 + n)).cache_tag();
+            let neighbor = Layout::randomized(Aslr::on(77 + n));
             assert!(
-                !tags[1..].contains(&neighbor),
+                !layouts[1..].contains(&neighbor),
                 "restart re-derived neighbor boot layout seed+{n}"
             );
         }

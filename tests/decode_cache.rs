@@ -1,16 +1,15 @@
-//! Differential parity for the accelerated execution tiers.
+//! Differential parity for the decode cache against its reference.
 //!
-//! The predecoded icache (`svm::icache`) and the superblock tier
-//! (`svm::superblock`) are pure performance knobs: on any of the three
-//! stacks — pure interpreter, icache only, icache + superblocks — every
-//! guest (all four Table 1 servers, every exploit variant, and
-//! checkpoint/rollback/replay round trips) must produce
-//! **bit-identical** observable behavior: the same final `Status` (same
-//! `Fault` at the same pc), the same retired-instruction and
-//! virtual-cycle counts, the same connection outputs, the same
-//! compromise verdicts. This is the executable form of both tiers'
-//! correctness contracts; `tests/parity.rs` plays the same role for the
-//! sharded community engine.
+//! The predecoded icache (`svm::icache`) is a pure performance knob: on
+//! either tier — pure interpreter or icache — every guest (all four
+//! Table 1 servers, every exploit variant, and checkpoint/rollback/
+//! replay round trips) must produce **bit-identical** observable
+//! behavior: the same final `Status` (same `Fault` at the same pc), the
+//! same retired-instruction and virtual-cycle counts, the same
+//! connection outputs, the same compromise verdicts. This is the
+//! executable form of the cache's correctness contract;
+//! `tests/parity.rs` plays the same role for the sharded community
+//! engine.
 //!
 //! The self-modifying-code tests at the bottom pin the invalidation
 //! machinery: a guest (or host) write to a cached executable page must
@@ -54,24 +53,18 @@ enum Boot {
     Nominal,
 }
 
-/// One of the three execution stacks under differential test.
+/// One of the two execution tiers under differential test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Tier {
     /// Pure word-at-a-time interpreter.
     Interp,
-    /// Predecoded icache only.
+    /// Predecoded icache.
     Icache,
-    /// Icache + superblock closure chains.
-    Full,
 }
 
 impl Tier {
     fn apply(self, m: Machine) -> Machine {
-        match self {
-            Tier::Interp => m.with_decode_cache(false),
-            Tier::Icache => m.with_decode_cache(true).with_superblocks(false),
-            Tier::Full => m.with_decode_cache(true),
-        }
+        m.with_decode_cache(self == Tier::Icache)
     }
 }
 
@@ -92,34 +85,12 @@ fn run_inputs(app: &App, boot: &Boot, inputs: &[Vec<u8>], tier: Tier) -> Fingerp
         "must finish within fuel"
     );
     match tier {
-        Tier::Interp => {
-            assert_eq!(
-                m.icache_stats(),
-                Default::default(),
-                "disabled cache is inert"
-            );
-            assert_eq!(
-                m.superblock_stats(),
-                Default::default(),
-                "disabled superblock tier is inert"
-            );
-        }
-        Tier::Icache => {
-            assert!(m.icache_stats().hits > 0, "cache must actually engage");
-            assert_eq!(
-                m.superblock_stats(),
-                Default::default(),
-                "sb-off leaves the tier inert"
-            );
-        }
-        Tier::Full => {
-            assert!(m.icache_stats().hits > 0, "cache must actually engage");
-            assert!(
-                m.superblock_stats().dispatches > 0,
-                "superblock tier must actually engage: {:?}",
-                m.superblock_stats()
-            );
-        }
+        Tier::Interp => assert_eq!(
+            m.icache_stats(),
+            Default::default(),
+            "disabled cache is inert"
+        ),
+        Tier::Icache => assert!(m.icache_stats().hits > 0, "cache must actually engage"),
     }
     fingerprint(&m, status)
 }
@@ -128,13 +99,8 @@ fn run_inputs(app: &App, boot: &Boot, inputs: &[Vec<u8>], tier: Tier) -> Fingerp
 fn assert_parity(name: &str, app: &App, boot: Boot, inputs: Vec<Vec<u8>>) -> Fingerprint {
     let off = run_inputs(app, &boot, &inputs, Tier::Interp);
     let on = run_inputs(app, &boot, &inputs, Tier::Icache);
-    let sb = run_inputs(app, &boot, &inputs, Tier::Full);
     assert_eq!(off, on, "{name}: decode cache changed observable behavior");
-    assert_eq!(
-        on, sb,
-        "{name}: superblock tier changed observable behavior"
-    );
-    sb
+    on
 }
 
 #[test]
@@ -326,9 +292,7 @@ fn rollback_cycle(tier: Tier) -> [Fingerprint; 3] {
 fn rollback_then_replay_round_trip_parity() {
     let off = rollback_cycle(Tier::Interp);
     let on = rollback_cycle(Tier::Icache);
-    let sb = rollback_cycle(Tier::Full);
     assert_eq!(off, on, "cache changed a rollback/replay round trip");
-    assert_eq!(on, sb, "superblocks changed a rollback/replay round trip");
 }
 
 // ---------------------------------------------------------------------
@@ -405,23 +369,6 @@ fn guest_smc_sees_fresh_code_and_matches_uncached() {
         (s_off, m_off.cpu, m_off.insns_retired, m_off.clock.cycles()),
         "SMC runs identically with the cache off"
     );
-
-    let (m_sb, s_sb) = run_smc(Tier::Full);
-    assert_eq!(
-        (
-            s_on,
-            m_on.cpu.clone(),
-            m_on.insns_retired,
-            m_on.clock.cycles()
-        ),
-        (
-            s_sb,
-            m_sb.cpu.clone(),
-            m_sb.insns_retired,
-            m_sb.clock.cycles()
-        ),
-        "SMC runs identically with superblocks on"
-    );
 }
 
 #[test]
@@ -474,24 +421,19 @@ fn host_write_to_cached_code_page_invalidates() {
 fn rollback_flush_and_write_bump_same_page_count_once() {
     // Regression: when a rollback-path flush (`flush_decode_cache`, the
     // call `CheckpointManager::rollback` makes) and a write-generation
-    // bump land on the same warm page inside one step window, each tier
+    // bump land on the same warm page inside one step window, the cache
     // must record ONE event — the flush. The dirtying write lands on a
     // page the flush already dropped, so counting it again as an
-    // invalidation would double-count a single dirtying event. Each
-    // tier keeps its own counters and they are never summed.
-    //
-    // The loop body is long enough (>= the minimum fusion length) that
-    // the superblock tier dispatches it rather than caching a bypass.
+    // invalidation would double-count a single dirtying event.
     let prog = assemble(
         ".text\nmain:\nloop:\n movi r1, 1\n movi r2, 2\n movi r3, 3\n jmp loop\nhalt_src:\n halt\n.data\nv: .word 0\n",
     )
     .expect("asm");
     let mut m = Machine::boot(&prog, Aslr::off()).expect("boot");
-    // Warm both tiers on the loop page.
+    // Warm the cache on the loop page.
     assert!(matches!(m.run(&mut NopHook, 2000), Status::Running));
-    let (warm_i, warm_s) = (m.icache_stats(), m.superblock_stats());
+    let warm_i = m.icache_stats();
     assert!(warm_i.hits > 0, "icache warm");
-    assert!(warm_s.dispatches > 0, "superblock tier warm");
 
     // The rollback-path flush...
     m.flush_decode_cache();
@@ -508,21 +450,14 @@ fn rollback_flush_and_write_bump_same_page_count_once() {
         .expect("host patch");
     assert!(matches!(m.run(&mut NopHook, 2000), Status::Halted(_)));
 
-    let (after_i, after_s) = (m.icache_stats(), m.superblock_stats());
+    let after_i = m.icache_stats();
     assert_eq!(after_i.flushes, warm_i.flushes + 1, "one icache flush");
     assert_eq!(
         after_i.invalidations, warm_i.invalidations,
         "the write-gen bump must not ALSO count as an icache \
          invalidation — the flush already dropped the page"
     );
-    assert_eq!(after_s.flushes, warm_s.flushes + 1, "one superblock flush");
-    assert_eq!(
-        after_s.invalidations, warm_s.invalidations,
-        "the write-gen bump must not ALSO count as a superblock \
-         invalidation — the flush already dropped the block"
-    );
-    // Re-decode after the flush shows up as misses/builds, never as
+    // Re-decode after the flush shows up as misses, never as
     // invalidations.
     assert!(after_i.misses > warm_i.misses, "flushed pages re-decode");
-    assert!(after_s.built > warm_s.built, "flushed blocks rebuild");
 }

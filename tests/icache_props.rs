@@ -3,12 +3,14 @@
 //! Generalizes the hand-written self-modifying-code cases in
 //! `tests/decode_cache.rs`: a guest that perpetually re-installs code
 //! into an executable buffer (guest-store SMC) is driven through a
-//! *random interleaving* of stepping, host code patches, checkpoint
-//! clones, and rollbacks — once with the predecoded instruction cache
-//! on and once with it off. Every interleaving must leave the two
-//! machines bit-identical (pc, registers, retired instructions, virtual
-//! cycles). Any divergence means a stale cache line survived an
-//! invalidation path.
+//! *random interleaving* of single steps, bounded `Machine::run`
+//! bursts, host code patches, hook attach/detach, checkpoint clones,
+//! and rollbacks — once with the predecoded instruction cache on and
+//! once with it off. Every interleaving must leave the two machines
+//! bit-identical (pc, registers, retired instructions, virtual cycles)
+//! and must show a live hook the same instruction stream on both. Any
+//! divergence means a stale cache line survived an invalidation path,
+//! or a run skipped events a hook was owed.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -16,7 +18,7 @@ use sweeper_repro::checkpoint::{CheckpointManager, CkptId};
 use sweeper_repro::svm::asm::assemble;
 use sweeper_repro::svm::isa::Op;
 use sweeper_repro::svm::loader::Aslr;
-use sweeper_repro::svm::{Hook, Machine, NopHook, Status};
+use sweeper_repro::svm::{Hook, Interest, Machine, NopHook, Status};
 
 /// A guest that alternates between installing `tmpl_a` (verdict 7) and
 /// `tmpl_b` (verdict 9) into an executable data buffer and calling it:
@@ -68,9 +70,16 @@ buf: .space 16
 enum HostOp {
     /// Step the guest this many instructions.
     Step(u32),
+    /// Run the guest for this many virtual cycles (the `Machine::run`
+    /// loop).
+    Run(u32),
     /// Host-patch the executable buffer with template 0 or 1 (the same
     /// injection mechanism exploit payload installation uses).
     Patch(u8),
+    /// Attach the counting hook (liveness flips mid-execution).
+    Attach,
+    /// Detach the hook.
+    Detach,
     /// Take a checkpoint (COW clone of the whole machine).
     Checkpoint,
     /// Roll back to a retained checkpoint selected by this value.
@@ -80,7 +89,10 @@ enum HostOp {
 fn arb_op() -> impl Strategy<Value = HostOp> {
     prop_oneof![
         (1u32..300).prop_map(HostOp::Step),
+        (1u32..800).prop_map(HostOp::Run),
         (0u8..2).prop_map(HostOp::Patch),
+        Just(HostOp::Attach),
+        Just(HostOp::Detach),
         Just(HostOp::Checkpoint),
         any::<u64>().prop_map(HostOp::Rollback),
     ]
@@ -101,8 +113,28 @@ fn template_bytes(m: &Machine, label: &str) -> [u8; 16] {
     bytes
 }
 
+/// A hook whose liveness the schedule toggles; counts every
+/// instruction it is shown while live.
+#[derive(Default)]
+struct ToggleHook {
+    live: bool,
+    insns: u64,
+}
+
+impl Hook for ToggleHook {
+    fn interest(&self, out: &mut Interest) {
+        if self.live {
+            out.add_everything();
+        }
+    }
+    fn on_insn(&mut self, _m: &Machine, _pc: u32, _op: &Op) {
+        self.insns += 1;
+    }
+}
+
 struct Leg {
     m: Machine,
+    hook: ToggleHook,
     mgr: CheckpointManager,
     ckpts: Vec<CkptId>,
 }
@@ -115,6 +147,7 @@ impl Leg {
             .with_decode_cache(cache);
         Leg {
             m,
+            hook: ToggleHook::default(),
             // Manual cadence, generous retention: the interleaving
             // decides when clones happen.
             mgr: CheckpointManager::new(u64::MAX, 8),
@@ -126,10 +159,13 @@ impl Leg {
         match op {
             HostOp::Step(n) => {
                 for _ in 0..*n {
-                    if !matches!(self.m.step(), Status::Running) {
+                    if !matches!(self.m.step_hooked(&mut self.hook), Status::Running) {
                         break;
                     }
                 }
+            }
+            HostOp::Run(cycles) => {
+                self.m.run(&mut self.hook, u64::from(*cycles));
             }
             HostOp::Patch(which) => {
                 let label = if *which == 0 { "tmpl_a" } else { "tmpl_b" };
@@ -137,6 +173,8 @@ impl Leg {
                 let buf = self.m.symbols.addr_of("buf").expect("buf");
                 self.m.mem.write_bytes_host(buf, &bytes).expect("patch");
             }
+            HostOp::Attach => self.hook.live = true,
+            HostOp::Detach => self.hook.live = false,
             HostOp::Checkpoint => {
                 let id = self.mgr.take(&mut self.m);
                 self.ckpts.push(id);
@@ -157,9 +195,10 @@ impl Leg {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random interleavings of guest-store SMC, host patches, clones,
-    /// and rollbacks keep cache-on and cache-off execution bit-identical
-    /// after every single operation.
+    /// Random interleavings of guest-store SMC, steps and run bursts,
+    /// host patches, hook attach/detach, clones, and rollbacks keep
+    /// cache-on and cache-off execution bit-identical after every single
+    /// operation, delivering identical hook streams.
     #[test]
     fn interleaved_smc_patches_clones_rollbacks_keep_cache_parity(
         ops in vec(arb_op(), 1..32),
@@ -173,6 +212,13 @@ proptest! {
                 obs(&on.m),
                 obs(&off.m),
                 "diverged after op {} = {:?}",
+                i,
+                op
+            );
+            prop_assert_eq!(
+                on.hook.insns,
+                off.hook.insns,
+                "hook streams diverged after op {} = {:?}",
                 i,
                 op
             );
@@ -207,12 +253,22 @@ fn dense_interleaving_invalidates_and_stays_in_parity() {
         // Enough post-rollback work that the (fresh, rollback-reset)
         // cache re-engages and guest SMC invalidates it again.
         HostOp::Step(300),
+        // Run bursts with the hook attached, then detached again.
+        HostOp::Run(900),
+        HostOp::Attach,
+        HostOp::Run(350),
+        HostOp::Patch(1),
+        HostOp::Step(40),
+        HostOp::Detach,
+        HostOp::Run(600),
     ];
     for op in &script {
         on.apply(op);
         off.apply(op);
         assert_eq!(obs(&on.m), obs(&off.m), "diverged after {op:?}");
+        assert_eq!(on.hook.insns, off.hook.insns, "hooks after {op:?}");
     }
+    assert!(on.hook.insns > 0, "the attached hook saw instructions");
     assert!(on.m.icache_stats().hits > 0, "cache engaged");
     assert!(
         on.m.icache_stats().invalidations > 0,
@@ -221,37 +277,25 @@ fn dense_interleaving_invalidates_and_stays_in_parity() {
     );
 }
 
-/// Counts every instruction it is shown; asks for every event (the
-/// default interest).
-#[derive(Default)]
-struct CountHook {
-    insns: u64,
-}
-
-impl Hook for CountHook {
-    fn on_insn(&mut self, _m: &Machine, _pc: u32, _op: &Op) {
-        self.insns += 1;
-    }
-}
-
 /// Regression: a passive-hook fast-path decision made before
 /// `Machine::clone` must not leak into the clone. If the machine cached
 /// "hook is passive" anywhere copyable, a hook attaching between the
-/// clone and its first step could miss the clone's first instruction(s)
-/// — the superblock tier would dispatch a whole block before anyone
-/// re-asked. The hook's interest must be asked on the clone's first run.
+/// clone and its first step could miss the clone's first
+/// instruction(s). The hook's interest must be asked on the clone's
+/// first run.
 #[test]
 fn clone_does_not_inherit_passive_fast_path_decision() {
     let prog = assemble(SMC_LOOP_GUEST).expect("asm");
     let mut m = Machine::boot(&prog, Aslr::off()).expect("boot");
-    // Decide the passive fast path on the live machine: the superblock
-    // tier is warm and mid-dispatch-cadence.
+    // Decide the passive fast path on the live machine.
     assert!(m.run(&mut NopHook, 1_000).is_running());
-    assert!(m.superblock_stats().dispatches > 0, "fast path decided");
 
     // Clone, then attach a live hook before the clone's first step.
     let mut c = m.clone();
-    let mut h = CountHook::default();
+    let mut h = ToggleHook {
+        live: true,
+        insns: 0,
+    };
     let before = c.insns_retired;
     assert!(c.run(&mut h, 500).is_running());
     let retired = c.insns_retired - before;
@@ -260,11 +304,6 @@ fn clone_does_not_inherit_passive_fast_path_decision() {
         h.insns, retired,
         "the hook must see the clone's very first instruction — \
          liveness is re-checked on the first dispatch, never inherited"
-    );
-    assert_eq!(
-        c.superblock_stats().dispatches,
-        0,
-        "no superblock may dispatch on the clone while a hook is live"
     );
 
     // Control: the pre-clone machine itself keeps fast-pathing, and the

@@ -1,15 +1,24 @@
-//! Property test for the superblock execution tier (PR 6 satellite).
+//! Property test for the `Machine::run` loop against its two references.
 //!
-//! Generalizes `tests/icache_props.rs` to the full three-tier stack and
-//! to hook liveness: a self-modifying guest is driven through a random
-//! interleaving of bounded `Machine::run` bursts, host code patches,
+//! The file keeps the name it had while it covered the superblock tier;
+//! that tier is gone, and `run` is now one loop of decode-cached steps
+//! plus a deadline check that enters the machine (status and layout
+//! check) once per call. A self-modifying guest is driven through a
+//! random interleaving of cycle-bounded run bursts, host code patches,
 //! hook attach/detach, checkpoint clones, and rollbacks — once per
-//! execution tier (interpreter, icache only, icache + superblocks). The
-//! three machines must stay bit-identical (pc, registers, retired
+//! execution path:
+//!
+//! - `Interp`: `run` on the word-at-a-time interpreter (cache off);
+//! - `CachedRun`: `run` on the decode cache;
+//! - `CachedStep`: the same cycle budget spent through `step_hooked`,
+//!   which re-enters the machine and re-asks the hook's interest before
+//!   every instruction.
+//!
+//! The three machines must stay bit-identical (pc, registers, retired
 //! instructions, virtual cycles) after **every operation**, and a live
-//! hook must see exactly the same instruction stream on every tier. Any
-//! divergence means a stale superblock survived an invalidation path,
-//! or a block dispatched while a hook was owed events.
+//! hook must see exactly the same instruction stream on every path. A
+//! divergence means a stale cache line survived an invalidation path,
+//! or a run skipped events a hook was owed because it entered once.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -17,7 +26,7 @@ use sweeper_repro::checkpoint::{CheckpointManager, CkptId};
 use sweeper_repro::svm::asm::assemble;
 use sweeper_repro::svm::isa::Op;
 use sweeper_repro::svm::loader::Aslr;
-use sweeper_repro::svm::{Hook, Interest, Machine};
+use sweeper_repro::svm::{Hook, Interest, Machine, Status};
 
 /// Same perpetual guest-store SMC guest as `tests/icache_props.rs`:
 /// alternating templates are installed into an executable buffer and
@@ -67,14 +76,13 @@ buf: .space 16
 /// One host-side action in the interleaving.
 #[derive(Debug, Clone)]
 enum HostOp {
-    /// Run the guest for this many virtual cycles (the `Machine::run`
-    /// loop, where the superblock tier engages).
+    /// Run the guest for this many virtual cycles.
     Run(u32),
     /// Host-patch the executable buffer with template 0 or 1.
     Patch(u8),
     /// Attach the counting hook (liveness flips mid-execution).
     Attach,
-    /// Detach the hook (the fast path may re-engage).
+    /// Detach the hook.
     Detach,
     /// Take a checkpoint (COW clone of the whole machine).
     Checkpoint,
@@ -93,7 +101,7 @@ fn arb_op() -> impl Strategy<Value = HostOp> {
     ]
 }
 
-/// Observable state that must stay identical across the tier knobs.
+/// Observable state that must stay identical across the paths.
 fn obs(m: &Machine) -> (u32, [u32; 15], u64, u64) {
     (m.cpu.pc, m.cpu.regs, m.insns_retired, m.clock.cycles())
 }
@@ -127,15 +135,16 @@ impl Hook for ToggleHook {
     }
 }
 
-/// One execution stack.
-#[derive(Debug, Clone, Copy)]
-enum Tier {
+/// One execution path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Path {
     Interp,
-    Icache,
-    Full,
+    CachedRun,
+    CachedStep,
 }
 
 struct Leg {
+    path: Path,
     m: Machine,
     hook: ToggleHook,
     mgr: CheckpointManager,
@@ -143,15 +152,13 @@ struct Leg {
 }
 
 impl Leg {
-    fn boot(tier: Tier) -> Leg {
+    fn boot(path: Path) -> Leg {
         let prog = assemble(SMC_LOOP_GUEST).expect("asm");
-        let m = Machine::boot(&prog, Aslr::off()).expect("boot");
-        let m = match tier {
-            Tier::Interp => m.with_decode_cache(false),
-            Tier::Icache => m.with_decode_cache(true).with_superblocks(false),
-            Tier::Full => m.with_decode_cache(true),
-        };
+        let m = Machine::boot(&prog, Aslr::off())
+            .expect("boot")
+            .with_decode_cache(path != Path::Interp);
         Leg {
+            path,
             m,
             hook: ToggleHook::default(),
             mgr: CheckpointManager::new(u64::MAX, 8),
@@ -159,10 +166,24 @@ impl Leg {
         }
     }
 
+    /// Spend `cycles` of virtual time with `run`'s contract (stop when
+    /// the status leaves `Running` or the deadline passes), one
+    /// `step_hooked` call per instruction.
+    fn step_for(&mut self, cycles: u64) {
+        let deadline = self.m.clock.cycles().saturating_add(cycles);
+        while matches!(self.m.step_hooked(&mut self.hook), Status::Running)
+            && self.m.clock.cycles() < deadline
+        {}
+    }
+
     fn apply(&mut self, op: &HostOp) {
         match op {
             HostOp::Run(cycles) => {
-                self.m.run(&mut self.hook, u64::from(*cycles));
+                if self.path == Path::CachedStep {
+                    self.step_for(u64::from(*cycles));
+                } else {
+                    self.m.run(&mut self.hook, u64::from(*cycles));
+                }
             }
             HostOp::Patch(which) => {
                 let label = if *which == 0 { "tmpl_a" } else { "tmpl_b" };
@@ -193,46 +214,52 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random schedules of SMC, host patches, hook attach/detach,
-    /// clones, and rollbacks keep all three tiers bit-identical after
+    /// clones, and rollbacks keep all three paths bit-identical after
     /// every single operation, delivering identical hook streams.
     #[test]
     fn interleaved_schedules_keep_three_tier_parity(
         ops in vec(arb_op(), 1..32),
     ) {
-        let mut full = Leg::boot(Tier::Full);
-        let mut icache = Leg::boot(Tier::Icache);
-        let mut interp = Leg::boot(Tier::Interp);
+        let mut run = Leg::boot(Path::CachedRun);
+        let mut step = Leg::boot(Path::CachedStep);
+        let mut interp = Leg::boot(Path::Interp);
         for (i, op) in ops.iter().enumerate() {
-            full.apply(op);
-            icache.apply(op);
+            run.apply(op);
+            step.apply(op);
             interp.apply(op);
             prop_assert_eq!(
-                obs(&full.m), obs(&interp.m),
-                "full stack diverged from interpreter after op {} = {:?}", i, op
+                obs(&run.m), obs(&interp.m),
+                "cached run loop diverged from interpreter after op {} = {:?}", i, op
             );
             prop_assert_eq!(
-                obs(&icache.m), obs(&interp.m),
-                "icache tier diverged from interpreter after op {} = {:?}", i, op
+                obs(&step.m), obs(&interp.m),
+                "cached stepping diverged from interpreter after op {} = {:?}", i, op
             );
             prop_assert_eq!(
-                full.hook.insns, interp.hook.insns,
-                "hook streams diverged after op {} = {:?}", i, op
+                run.hook.insns, interp.hook.insns,
+                "run-loop hook stream diverged after op {} = {:?}", i, op
+            );
+            prop_assert_eq!(
+                step.hook.insns, interp.hook.insns,
+                "stepping hook stream diverged after op {} = {:?}", i, op
             );
         }
-        // The interpreter leg's tiers must stay inert throughout.
+        // The interpreter leg's cache must stay inert throughout, and
+        // entering once per run or once per step must decode and
+        // invalidate the same lines.
         prop_assert_eq!(interp.m.icache_stats(), Default::default());
-        prop_assert_eq!(interp.m.superblock_stats(), Default::default());
-        prop_assert_eq!(icache.m.superblock_stats(), Default::default());
+        prop_assert_eq!(run.m.icache_stats(), step.m.icache_stats());
     }
 }
 
 /// Deterministic companion: a fixed dense schedule that must engage and
-/// invalidate the superblock tier, and must deliver hook events on the
-/// full stack, so silent tier-disablement regressions fail loudly.
+/// invalidate the run loop's decode cache, and must deliver hook events
+/// on it, so silent cache-disablement regressions fail loudly.
 #[test]
 fn dense_schedule_engages_and_invalidates_superblocks() {
-    let mut full = Leg::boot(Tier::Full);
-    let mut interp = Leg::boot(Tier::Interp);
+    let mut run = Leg::boot(Path::CachedRun);
+    let mut step = Leg::boot(Path::CachedStep);
+    let mut interp = Leg::boot(Path::Interp);
     let script = [
         HostOp::Run(900),
         HostOp::Checkpoint,
@@ -245,17 +272,27 @@ fn dense_schedule_engages_and_invalidates_superblocks() {
         HostOp::Rollback(0),
         HostOp::Patch(0),
         // Enough post-rollback work that the (cold, rollback-reset)
-        // tier re-engages and the patch invalidates a rebuilt block.
+        // cache re-engages and the patch invalidates a rebuilt line.
         HostOp::Run(900),
     ];
     for op in &script {
-        full.apply(op);
+        run.apply(op);
+        step.apply(op);
         interp.apply(op);
-        assert_eq!(obs(&full.m), obs(&interp.m), "diverged after {op:?}");
-        assert_eq!(full.hook.insns, interp.hook.insns, "hooks after {op:?}");
+        assert_eq!(obs(&run.m), obs(&interp.m), "run diverged after {op:?}");
+        assert_eq!(obs(&step.m), obs(&interp.m), "step diverged after {op:?}");
+        assert_eq!(run.hook.insns, interp.hook.insns, "run hooks after {op:?}");
+        assert_eq!(
+            step.hook.insns, interp.hook.insns,
+            "step hooks after {op:?}"
+        );
     }
-    let sb = full.m.superblock_stats();
-    assert!(sb.dispatches > 0, "tier engaged: {sb:?}");
-    assert!(sb.invalidations > 0, "host patches invalidated: {sb:?}");
-    assert!(full.hook.insns > 0, "the attached hook saw instructions");
+    let st = run.m.icache_stats();
+    assert!(st.hits > 0, "cache engaged: {st:?}");
+    assert!(
+        st.invalidations > 0,
+        "guest SMC and host patches invalidated: {st:?}"
+    );
+    assert_eq!(st, step.m.icache_stats(), "run and step paths cache alike");
+    assert!(run.hook.insns > 0, "the attached hook saw instructions");
 }
