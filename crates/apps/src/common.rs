@@ -7,6 +7,8 @@
 //! are `lib. free`/`lib. strcat`), with the application callsite one
 //! frame up — recovered by the analyses via shadow call stacks.
 
+use std::sync::Arc;
+
 use svm::asm::{assemble, Program};
 use svm::loader::{Aslr, Layout};
 use svm::{Machine, SvmError};
@@ -72,8 +74,8 @@ pub struct App {
     pub threat: &'static str,
     /// Full assembly source.
     pub source: String,
-    /// Assembled program.
-    pub program: Program,
+    /// Assembled program, shared with every host that protects it.
+    pub program: Arc<Program>,
 }
 
 impl App {
@@ -86,7 +88,7 @@ impl App {
         threat: &'static str,
         source: String,
     ) -> Result<App, SvmError> {
-        let program = assemble(&source)?;
+        let program = Arc::new(assemble(&source)?);
         Ok(App {
             name,
             stands_for,

@@ -6,7 +6,8 @@
 //! whose write generation advanced since the previous capture into a
 //! [`DedupeStore`] — identical page contents anywhere across the ring
 //! share one store slot — and records a cumulative `page -> (slot, gen)`
-//! table per snapshot (16 bytes per page, no data). Reconstruction
+//! table per snapshot (an ascending vector, 24 bytes per page, no
+//! data). Reconstruction
 //! ([`DeltaRecord::materialize`]) rebuilds a `Machine` from the record's
 //! machine skeleton plus the store, verifies the full-image digest
 //! captured at take time, and is bit-identical to a full clone — a
@@ -15,13 +16,18 @@
 //!
 //! Every page hash — dedupe keys, the full-image digest taken at every
 //! snapshot and verified at every materialize, and
-//! [`crate::recovery_digest`] — goes through one [`page_digest`]: four
+//! [`crate::recovery_digest`] — goes through one [`page_digest`]. A
+//! capture hashes only the pages it interns, in the common case: every
+//! store slot keeps its content's digest, and an inherited page that
+//! still shares its slot's storage contributes that digest to the image
+//! digest unhashed. [`page_digest`] runs four
 //! independent lanes over a page's little-endian `u64` words (each lane
 //! an xor-multiply-rotate chain), folded into one `u64`. A never-written
 //! page skips the loop: its digest is the compile-time lane hash of
 //! 4,096 zero bytes, so it still dedupes with a written all-zero page.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use svm::mem::{Mem, Page};
@@ -124,26 +130,59 @@ pub(crate) fn fold_page(h: u64, page: &Page) -> u64 {
 pub fn mem_digest(mem: &Mem) -> u64 {
     let mut h = FNV_OFFSET;
     for (pno, gen, page) in mem.pages() {
-        h = fold_word(h, pno as u64);
-        h = fold_word(h, gen);
-        h = fold_page(h, page);
+        h = fold_image_page(h, pno, gen, page_digest(page));
     }
-    h = fold_word(h, mem.write_seq());
-    fold_word(h, mem.nx as u64)
+    fold_image_tail(h, mem)
+}
+
+/// One page's words in [`mem_digest`]: number, generation, content digest.
+fn fold_image_page(h: u64, pno: u32, gen: u64, digest: u64) -> u64 {
+    fold_word(fold_word(fold_word(h, pno as u64), gen), digest)
+}
+
+/// The last words of [`mem_digest`]: the write watermark and NX flag.
+fn fold_image_tail(h: u64, mem: &Mem) -> u64 {
+    fold_word(fold_word(h, mem.write_seq()), mem.nx as u64)
 }
 
 /// A key into the [`DedupeStore`] (derived from the page's content hash,
 /// probed past collisions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageKey(u64);
 
 struct StoreSlot {
     data: Arc<Page>,
-    /// Content digest of `data` (collision verification).
+    /// Content digest of `data` (collision verification, and the page's
+    /// word in the image digest of every capture that references it).
     digest: u64,
     /// How many delta-record entries reference this slot; the slot is
     /// compacted away when the count returns to zero.
     refs: u64,
+}
+
+/// Hashes a slot key as itself: keys are content digests (or digests
+/// re-probed by an odd constant), already uniform, so a keyed hash over
+/// them buys nothing. Fixed, not seeded per process. Guest input reaches
+/// page contents, so keys could be crafted to share buckets; the worst
+/// that buys is longer probes over a store that holds at most the
+/// distinct pages of the retained ring.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
 }
 
 /// Running statistics of a [`DedupeStore`] (all monotone counters, safe
@@ -169,7 +208,7 @@ pub struct StoreStats {
 /// evicted.
 #[derive(Default)]
 pub struct DedupeStore {
-    slots: HashMap<u64, StoreSlot>,
+    slots: HashMap<u64, StoreSlot, BuildHasherDefault<KeyHasher>>,
     stats: StoreStats,
 }
 
@@ -188,6 +227,12 @@ impl DedupeStore {
     /// a byte compare.
     pub fn intern(&mut self, data: Arc<Page>) -> PageKey {
         let digest = page_digest(&data);
+        self.intern_digested(data, digest)
+    }
+
+    /// [`DedupeStore::intern`] for a page whose [`page_digest`] the
+    /// caller already holds.
+    fn intern_digested(&mut self, data: Arc<Page>, digest: u64) -> PageKey {
         let mut key = digest;
         loop {
             match self.slots.get_mut(&key) {
@@ -214,8 +259,24 @@ impl DedupeStore {
     }
 
     /// The page behind `key`, if the slot is still live.
-    pub fn get(&self, key: PageKey) -> Option<Arc<Page>> {
-        self.slots.get(&key.0).map(|s| Arc::clone(&s.data))
+    pub fn get(&self, key: PageKey) -> Option<&Arc<Page>> {
+        self.slots.get(&key.0).map(|s| &s.data)
+    }
+
+    /// Take one more reference to `key` for an entry inherited from a
+    /// previous table, and return the [`page_digest`] of `live`, the
+    /// page the entry stands for: the slot's stored digest when the slot
+    /// holds `live`'s very storage, else a hash of `live`'s bytes (the
+    /// slot is shared by equal content from another page, or the chaos
+    /// seam evicted it).
+    fn bump(&mut self, key: PageKey, live: &Arc<Page>) -> u64 {
+        if let Some(slot) = self.slots.get_mut(&key.0) {
+            slot.refs += 1;
+            if Arc::ptr_eq(&slot.data, live) {
+                return slot.digest;
+            }
+        }
+        page_digest(live)
     }
 
     /// Release one reference to `key`, compacting the slot when the last
@@ -259,6 +320,10 @@ impl DedupeStore {
     }
 }
 
+/// One entry of a snapshot's page table: page number, store key, write
+/// generation.
+pub type PageEntry = (u32, PageKey, u64);
+
 /// One incremental snapshot: a machine skeleton (cpu, heap, net, clock,
 /// layout — everything but the page table) plus a cumulative
 /// `page -> (store key, write gen)` table and the full-image digest for
@@ -267,8 +332,9 @@ pub struct DeltaRecord {
     /// The checkpointed machine with `mem` reduced to its skeleton
     /// (permissions, regions, NX, `write_seq` — an empty page table).
     meta: Machine,
-    /// Cumulative page table: every mapped page, referenced by store key.
-    pages: BTreeMap<u32, (PageKey, u64)>,
+    /// Cumulative page table: every mapped page, referenced by store
+    /// key, in strictly ascending page order.
+    pages: Vec<PageEntry>,
     /// Pages newly interned by this snapshot (the delta; the rest of
     /// `pages` was inherited from the previous record or the drain).
     pub delta_len: usize,
@@ -281,50 +347,65 @@ impl DeltaRecord {
     /// cumulative table (empty for the base snapshot) and `pending` the
     /// pre-copy drain's already-interned dirty pages. Only pages whose
     /// generation advanced past both are interned now — the snapshot
-    /// instant is O(changed-since-drain).
+    /// instant is O(changed-since-drain) in hashing, one ordered walk of
+    /// the three tables otherwise.
+    ///
+    /// The image digest is [`mem_digest`] of `m`, folded as the table is
+    /// built: a fresh page is hashed once, for the store and the image
+    /// alike, and an inherited entry whose slot holds the live page's own
+    /// storage (the same `Arc`, so the same bytes) contributes the digest
+    /// its slot keeps. Any other inherited page is hashed from its live
+    /// bytes, so an entry reused against the write-gen ladder contract
+    /// still leaves a digest its materialization fails to match.
     pub fn capture(
         m: &Machine,
         store: &mut DedupeStore,
-        prev: &BTreeMap<u32, (PageKey, u64)>,
+        prev: &[PageEntry],
         pending: &BTreeMap<u32, (PageKey, u64)>,
     ) -> DeltaRecord {
-        let mut pages = BTreeMap::new();
+        let mut pages = Vec::with_capacity(prev.len());
         let mut delta_len = 0usize;
+        let mut image = FNV_OFFSET;
+        let mut prev = prev.iter().peekable();
+        let mut pending = pending.iter().peekable();
         for (pno, gen, data) in m.mem.pages() {
+            while prev.next_if(|e| e.0 < pno).is_some() {}
+            while pending.next_if(|e| *e.0 < pno).is_some() {}
+            let drained = pending.next_if(|e| *e.0 == pno).map(|e| *e.1);
+            let inherited = prev.next_if(|e| e.0 == pno).map(|e| (e.1, e.2));
             // Prefer, in order: a pending drained capture at the live
             // generation, the previous record's entry at the live
             // generation, else intern fresh. Equal generations guarantee
             // identical bytes (the write-gen ladder contract).
-            let entry = match pending.get(&pno) {
-                Some(&(key, g)) if g == gen => {
-                    store_bump(store, key);
-                    (key, g)
+            let reuse = [drained, inherited]
+                .into_iter()
+                .flatten()
+                .find(|&(_, g)| g == gen)
+                .map(|(key, _)| key);
+            let (key, digest) = match reuse {
+                Some(key) => (key, store.bump(key, data)),
+                None => {
+                    delta_len += 1;
+                    let digest = page_digest(data);
+                    (store.intern_digested(Arc::clone(data), digest), digest)
                 }
-                _ => match prev.get(&pno) {
-                    Some(&(key, g)) if g == gen => {
-                        store_bump(store, key);
-                        (key, g)
-                    }
-                    _ => {
-                        delta_len += 1;
-                        (store.intern(Arc::clone(data)), gen)
-                    }
-                },
             };
-            pages.insert(pno, entry);
+            image = fold_image_page(image, pno, gen, digest);
+            pages.push((pno, key, gen));
         }
-        let mut meta = m.clone();
-        meta.mem = m.mem.skeleton();
+        let image_digest = fold_image_tail(image, &m.mem);
+        debug_assert_eq!(image_digest, mem_digest(&m.mem));
         DeltaRecord {
-            meta,
+            meta: m.clone_with_mem(m.mem.skeleton()),
             pages,
             delta_len,
-            image_digest: mem_digest(&m.mem),
+            image_digest,
         }
     }
 
-    /// The cumulative page table (for chaining the next capture).
-    pub fn pages(&self) -> &BTreeMap<u32, (PageKey, u64)> {
+    /// The cumulative page table, strictly ascending by page number (for
+    /// chaining the next capture).
+    pub fn pages(&self) -> &[PageEntry] {
         &self.pages
     }
 
@@ -346,9 +427,8 @@ impl DeltaRecord {
     /// other corruption).
     pub fn materialize(&self, store: &DedupeStore) -> Option<Machine> {
         let mut m = self.meta.clone();
-        for (&pno, &(key, gen)) in &self.pages {
-            let data = store.get(key)?;
-            m.mem.restore_page(pno, data, gen);
+        for &(pno, key, gen) in &self.pages {
+            m.mem.restore_page(pno, Arc::clone(store.get(key)?), gen);
         }
         if mem_digest(&m.mem) != self.image_digest {
             return None;
@@ -358,7 +438,7 @@ impl DeltaRecord {
 
     /// Release every store reference this record holds (eviction path).
     pub fn release(&self, store: &mut DedupeStore) {
-        for &(key, _) in self.pages.values() {
+        for &(_, key, _) in &self.pages {
             store.release(key);
         }
     }
@@ -368,24 +448,12 @@ impl DeltaRecord {
     /// Returns how many entries were dropped. Materialization afterwards
     /// fails its digest verification and degrades to a restart.
     pub fn chaos_truncate(&mut self, store: &mut DedupeStore, drop_pages: usize) -> usize {
-        let mut dropped = 0;
-        for _ in 0..drop_pages {
-            let Some((&pno, _)) = self.pages.iter().next_back() else {
-                break;
-            };
-            if let Some((key, _)) = self.pages.remove(&pno) {
-                store.release(key);
-                dropped += 1;
-            }
+        let keep = self.pages.len().saturating_sub(drop_pages);
+        let dropped = self.pages.len() - keep;
+        for (_, key, _) in self.pages.drain(keep..).rev() {
+            store.release(key);
         }
         dropped
-    }
-}
-
-/// Bump a slot's refcount for an entry inherited from a previous table.
-fn store_bump(store: &mut DedupeStore, key: PageKey) {
-    if let Some(slot) = store.slots.get_mut(&key.0) {
-        slot.refs += 1;
     }
 }
 
@@ -506,9 +574,9 @@ mod tests {
         assert!(page(rezeroed).is_written() && !page(fresh).is_written());
         assert_eq!(page_digest(page(rezeroed)), page_digest(page(fresh)));
         let mut store = DedupeStore::new();
-        let empty = BTreeMap::new();
-        let rec = DeltaRecord::capture(&m, &mut store, &empty, &empty);
-        assert_eq!(rec.pages()[&rezeroed].0, rec.pages()[&fresh].0, "one slot");
+        let rec = DeltaRecord::capture(&m, &mut store, &[], &BTreeMap::new());
+        let key = |pno| rec.pages().iter().find(|e| e.0 == pno).expect("mapped").1;
+        assert_eq!(key(rezeroed), key(fresh), "one slot");
         let rebuilt = rec.materialize(&store).expect("materializes");
         assert_eq!(mem_digest(&rebuilt.mem), mem_digest(&m.mem));
         for pno in [rezeroed, fresh] {
@@ -539,7 +607,7 @@ mod tests {
         let mut m = Machine::boot(&prog, Aslr::off()).expect("boot");
         let mut store = DedupeStore::new();
         let empty = BTreeMap::new();
-        let base = DeltaRecord::capture(&m, &mut store, &empty, &empty);
+        let base = DeltaRecord::capture(&m, &mut store, &[], &empty);
         assert_eq!(base.delta_len, m.mem.mapped_pages(), "base interns all");
         m.run(&mut svm::NopHook, 2000);
         let next = DeltaRecord::capture(&m, &mut store, base.pages(), &empty);
@@ -567,15 +635,32 @@ mod tests {
         let m = Machine::boot(&prog, Aslr::off()).expect("boot");
         let mut store = DedupeStore::new();
         let empty = BTreeMap::new();
-        let rec = DeltaRecord::capture(&m, &mut store, &empty, &empty);
+        let rec = DeltaRecord::capture(&m, &mut store, &[], &empty);
         assert!(rec.materialize(&store).is_some());
         // Dedupe-store eviction race: a referenced slot vanishes.
         store.chaos_evict_one().expect("live slot");
         assert!(rec.materialize(&store).is_none(), "fails closed");
         // Delta-chain truncation on a fresh capture.
         let mut store2 = DedupeStore::new();
-        let mut rec2 = DeltaRecord::capture(&m, &mut store2, &empty, &empty);
-        assert!(rec2.chaos_truncate(&mut store2, 2) > 0);
+        let mut rec2 = DeltaRecord::capture(&m, &mut store2, &[], &empty);
+        assert_eq!(rec2.chaos_truncate(&mut store2, 2), 2);
         assert!(rec2.materialize(&store2).is_none(), "fails closed");
+    }
+
+    #[test]
+    fn capture_after_eviction_still_digests_the_live_image() {
+        use svm::loader::Aslr;
+        let prog = svm::asm::assemble(".text\nmain:\n halt\n").expect("asm");
+        let m = Machine::boot(&prog, Aslr::off()).expect("boot");
+        let mut store = DedupeStore::new();
+        let empty = BTreeMap::new();
+        let base = DeltaRecord::capture(&m, &mut store, &[], &empty);
+        // The next capture inherits every entry, one of them from a slot
+        // the chaos seam evicted: its digest comes from the live bytes.
+        store.chaos_evict_one().expect("live slot");
+        let next = DeltaRecord::capture(&m, &mut store, base.pages(), &empty);
+        assert_eq!(next.delta_len, 0, "every entry inherited");
+        assert_eq!(next.image_digest(), mem_digest(&m.mem));
+        assert!(next.pages().windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

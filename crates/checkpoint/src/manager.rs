@@ -73,6 +73,17 @@ pub struct Checkpoint {
     repr: Repr,
 }
 
+impl Checkpoint {
+    /// The incremental record behind this checkpoint (`None` under the
+    /// full engine).
+    pub fn delta(&self) -> Option<&DeltaRecord> {
+        match &self.repr {
+            Repr::Delta(d) => Some(d),
+            Repr::Full(_) => None,
+        }
+    }
+}
+
 /// Checkpointing policy and storage.
 pub struct CheckpointManager {
     /// Interval between checkpoints, in virtual cycles.
@@ -286,16 +297,9 @@ impl CheckpointManager {
 
     /// Capture an incremental record, consuming the pending drain set.
     fn capture_delta(&mut self, m: &Machine) -> DeltaRecord {
-        let prev = self
-            .ring
-            .back()
-            .and_then(|c| match &c.repr {
-                Repr::Delta(d) => Some(d.pages()),
-                Repr::Full(_) => None,
-            })
-            .cloned()
-            .unwrap_or_default();
-        let rec = DeltaRecord::capture(m, &mut self.store, &prev, &self.pending);
+        let prev = self.ring.back().and_then(Checkpoint::delta);
+        let prev = prev.map_or(&[][..], DeltaRecord::pages);
+        let rec = DeltaRecord::capture(m, &mut self.store, prev, &self.pending);
         // The record holds its own references now; drop the drain's.
         for (key, _) in std::mem::take(&mut self.pending).into_values() {
             self.store.release(key);
@@ -490,7 +494,7 @@ impl CheckpointManager {
         let mut ckpt_image: Option<Machine> = None;
         for pno in owned {
             let arc = match self.pending.get(&pno) {
-                Some(&(key, _)) => self.store.get(key),
+                Some(&(key, _)) => self.store.get(key).cloned(),
                 None => {
                     if ckpt_image.is_none() {
                         ckpt_image = self.materialize(id);
@@ -553,24 +557,44 @@ impl CheckpointManager {
     /// a short time ... and then discard" them in memory is feasible
     /// (paper §3.1), and the measurable cost of the retention-count
     /// design lever (DESIGN.md §6).
+    ///
+    /// One pass over sorted vectors: the ring's distinct store keys
+    /// (sorted, deduplicated) each resolve to one slot pointer, full
+    /// clones contribute their page pointers, and each live page pointer
+    /// marks the entry it matches in the sorted, deduplicated union.
     pub fn retained_unique_pages(&self, live: &Machine) -> usize {
-        use std::collections::HashSet;
-        let live_ids: HashSet<usize> = live.mem.page_storage_ids().collect();
-        let mut snapshot_ids: HashSet<usize> = HashSet::new();
+        let mut keys: Vec<PageKey> = Vec::new();
+        let mut held: Vec<usize> = Vec::new();
         for c in &self.ring {
             match &c.repr {
-                Repr::Full(m) => snapshot_ids.extend(m.mem.page_storage_ids()),
-                Repr::Delta(d) => snapshot_ids.extend(self.delta_storage_ids(d)),
+                Repr::Full(m) => held.extend(m.mem.page_storage_ids()),
+                // Runs of never-written pages share one key: skip
+                // repeats before the sort.
+                Repr::Delta(d) => {
+                    for &(_, key, _) in d.pages() {
+                        if keys.last() != Some(&key) {
+                            keys.push(key);
+                        }
+                    }
+                }
             }
         }
-        snapshot_ids.difference(&live_ids).count()
-    }
-
-    fn delta_storage_ids<'a>(&'a self, d: &'a DeltaRecord) -> impl Iterator<Item = usize> + 'a {
-        d.pages()
-            .values()
-            .filter_map(|&(key, _)| self.store.get(key))
-            .map(|arc| std::sync::Arc::as_ptr(&arc) as usize)
+        keys.sort_unstable();
+        keys.dedup();
+        held.extend(
+            keys.into_iter()
+                .filter_map(|key| self.store.get(key))
+                .map(|page| Arc::as_ptr(page) as usize),
+        );
+        held.sort_unstable();
+        held.dedup();
+        let mut shared = vec![false; held.len()];
+        for id in live.mem.page_storage_ids() {
+            if let Ok(i) = held.binary_search(&id) {
+                shared[i] = true;
+            }
+        }
+        shared.iter().filter(|&&s| !s).count()
     }
 
     /// Export checkpointing counters into an [`obs::MetricsRegistry`]

@@ -59,6 +59,17 @@ pub struct Proxy {
     pub filtered_total: u64,
     /// Count of connections retroactively dropped during recovery.
     pub dropped_total: u64,
+    /// Unfiltered log entries: the guest connection count of a live
+    /// machine in step with the log.
+    delivered: usize,
+    /// Where [`Proxy::release_outputs`] resumes: a log position and the
+    /// guest connection id it maps to, past a prefix of entries that are
+    /// settled — filtered, or closed with every output byte released —
+    /// and so can release nothing more.
+    release_from: (usize, usize),
+    /// Log entries [`Proxy::release_outputs`] has looked at, over the
+    /// proxy's lifetime.
+    release_visits: u64,
 }
 
 impl Proxy {
@@ -91,6 +102,7 @@ impl Proxy {
             self.filtered_total += 1;
             return (log_id, false);
         }
+        self.delivered += 1;
         m.net.push_connection(input);
         m.unblock();
         (log_id, true)
@@ -112,14 +124,26 @@ impl Proxy {
     /// Unlike filter-time blocking, the connection *was* delivered;
     /// `LoggedConn::dropped` records that distinction so recovery can
     /// report dropped-attack work separately from never-delivered traffic.
+    ///
+    /// A drop shifts the guest id of every later entry, so the next
+    /// [`Proxy::release_outputs`] walks the log from the start.
     pub fn mark_dropped(&mut self, log_id: usize) {
         if let Some(c) = self.log.get_mut(log_id) {
             if !c.dropped {
                 c.dropped = true;
                 self.dropped_total += 1;
             }
-            c.filtered = true;
+            if !c.filtered {
+                c.filtered = true;
+                self.delivered -= 1;
+            }
         }
+        self.release_from = (0, 0);
+    }
+
+    /// Log entries [`Proxy::release_outputs`] has looked at so far.
+    pub fn release_visits(&self) -> u64 {
+        self.release_visits
     }
 
     /// Export proxy counters into an [`obs::MetricsRegistry`] under the
@@ -138,24 +162,45 @@ impl Proxy {
     /// from guest connection id to log id assumes in-order undropped
     /// delivery; filtered connections never exist guest-side, so the
     /// proxy tracks the correspondence explicitly.
+    ///
+    /// The walk resumes past the settled prefix of the log, so a served
+    /// request visits O(1) entries however long the log grows. A closed
+    /// connection's output cannot grow on the same machine; when `m` is
+    /// not in step with the log (a restart booted a fresh machine, or a
+    /// rollback rewound the connection table) the walk starts over, and
+    /// so does it after [`Proxy::mark_dropped`] or a full recovery — the
+    /// result is always that of a walk from the first entry.
     pub fn release_outputs(&mut self, m: &Machine) -> Vec<(usize, Vec<u8>)> {
+        if m.net.conns().len() != self.delivered {
+            self.release_from = (0, 0);
+        }
+        let (start, mut guest_idx) = self.release_from;
         let mut released = Vec::new();
-        let mut guest_idx = 0usize;
-        for lc in self.log.iter_mut() {
-            if lc.filtered {
-                continue;
+        let mut settled = true;
+        for (pos, lc) in self.log.iter_mut().enumerate().skip(start) {
+            self.release_visits += 1;
+            if !lc.filtered {
+                let Some(conn) = m.net.conn(guest_idx as u32) else {
+                    break;
+                };
+                guest_idx += 1;
+                if conn.output.len() > lc.released.len() {
+                    let new = conn.output[lc.released.len()..].to_vec();
+                    lc.released.extend_from_slice(&new);
+                    released.push((lc.log_id, new));
+                }
+                settled &= conn.closed && conn.output.len() == lc.released.len();
             }
-            let Some(conn) = m.net.conn(guest_idx as u32) else {
-                break;
-            };
-            guest_idx += 1;
-            if conn.output.len() > lc.released.len() {
-                let new = conn.output[lc.released.len()..].to_vec();
-                lc.released.extend_from_slice(&new);
-                released.push((lc.log_id, new));
+            if settled {
+                self.release_from = (pos + 1, guest_idx);
             }
         }
         released
+    }
+
+    /// Forget the release cursor: the live machine was replaced.
+    pub(crate) fn rewind_release(&mut self) {
+        self.release_from = (0, 0);
     }
 
     /// Connections that arrived *after* the machine had `conns_at`
@@ -286,6 +331,48 @@ mod tests {
         let rel2 = p.release_outputs(&m);
         assert_eq!(rel2, vec![(0, b"+more".to_vec())]);
         assert_eq!(p.get(0).expect("c").released, b"partial+more");
+    }
+
+    #[test]
+    fn open_connections_hold_the_release_cursor_back() {
+        let mut m = idle_machine();
+        let mut p = Proxy::new();
+        p.offer(&mut m, b"a".to_vec(), &[]);
+        m.net.write(0, b"head").expect("w");
+        assert_eq!(p.release_outputs(&m), vec![(0, b"head".to_vec())]);
+        // A later connection settles while the first is still open.
+        p.offer(&mut m, b"b".to_vec(), &[]);
+        m.net.write(1, b"done").expect("w");
+        m.net.close(1).expect("close");
+        assert_eq!(p.release_outputs(&m), vec![(1, b"done".to_vec())]);
+        // The open connection's later output is still found.
+        m.net.write(0, b"+tail").expect("w");
+        m.net.close(0).expect("close");
+        assert_eq!(p.release_outputs(&m), vec![(0, b"+tail".to_vec())]);
+        // Both settled: the next call looks at nothing.
+        let visits = p.release_visits();
+        assert!(p.release_outputs(&m).is_empty());
+        assert_eq!(p.release_visits(), visits);
+    }
+
+    #[test]
+    fn a_drop_restarts_the_release_walk() {
+        let mut m = idle_machine();
+        let mut p = Proxy::new();
+        for (i, out) in [&b"A"[..], b"B"].into_iter().enumerate() {
+            p.offer(&mut m, out.to_vec(), &[]);
+            m.net.write(i as u32, out).expect("w");
+            m.net.close(i as u32).expect("close");
+        }
+        assert_eq!(p.release_outputs(&m).len(), 2);
+        // Dropping the first entry makes the second guest connection 0
+        // of a machine rebuilt without it, whose replay wrote more.
+        p.mark_dropped(0);
+        let mut rebuilt = idle_machine();
+        rebuilt.net.push_connection(b"B".to_vec());
+        rebuilt.net.write(0, b"B+").expect("w");
+        rebuilt.net.close(0).expect("close");
+        assert_eq!(p.release_outputs(&rebuilt), vec![(1, b"+".to_vec())]);
     }
 
     #[test]

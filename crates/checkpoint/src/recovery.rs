@@ -200,6 +200,7 @@ pub fn recover(
         }
         proxy.mark_dropped(*id);
     }
+    proxy.rewind_release();
     *live = replayed;
     RecoveryOutcome::Resumed(ResumeReport {
         kind: RecoveryKind::Full,

@@ -12,6 +12,7 @@
 //! faults, which *is* the detection signal.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::asm::{Program, Seg};
 use crate::error::SvmError;
@@ -163,9 +164,13 @@ pub struct Symbol {
 }
 
 /// Address-to-name resolution for analysis output.
+///
+/// The symbols are shared: cloning a map (and so a [`Machine`](crate::Machine)
+/// — every snapshot, rollback, replay and sandbox) bumps one reference
+/// count instead of copying every name.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolMap {
-    sorted: Vec<Symbol>,
+    sorted: Arc<[Symbol]>,
     /// Half-open `[start, end)` ranges of the loaded segments; addresses
     /// outside them resolve to `None` (a wild jump target prints `?`).
     ranges: Vec<(u32, u32)>,
@@ -177,7 +182,7 @@ impl SymbolMap {
     pub fn new(mut syms: Vec<Symbol>) -> SymbolMap {
         syms.sort_by_key(|s| s.addr);
         SymbolMap {
-            sorted: syms,
+            sorted: syms.into(),
             ranges: Vec::new(),
         }
     }

@@ -40,7 +40,6 @@ impl Status {
 }
 
 /// A loaded guest process.
-#[derive(Clone)]
 pub struct Machine {
     /// Architectural registers.
     pub cpu: Cpu,
@@ -87,7 +86,35 @@ impl Clone for InterestBuf {
     }
 }
 
+impl Clone for Machine {
+    fn clone(&self) -> Machine {
+        self.clone_with_mem(self.mem.clone())
+    }
+}
+
 impl Machine {
+    /// A clone of everything but the address space, which is `mem`: an
+    /// incremental snapshot keeps the machine with a [`Mem::skeleton`]
+    /// without first copying the live page table. Like every clone it
+    /// starts with a cold decode cache.
+    pub fn clone_with_mem(&self, mem: Mem) -> Machine {
+        Machine {
+            cpu: self.cpu.clone(),
+            mem,
+            heap: self.heap,
+            net: self.net.clone(),
+            rng: self.rng,
+            clock: self.clock,
+            layout: self.layout,
+            symbols: self.symbols.clone(),
+            insns_retired: self.insns_retired,
+            syscalls_retired: self.syscalls_retired,
+            status: self.status,
+            icache: self.icache.clone(),
+            interest: self.interest.clone(),
+        }
+    }
+
     /// Load `prog` under the given randomization policy.
     pub fn boot(prog: &Program, aslr: Aslr) -> Result<Machine, SvmError> {
         let layout = Layout::randomized(aslr);

@@ -6,6 +6,8 @@
 //! analysis via the [`pipeline`](crate::pipeline), antibody deployment,
 //! and rollback-based recovery (falling back to restart).
 
+use std::sync::Arc;
+
 use analysis::TaintTool;
 use antibody::{
     verify_with_sandbox, Antibody, AntibodyItem, CertifiedBundle, CertifyError, SignatureSet,
@@ -158,8 +160,6 @@ pub struct HostStatus {
     pub checkpoints_retained: usize,
     /// Checkpoints taken over the host's lifetime.
     pub checkpoints_taken: u64,
-    /// Extra pages uniquely held by retained checkpoints (COW-deduped).
-    pub checkpoint_pages: usize,
     /// Whether the protected process is currently serviceable.
     pub healthy: bool,
 }
@@ -179,12 +179,11 @@ impl core::fmt::Display for HostStatus {
         )?;
         write!(
             f,
-            "antibodies: {} VSEFs, {} signatures; checkpoints: {}/{} retained ({} private pages)",
+            "antibodies: {} VSEFs, {} signatures; checkpoints: {}/{} retained",
             self.deployed_vsefs,
             self.deployed_signatures,
             self.checkpoints_retained,
             self.checkpoints_taken,
-            self.checkpoint_pages,
         )
     }
 }
@@ -204,7 +203,8 @@ impl InputFilter for SigFilter<'_> {
 pub struct Sweeper {
     /// Application name.
     pub app_name: String,
-    program: svm::asm::Program,
+    /// The protected program, shared with its [`App`].
+    program: Arc<svm::asm::Program>,
     /// The live protected machine.
     pub machine: Machine,
     /// Checkpoint storage/policy.
@@ -269,7 +269,7 @@ impl Sweeper {
         let vsef_id = vsef_instr.attach(Box::new(VsefRuntime::new(Vec::new())));
         let mut s = Sweeper {
             app_name: app.name.to_string(),
-            program: app.program.clone(),
+            program: Arc::clone(&app.program),
             machine,
             mgr,
             proxy: Proxy::new(),
@@ -999,7 +999,6 @@ impl Sweeper {
             deployed_signatures: self.signatures.len(),
             checkpoints_retained: self.mgr.retained(),
             checkpoints_taken: self.mgr.taken_total,
-            checkpoint_pages: self.mgr.retained_unique_pages(&self.machine),
             healthy: !matches!(
                 self.machine.status(),
                 Status::Faulted(_) | Status::Halted(_)

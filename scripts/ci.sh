@@ -17,7 +17,9 @@
 #                or renamed item cannot leave a dangling doc link
 #   crates       the member crates' own tests (tier 1's `cargo test`
 #                covers only the root package, the workspace's one
-#                default member)
+#                default member), in release; then the `checkpoint`
+#                crate's again in debug, so its `debug_assert!`s run
+#                under its own unit tests
 #   examples     run the four examples end to end (quickstart,
 #                forensics, worm_outbreak, community_defense); a
 #                nonzero exit from any of them fails the stage
@@ -124,7 +126,8 @@ stage_doc() {
 }
 
 stage_crates() {
-    cargo test --workspace --exclude sweeper-repro --release -q
+    cargo test --workspace --exclude sweeper-repro --release -q &&
+        cargo test -q -p checkpoint
 }
 
 stage_examples() {

@@ -16,13 +16,21 @@
 //! buffer page loses its content, and rollbacks bring never-written
 //! pages back.
 //!
+//! Every take also checks the record it made: its page table strictly
+//! ascending, and its image digest (folded from store slot digests)
+//! equal to `mem_digest` of the live machine. A third property runs the
+//! same schedules on both engines against a test-side oracle for the
+//! retained-page census: the distinct page storages of every
+//! materialized snapshot that the live machine does not share, counted
+//! with hash sets.
+//!
 //! Two deterministic companions pin the fail-closed paths the chaos
 //! harness relies on: a truncated delta chain and an evicted dedupe
 //! slot must turn materialization into `None` (counted as a
 //! materialize failure, degrading to a restart) — never into a
 //! silently wrong machine.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -120,10 +128,19 @@ impl Leg {
         }
     }
 
-    /// Take a snapshot and record what it must rebuild to.
+    /// Take a snapshot and record what it must rebuild to; check the
+    /// incremental record's table order and image digest.
     fn take(&mut self) {
         let id = self.mgr.take(&mut self.m);
         self.taken.insert(id, fingerprint(&self.m));
+        let ckpt = self.mgr.get(id).expect("just taken");
+        if let Some(d) = ckpt.delta() {
+            assert!(
+                d.pages().windows(2).all(|w| w[0].0 < w[1].0),
+                "{id:?}: page table not strictly ascending"
+            );
+            assert_eq!(d.image_digest(), mem_digest(&self.m.mem), "{id:?}");
+        }
     }
 
     fn apply(&mut self, op: &HostOp) {
@@ -206,6 +223,18 @@ impl Leg {
     }
 }
 
+/// The retained-page census computed the plain way: the storage of
+/// every page of every materialized snapshot, minus the live machine's.
+fn census_oracle(mgr: &CheckpointManager, live: &Machine) -> usize {
+    let live_ids: HashSet<usize> = live.mem.page_storage_ids().collect();
+    let mut held = HashSet::new();
+    for id in mgr.ids().collect::<Vec<_>>() {
+        let m = mgr.materialize(id).expect("undamaged snapshot");
+        held.extend(m.mem.page_storage_ids());
+    }
+    held.difference(&live_ids).count()
+}
+
 proptest! {
     // 16 cases: the parity property rebuilds every retained snapshot
     // after every op, so each case already performs hundreds of
@@ -250,6 +279,29 @@ proptest! {
             }
         }
         prop_assert_eq!(leg.mgr.materialize_failures(), 0);
+    }
+
+    /// The production census equals the oracle after every operation,
+    /// on both engines.
+    #[test]
+    fn retained_page_census_matches_the_oracle(
+        ops in vec(arb_op(), 1..18),
+    ) {
+        for engine in [Engine::Full, Engine::Incremental] {
+            let mut leg = Leg::boot(engine);
+            leg.take();
+            for (i, op) in ops.iter().enumerate() {
+                leg.apply(op);
+                prop_assert_eq!(
+                    leg.mgr.retained_unique_pages(&leg.m),
+                    census_oracle(&leg.mgr, &leg.m),
+                    "{:?} after op {} = {:?}",
+                    engine,
+                    i,
+                    op
+                );
+            }
+        }
     }
 }
 
