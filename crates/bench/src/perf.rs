@@ -475,8 +475,8 @@ pub struct FailArm {
     pub wall_secs: f64,
     /// `hosts × ticks / wall_secs`: the event-driven engine's headline
     /// unit. A dense engine pays O(hosts) per tick no matter how sparse
-    /// the outbreak; the SoA engine pays O(infected), so this number is
-    /// what grows with sparsity.
+    /// the outbreak; the SoA engine pays O(hosts/2¹⁸ + infected), so
+    /// this number is what grows with sparsity.
     pub host_ticks_per_sec: f64,
     /// Sources flagged by the failure estimator (failest arms only).
     pub flagged_sources: u64,
@@ -507,7 +507,7 @@ pub struct Epidemic1mBlock {
     /// Hosts used for the parity gate (20k, or `hosts` when smaller).
     pub parity_hosts: u64,
     /// Headline per-host tick rate: the antibody arm (the contained,
-    /// sparse regime the SoA active-queue engine is built for).
+    /// sparse regime the SoA engine's block-skipping walk is built for).
     pub host_ticks_per_sec: f64,
     /// The four sweep arms, in none/failest/antibody/both order.
     pub arms: Vec<FailArm>,

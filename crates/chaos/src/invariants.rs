@@ -265,7 +265,7 @@ pub fn check_i10(serial: u64, sharded: u64, ctx: &str) -> Option<Violation> {
 /// engine.
 ///
 /// Every community leg runs both backends — the legacy `Vec<bool>` scan
-/// and the bitset/active-queue backend over the same draws — and
+/// and the three-level bitset backend over the same draws — and
 /// compares their outcomes outside the wall-clock fields
 /// ([`CommunityOutcome::without_wall_clock`]). They must be equal under
 /// every fault plan and every knob combination; no fired fault ever

@@ -15,16 +15,21 @@
 //! state. Hosts are partitioned into `K` contiguous shards; each tick
 //! runs two barrier-separated phases:
 //!
-//! 1. **generate** — every shard visits its own infected hosts and
-//!    emits events, routed by target shard. The visit order is
-//!    backend-defined (see below); the coordinator's stable sort of
-//!    each inbox by `(src, attempt)` canonicalizes it, so only the
-//!    event *multiset* matters — and that is a pure function of the
-//!    draws.
+//! 1. **generate** — every shard visits its own infected hosts in
+//!    ascending host order and emits events, routed by target shard.
+//!    Each outbox row therefore comes out sorted by `(src, attempt)`.
 //! 2. **apply** — every shard applies the events targeting its own
-//!    hosts. Infections are idempotent marks, the antibody clock is a
-//!    `min` over producer-contact ticks, and infection counts are sums
-//!    — all order-independent reductions.
+//!    hosts, reading the outbox rows addressed to it in shard order.
+//!    Shard ranges are contiguous, so that concatenation is already in
+//!    canonical `(src, attempt)` order, at any `K`, with no merge.
+//!
+//! The apply order matters. The antibody clock (a `min` over
+//! producer-contact ticks) and the counts are order-free, but which
+//! contact infects a host is not: on a degraded host each contact takes
+//! its own throttle draw until one gets through, and every contact
+//! after the infecting one that tick is a failure record (failcont
+//! runs). Applying in the canonical order is what makes those outcomes
+//! independent of `K`.
 //!
 //! New infections become active the *next* tick (the generate phase of
 //! tick `t` reads only state produced through tick `t-1`), so no shard
@@ -36,19 +41,20 @@
 //!
 //! The engine body is generic over [`crate::soa::HostSet`]:
 //!
-//! * [`CommunityEngine::Legacy`] — the original dense backend, one
+//! * [`CommunityEngine::Soa`] (the default, and the only backend a
+//!   production build has) — struct-of-arrays state
+//!   ([`crate::soa::SoaHosts`]): a three-level bitset whose walk skips
+//!   empty blocks, so a tick costs O(hosts/2¹⁸ + infected). This is
+//!   what makes 1M hosts tractable in the sparse (contained) regime.
+//! * `CommunityEngine::Legacy` — the original dense backend, one
 //!   `Vec<bool>` per shard scanned in host order every tick:
-//!   O(shard size) per tick. Kept in-tree as the reference the SoA
-//!   backend is compared against.
-//! * [`CommunityEngine::Soa`] (the default) — struct-of-arrays state
-//!   ([`crate::soa::SoaHosts`]): bitset membership plus an active
-//!   queue of exactly the hosts with pending scan activity, so a tick
-//!   costs O(infected). This is what makes 1M–10M hosts tractable in
-//!   the sparse (contained) regime.
+//!   O(shard size) per tick. It is the reference the SoA backend is
+//!   compared against, built only for tests and under the `oracle`
+//!   feature (which `chaos`, `bench` and the root test suites enable).
 //!
-//! Both backends consume the identical draw stream, so legacy↔SoA
-//! parity holds bit-identically, as does shard-count K-invariance:
-//! callers run both and compare
+//! Both backends visit members in ascending order and consume the
+//! identical draw stream, so legacy↔SoA parity holds bit-identically,
+//! as does shard-count K-invariance: callers run both and compare
 //! [`CommunityOutcome::without_wall_clock`] (chaos invariant I11,
 //! `tables fig9fail`).
 //!
@@ -87,6 +93,8 @@ use crate::distnet::{DistNet, DistNetParams, DistOutcome, DOMAIN_THROTTLE};
 use crate::failest::{FailCont, FailContOutcome, FailContParams, DOMAIN_FAILSUP};
 use crate::model::Scenario;
 use crate::rng::{draw, to_unit};
+#[cfg(any(test, feature = "oracle"))]
+use crate::soa::DenseHosts;
 use crate::soa::{HostBits, HostSet, SoaHosts};
 
 /// Domain separator for attempt-existence draws.
@@ -130,9 +138,12 @@ impl Parallelism {
 /// Which contact-state backend executes the run (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommunityEngine {
-    /// Dense per-tick scan over `Vec<bool>` — the parity reference.
+    /// Dense per-tick scan over `Vec<bool>` — the parity reference
+    /// (tests and the `oracle` feature only).
+    #[cfg(any(test, feature = "oracle"))]
     Legacy,
-    /// Struct-of-arrays bitset + active queue — O(infected) ticks.
+    /// Struct-of-arrays three-level bitset, walked in ascending order
+    /// past empty blocks — O(hosts/2¹⁸ + infected) ticks.
     #[default]
     Soa,
 }
@@ -436,7 +447,8 @@ impl CommunityOutcome {
     }
 }
 
-/// One contact event, in canonical `(src, attempt)` order per tick.
+/// One contact event; each outbox row holds them in ascending
+/// `(src, attempt)` order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
     /// Emitting (infected) host.
@@ -447,46 +459,11 @@ struct Event {
     target: u64,
 }
 
-/// The legacy dense backend: one bool per owned host, visited in host
-/// order by a full scan every tick — O(shard size) per tick regardless
-/// of prevalence. Kept as the reference the SoA backend is compared
-/// against (chaos invariant I11).
-struct DenseHosts(Vec<bool>);
-
-impl HostSet for DenseHosts {
-    fn with_capacity(len: u64) -> DenseHosts {
-        DenseHosts(vec![false; len as usize])
-    }
-
-    fn contains(&self, off: u64) -> bool {
-        self.0[off as usize]
-    }
-
-    fn insert(&mut self, off: u64) -> bool {
-        let slot = &mut self.0[off as usize];
-        let fresh = !*slot;
-        *slot = true;
-        fresh
-    }
-
-    fn count(&self) -> u64 {
-        self.0.iter().filter(|f| **f).count() as u64
-    }
-
-    fn for_each_member(&self, mut f: impl FnMut(u64)) {
-        for (off, flag) in self.0.iter().enumerate() {
-            if *flag {
-                f(off as u64);
-            }
-        }
-    }
-}
-
-/// Host state owned by one shard: `[lo, hi)` plus infection membership.
+/// Host state owned by one shard: `[lo, lo + stats.hosts)` plus
+/// infection membership.
 struct Shard<S> {
     idx: usize,
     lo: u64,
-    hi: u64,
     /// Infection membership per owned host (offset `host - lo`).
     hosts: S,
     stats: ShardStats,
@@ -497,7 +474,6 @@ impl<S: HostSet> Shard<S> {
         Shard {
             idx,
             lo,
-            hi,
             hosts: S::with_capacity(hi - lo),
             stats: ShardStats {
                 shard: idx,
@@ -516,8 +492,9 @@ impl<S: HostSet> Shard<S> {
     /// protection (the ρ draw) is recorded into `failures` — from the
     /// scanning source's side, that exploit connection failed.
     ///
-    /// Backend visit order is free: the coordinator's canonical inbox
-    /// sort re-establishes `(src, attempt)` order downstream.
+    /// Sources are visited in ascending order and attempts in index
+    /// order, so every outbox row comes out strictly ascending in
+    /// `(src, attempt)`: the order `apply` needs.
     fn generate(
         &mut self,
         p: &CommunityParams,
@@ -592,12 +569,15 @@ impl<S: HostSet> Shard<S> {
         self.stats.generate_nanos += t_start.elapsed().as_nanos();
     }
 
-    /// Apply the canonically merged inbox for this tick.
+    /// Apply this tick's events addressed to this shard: column
+    /// `self.idx` of `outboxes`, read row by row in shard order. Each row
+    /// is ascending in `(src, attempt)` and shard ranges are contiguous,
+    /// so the events are applied in canonical order with no merge.
     ///
-    /// Returns `(new_infections, producer_contact_this_tick)`. All
-    /// updates are order-independent (idempotent marks, counts, min),
-    /// but the inbox is nonetheless sorted canonically upstream so the
-    /// merge order itself is deterministic and auditable.
+    /// Returns `(new_infections, producer_contact_this_tick)`. The order
+    /// matters: which contact infects a host decides which throttle
+    /// draws are taken and which contacts become failure records (see
+    /// the module docs).
     ///
     /// When the distribution network is active (`dist`), a consumer
     /// that has deployed a verified antibody blocks the contact
@@ -617,7 +597,7 @@ impl<S: HostSet> Shard<S> {
     fn apply(
         &mut self,
         p: &CommunityParams,
-        inbox: &[Event],
+        outboxes: &[Vec<Vec<Event>>],
         tick: u64,
         dist: Option<&DistNet>,
         failures: &mut Vec<(u64, u64)>,
@@ -628,48 +608,51 @@ impl<S: HostSet> Shard<S> {
         let record = p.failcont.enabled;
         let mut fresh = 0u64;
         let mut producer_contact = false;
-        for ev in inbox {
-            if shard_of_range(ev.src, self.lo, self.hi).is_none() {
-                self.stats.events_received_cross += 1;
+        for (s, row) in outboxes.iter().enumerate() {
+            let events = &row[self.idx];
+            if s != self.idx {
+                self.stats.events_received_cross += events.len() as u64;
             }
-            if ev.target < producers {
-                // A producer was contacted: the antibody clock starts.
-                self.stats.producer_contacts += 1;
-                producer_contact = true;
-                continue;
-            }
-            let off = ev.target - self.lo;
-            let key = (tick * p.hosts + ev.src) * attempts + u64::from(ev.attempt);
-            if self.hosts.contains(off) {
-                if record {
-                    self.stats.failcont_failures += 1;
-                    failures.push((ev.src, key));
+            for ev in events {
+                if ev.target < producers {
+                    // A producer was contacted: the antibody clock starts.
+                    self.stats.producer_contacts += 1;
+                    producer_contact = true;
+                    continue;
                 }
-                continue;
-            }
-            if let Some(d) = dist {
-                if d.protected(ev.target) {
-                    self.stats.protected_blocks += 1;
+                let off = ev.target - self.lo;
+                let key = (tick * p.hosts + ev.src) * attempts + u64::from(ev.attempt);
+                if self.hosts.contains(off) {
                     if record {
                         self.stats.failcont_failures += 1;
                         failures.push((ev.src, key));
                     }
                     continue;
                 }
-                if p.distnet.throttle > 0.0
-                    && d.throttled(ev.target)
-                    && to_unit(draw(p.seed, DOMAIN_THROTTLE, key)) < p.distnet.throttle
-                {
-                    self.stats.throttled_blocks += 1;
-                    if record {
-                        self.stats.failcont_failures += 1;
-                        failures.push((ev.src, key));
+                if let Some(d) = dist {
+                    if d.protected(ev.target) {
+                        self.stats.protected_blocks += 1;
+                        if record {
+                            self.stats.failcont_failures += 1;
+                            failures.push((ev.src, key));
+                        }
+                        continue;
                     }
-                    continue;
+                    if p.distnet.throttle > 0.0
+                        && d.throttled(ev.target)
+                        && to_unit(draw(p.seed, DOMAIN_THROTTLE, key)) < p.distnet.throttle
+                    {
+                        self.stats.throttled_blocks += 1;
+                        if record {
+                            self.stats.failcont_failures += 1;
+                            failures.push((ev.src, key));
+                        }
+                        continue;
+                    }
                 }
+                self.hosts.insert(off);
+                fresh += 1;
             }
-            self.hosts.insert(off);
-            fresh += 1;
         }
         self.stats.infected += fresh;
         self.stats.apply_nanos += t_start.elapsed().as_nanos();
@@ -692,11 +675,6 @@ fn shard_of(host: u64, bounds: &[(u64, u64)]) -> usize {
         Ok(i) => i,
         Err(_) => bounds.len() - 1, // Unreachable for valid partitions.
     }
-}
-
-/// `Some(())` when `host` lies in `[lo, hi)`.
-fn shard_of_range(host: u64, lo: u64, hi: u64) -> Option<()> {
-    (host >= lo && host < hi).then_some(())
 }
 
 /// Contiguous partition of `[0, hosts)` into `k` near-equal ranges.
@@ -723,6 +701,7 @@ fn partition(hosts: u64, k: usize) -> Vec<(u64, u64)> {
 /// zeroes).
 pub fn run(p: &CommunityParams) -> CommunityOutcome {
     match p.engine {
+        #[cfg(any(test, feature = "oracle"))]
         CommunityEngine::Legacy => run_engine::<DenseHosts>(p),
         CommunityEngine::Soa => run_engine::<SoaHosts>(p),
     }
@@ -771,13 +750,11 @@ fn run_engine<S: HostSet>(p: &CommunityParams) -> CommunityOutcome {
         .enabled
         .then(|| FailCont::new(&p.failcont, p.seed, p.hosts));
 
-    // Hoisted scratch (PR 9 fix): the per-tick shard loop used to
-    // allocate a fresh k×k outbox matrix, k inboxes and their routing
-    // clones every tick. These buffers now live across ticks — cleared
-    // and refilled in place, routed by `Vec::append` draining — so the
+    // Hoisted scratch: the k×k outbox matrix (row = emitting shard,
+    // column = target shard) lives across ticks, cleared and refilled in
+    // place by `generate` and read in place by `apply`, so the
     // steady-state tick loop allocates only on high-water growth.
     let mut outboxes: Vec<Vec<Vec<Event>>> = (0..k).map(|_| vec![Vec::new(); k]).collect();
-    let mut inboxes: Vec<Vec<Event>> = vec![Vec::new(); k];
     let mut failure_bufs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); k];
 
     while tick < p.max_ticks {
@@ -849,45 +826,47 @@ fn run_engine<S: HostSet>(p: &CommunityParams) -> CommunityOutcome {
             });
         }
 
-        // Route + canonical merge: inbox[d] gathers every shard's
-        // outbox for destination d, drained in shard (= src) order and
-        // stably sorted by (src, attempt). Concatenation in shard order
-        // already yields that order for contiguous partitions with the
-        // dense backend; the sort makes the invariant explicit and
-        // independent of backend visit order.
-        let mut exchanged = 0u64;
-        for (d, inbox) in inboxes.iter_mut().enumerate() {
-            inbox.clear();
-            for (s, ob) in outboxes.iter_mut().enumerate() {
-                if s != d {
-                    exchanged += ob[d].len() as u64;
-                }
-                inbox.append(&mut ob[d]);
-            }
-            inbox.sort_by_key(|e| (e.src, e.attempt));
-        }
+        // Column d, read in shard order, is what shard d applies; it is
+        // canonical only if it is strictly ascending in (src, attempt).
+        debug_assert!(
+            (0..k).all(|d| {
+                let keys: Vec<(u64, u32)> = outboxes
+                    .iter()
+                    .flat_map(|row| &row[d])
+                    .map(|e| (e.src, e.attempt))
+                    .collect();
+                keys.windows(2).all(|w| w[0] < w[1])
+            }),
+            "outbox column not strictly ascending in (src, attempt) at tick {tick}"
+        );
+        // Cross-shard events: every row's total minus its own-shard cell.
+        let exchanged: u64 = outboxes
+            .iter()
+            .enumerate()
+            .map(|(s, row)| row.iter().map(|ob| ob.len() as u64).sum::<u64>() - row[s].len() as u64)
+            .sum();
 
         // Phase 2: apply (parallel over target shards — disjoint state).
-        // The distribution network is only *read* here (protection /
-        // throttle flags); `Option<&DistNet>` is freely shared across
-        // the scoped workers. Failure records land in per-shard scratch
-        // buffers, folded after the barrier. Each shard's result lands in
-        // its own slot.
+        // The outboxes and the distribution network are only *read* here
+        // (protection / throttle flags), freely shared across the scoped
+        // workers. Failure records land in per-shard scratch buffers,
+        // folded after the barrier. Each shard's result lands in its own
+        // slot.
         let dist_ref = dist.as_ref();
+        let outboxes_ref = &outboxes;
         let mut applied = vec![(0u64, false); shards.len()];
         let work = shards
             .iter_mut()
-            .zip(inboxes.iter())
             .zip(failure_bufs.iter_mut())
             .zip(applied.iter_mut());
         if !go_parallel {
-            for (((sh, inbox), fb), slot) in work {
-                *slot = sh.apply(p, inbox, tick, dist_ref, fb);
+            for ((sh, fb), slot) in work {
+                *slot = sh.apply(p, outboxes_ref, tick, dist_ref, fb);
             }
         } else {
             std::thread::scope(|scope| {
-                for (((sh, inbox), fb), slot) in work {
-                    scope.spawn(move || *slot = sh.apply(p, inbox, tick, dist_ref, fb));
+                for ((sh, fb), slot) in work {
+                    scope.spawn(move || *slot = sh.apply(p, outboxes_ref, tick, dist_ref, fb));
                 }
             });
         }

@@ -14,11 +14,15 @@
 //!   and delay are seed-derived, and a configurable fraction of
 //!   producers is **Byzantine**, emitting forged/corrupt/mismatched
 //!   bundles;
-//! * consumers run **verify-before-deploy**: every received bundle goes
-//!   through [`antibody::CertifiedBundle::verify`] (keyed tag,
-//!   fail-closed payload decode, evidence consistency); rejection
-//!   quarantines the sender. A consumer deploys protection *only* via a
-//!   successful verification — chaos invariant **I8** asserts the
+//! * consumers run **verify-before-deploy**: a received bundle deploys
+//!   only if [`antibody::CertifiedBundle::verify`] accepts it (keyed
+//!   tag, fail-closed payload decode, evidence consistency); rejection
+//!   quarantines the sender. Each producer's bundle is fixed for the
+//!   run and the wire only loses, duplicates or delays it, never alters
+//!   its bytes, so the network verifies each producer's bundle once and
+//!   every delivery from that producer applies the stored verdict. A
+//!   consumer deploys protection *only* via a successful verification —
+//!   chaos invariant **I8** asserts the
 //!   [`DistNet::deployed_unverified`] counter stays zero;
 //! * unacknowledged sends are retried with capped exponential backoff
 //!   plus deterministic jitter from the in-tree counter PRNG
@@ -70,7 +74,7 @@
 use antibody::bundle::{Antibody, AntibodyItem};
 use antibody::signature::Signature;
 use antibody::vsef::VsefSpec;
-use antibody::{CertifiedBundle, CertifyError};
+use antibody::CertifiedBundle;
 
 use crate::rng::{draw, to_unit};
 use crate::soa::HostBits;
@@ -284,14 +288,13 @@ pub struct DistNet {
     consumers: std::ops::Range<u64>,
     /// Shard bounds, for counter attribution.
     bounds: Vec<(u64, u64)>,
-    /// The bundle each producer transmits: sealed honestly, or forged
-    /// for Byzantine producers. Index = producer id. `None` when the
-    /// antibody carried no evidence to seal: consumers reject it.
-    bundles: Vec<Option<CertifiedBundle>>,
+    /// Whether the bundle each producer transmits passes
+    /// [`CertifiedBundle::verify`] under the community key. Index =
+    /// producer id. `false` for a forgery, and for a bundle that could
+    /// not be sealed because the antibody carried no evidence.
+    verdicts: Vec<bool>,
     /// Byzantine flag per producer.
     byz: Vec<bool>,
-    /// The community certification key.
-    key: u64,
     /// Per-consumer verified-deployment flags, indexed `host - producers`.
     protected_set: HostBits,
     /// Per-consumer degraded flags (forged-bundle-bitten, throttling
@@ -359,9 +362,9 @@ fn model_antibody(seed: u64) -> Antibody {
 
 impl DistNet {
     /// Build the network: assign Byzantine producers, seal each
-    /// producer's bundle (forging the Byzantine ones), and record the
-    /// initial broadcast tick. `bounds` is the community's contiguous
-    /// shard partition (for counter attribution).
+    /// producer's bundle (forging the Byzantine ones) and verify it once,
+    /// and record the initial broadcast tick. `bounds` is the community's
+    /// contiguous shard partition (for counter attribution).
     pub fn new(
         p: &DistNetParams,
         seed: u64,
@@ -373,7 +376,7 @@ impl DistNet {
         let key = draw(seed, DOMAIN_KEY, 0);
         let honest_ab = model_antibody(seed);
         let mut byz = Vec::with_capacity(producers as usize);
-        let mut bundles = Vec::with_capacity(producers as usize);
+        let mut verdicts = Vec::with_capacity(producers as usize);
         for prod in 0..producers {
             let is_byz =
                 p.byzantine > 0.0 && to_unit(draw(seed, DOMAIN_BYZANTINE, prod)) < p.byzantine;
@@ -394,7 +397,7 @@ impl DistNet {
                     _ => honest.forged_mismatched_evidence(key, b"benign".to_vec()),
                 }
             });
-            bundles.push(bundle);
+            verdicts.push(bundle.is_some_and(|b| b.verify(key).is_ok()));
         }
         let consumers = producers..hosts;
         let n_consumers = hosts - producers;
@@ -405,9 +408,8 @@ impl DistNet {
             producers,
             consumers,
             bounds: bounds.to_vec(),
-            bundles,
+            verdicts,
             byz,
-            key,
             protected_set: HostBits::new(n_consumers),
             degraded_set: HostBits::new(n_consumers),
             gave_up_set: HostBits::new(n_consumers),
@@ -466,39 +468,32 @@ impl DistNet {
             self.stats[shard].late += 1;
             return 0;
         }
-        // Verify-before-deploy: decode + keyed tag + fail-closed payload
-        // + evidence consistency. The *only* path into `protected_set`.
-        let verdict = self.bundles[src as usize]
-            .as_ref()
-            .ok_or(CertifyError::NoEvidence)
-            .and_then(|b| b.verify(self.key));
-        match verdict {
-            Ok(_antibody) => {
-                if self.byz[src as usize] {
-                    // A forgery passed verification: certification is
-                    // broken. Deploying now would be an unverified
-                    // deployment in I8 terms.
-                    self.deployed_unverified += 1;
-                }
-                self.protected_set.insert(idx);
-                self.stats[shard].verified += 1;
-                self.protected_count += 1;
-                if self.protected_count == self.consumers.end - self.consumers.start {
-                    self.protection_complete_tick = Some(tick);
-                }
-                u64::from(!infected(host))
+        // Verify-before-deploy: the producer's bundle verdict (decode +
+        // keyed tag + fail-closed payload + evidence consistency, taken
+        // once in `new`). The *only* path into `protected_set`.
+        if !self.verdicts[src as usize] {
+            self.stats[shard].rejected += 1;
+            let q = &mut self.quarantined[idx as usize];
+            if !q.contains(&src) {
+                q.push(src);
+                self.stats[shard].quarantines += 1;
             }
-            Err(_) => {
-                self.stats[shard].rejected += 1;
-                let q = &mut self.quarantined[idx as usize];
-                if !q.contains(&src) {
-                    q.push(src);
-                    self.stats[shard].quarantines += 1;
-                }
-                self.degraded_set.insert(idx);
-                0
-            }
+            self.degraded_set.insert(idx);
+            return 0;
         }
+        if self.byz[src as usize] {
+            // A forgery passed verification: certification is broken.
+            // Deploying now would be an unverified deployment in I8
+            // terms.
+            self.deployed_unverified += 1;
+        }
+        self.protected_set.insert(idx);
+        self.stats[shard].verified += 1;
+        self.protected_count += 1;
+        if self.protected_count == self.consumers.end - self.consumers.start {
+            self.protection_complete_tick = Some(tick);
+        }
+        u64::from(!infected(host))
     }
 
     /// Schedule attempt `attempt` for `host` after the backoff.
@@ -699,6 +694,11 @@ mod tests {
         assert!(
             net.byzantine_producers() > 0,
             "seed must pick Byzantine producers"
+        );
+        assert_eq!(
+            net.verdicts,
+            net.byz.iter().map(|b| !b).collect::<Vec<_>>(),
+            "only honest producers' bundles verify"
         );
         let mut resolved = 0;
         for tick in 0..4_000 {

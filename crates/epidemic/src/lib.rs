@@ -16,9 +16,10 @@
 //!   lossy, Byzantine-adversarial message layer that replaces the
 //!   idealized instantaneous-γ clock with certified-bundle broadcast,
 //!   verify-before-deploy, retry/backoff, and graceful degradation.
-//! - [`soa`] — struct-of-arrays host state: word-level bitsets plus an
-//!   active-host queue, the backend that makes million-host community
-//!   runs O(infected) per tick instead of O(hosts).
+//! - [`soa`] — struct-of-arrays host state: word-level bitsets, and a
+//!   three-level bitset walked in ascending order that skips empty
+//!   blocks, the backend that makes million-host community runs
+//!   O(hosts/2¹⁸ + infected) per tick instead of O(hosts).
 //! - [`failest`] — connection-failure containment: hyper-compact
 //!   failure estimators flagging and throttling scanning sources, the
 //!   network-side alternative to antibody distribution.
@@ -54,4 +55,6 @@ pub use figures::{
     CommunitySweepConfig, Curve, Figure, ALPHAS_FIG6, ALPHAS_FIG78, GAMMAS,
 };
 pub use model::{logistic_i, required_gamma, solve, Outcome, Scenario};
+#[cfg(any(test, feature = "oracle"))]
+pub use soa::DenseHosts;
 pub use soa::{HostBits, HostSet, SoaHosts};

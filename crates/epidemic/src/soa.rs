@@ -1,26 +1,31 @@
 //! Struct-of-arrays host state for the million-host community engine.
 //!
-//! The legacy §6 engine keeps one `Vec<bool>` per shard and scans *all*
-//! of it every tick — O(shard size) per tick no matter how few hosts
-//! are infected. At 20k hosts that is tolerable (~1.7k ticks/s,
-//! BENCH_pr5); at the ROADMAP's 1M–10M hosts it is the whole bill.
+//! The dense reference backend keeps one `Vec<bool>` per shard and
+//! scans *all* of it every tick — O(shard size) per tick no matter how
+//! few hosts are infected. At 20k hosts that is tolerable (~1.7k
+//! ticks/s, BENCH_pr5); at 1M hosts it is the whole bill.
 //!
 //! This module packs per-host membership into a word-level bitset
-//! ([`HostBits`]) and pairs it with an **active queue**: a dense vector
-//! of exactly the hosts that have pending scan activity
-//! ([`SoaHosts`]). Generate phases walk the queue instead of the
-//! address space, so a tick costs O(infected), not O(hosts) — the
-//! sparse regime the contained runs live in.
+//! ([`HostBits`]) and, for the community engine's infected sets, adds
+//! two summary levels above it ([`SoaHosts`]): a `mid` bit per
+//! non-empty word and a `top` bit per non-empty `mid` word. Generate
+//! phases walk `top`, then only the words each level marks, so a tick
+//! costs O(hosts/2¹⁸ + infected): at 1M hosts the walk reads 4 `top`
+//! words, then at most one `mid` word and one word of `bits` per
+//! infected host, and the per-member work — the contact draws — is the
+//! rest.
 //!
-//! ## Why the queue order is free
+//! ## Why members are visited in ascending order
 //!
-//! The queue appends hosts in *infection* order, which differs from the
-//! legacy host-order scan. That cannot change outcomes: every random
-//! draw is counter-based (a pure function of `(seed, host, tick,
-//! attempt)`), and the coordinator canonically sorts each inbox by
-//! `(src, attempt)` before the apply phase. Enumeration order therefore
-//! never reaches the RNG or the merge — the event *multiset* is
-//! identical, which the legacy↔SoA parity checks compare field by field
+//! Every random draw is counter-based (a pure function of `(seed, host,
+//! tick, attempt)`), but the *apply* phase is not order-free: which
+//! contact infects a host decides which throttle draws are taken and
+//! which contacts become failure records. The engine therefore applies
+//! contacts in canonical `(src, attempt)` order. Walking members in
+//! ascending offset order makes every shard emit its outbox rows
+//! already in that order, and shard ranges are contiguous, so the apply
+//! phase reads them in shard order with no merge, copy or sort. Both backends visit in the same
+//! order, which the dense↔SoA parity checks compare field by field
 //! ([`crate::community::CommunityOutcome::without_wall_clock`]).
 
 /// A fixed-size bitset over host indices, one bit per host.
@@ -79,9 +84,10 @@ impl HostBits {
 /// The contact-state backend the community engine is generic over.
 ///
 /// `off` is always a *shard-local* offset (`host - shard.lo`). The two
-/// implementations are the legacy dense scan (the parity reference,
-/// in `community.rs`) and [`SoaHosts`] below; the engine itself is one
-/// shared code path, so the backends cannot drift semantically.
+/// implementations are [`SoaHosts`] and the dense reference scan
+/// `DenseHosts` (built only for tests and the `oracle` feature), both
+/// below; the engine itself is one shared code path, so the backends
+/// cannot drift semantically.
 pub trait HostSet: Send {
     /// An empty set able to address offsets `[0, len)`.
     fn with_capacity(len: u64) -> Self;
@@ -91,31 +97,45 @@ pub trait HostSet: Send {
     fn insert(&mut self, off: u64) -> bool;
     /// Number of members.
     fn count(&self) -> u64;
-    /// Visit every member once. **Order is implementation-defined** —
-    /// callers must not depend on it (the engine's canonical inbox
-    /// sort guarantees they don't).
+    /// Visit every member once, in **ascending offset order**. The
+    /// engine relies on it: a shard's outbox rows come out sorted by
+    /// `(src, attempt)` only because its sources are visited in order.
     fn for_each_member(&self, f: impl FnMut(u64));
 }
 
-/// Bitset membership plus an append-only active queue: O(1) insert,
-/// O(members) iteration — the struct-of-arrays backend.
+/// Three-level bitset membership plus a member counter: O(1) insert
+/// and count, an ascending O(len/2¹⁸ + members) walk — the
+/// struct-of-arrays backend.
 #[derive(Debug, Clone)]
 pub struct SoaHosts {
     bits: HostBits,
-    /// Members in insertion order. `u32` offsets keep the queue at
-    /// 4 bytes/host (shards past 2³² hosts are rejected at build).
-    active: Vec<u32>,
+    /// Bit `w` is set when word `w` of `bits` has a member, so the walk
+    /// skips empty 64-host blocks without reading them.
+    mid: Vec<u64>,
+    /// Bit `m` is set when word `m` of `mid` is non-zero, so the walk
+    /// skips empty 4,096-host blocks too.
+    top: Vec<u64>,
+    /// Number of set bits, so `count` need not popcount every word.
+    members: u64,
+}
+
+/// Call `f(base * 64 + bit)` for each set bit of `word`, lowest first.
+#[inline(always)]
+fn for_each_bit(word: u64, base: u64, mut f: impl FnMut(u64)) {
+    let mut w = word;
+    while w != 0 {
+        f(base * 64 + u64::from(w.trailing_zeros()));
+        w &= w - 1;
+    }
 }
 
 impl HostSet for SoaHosts {
     fn with_capacity(len: u64) -> SoaHosts {
-        assert!(
-            len <= u64::from(u32::MAX) + 1,
-            "SoA shard too large for u32 offsets: {len}"
-        );
         SoaHosts {
             bits: HostBits::new(len),
-            active: Vec::new(),
+            mid: vec![0; len.div_ceil(1 << 12) as usize],
+            top: vec![0; len.div_ceil(1 << 18) as usize],
+            members: 0,
         }
     }
 
@@ -126,22 +146,66 @@ impl HostSet for SoaHosts {
 
     #[inline]
     fn insert(&mut self, off: u64) -> bool {
-        if self.bits.insert(off) {
-            self.active.push(off as u32);
-            true
-        } else {
-            false
-        }
+        let fresh = self.bits.insert(off);
+        let (word, mid) = (off / 64, off / (1 << 12));
+        self.mid[mid as usize] |= 1u64 << (word % 64);
+        self.top[(mid / 64) as usize] |= 1u64 << (mid % 64);
+        self.members += u64::from(fresh);
+        fresh
     }
 
     fn count(&self) -> u64 {
-        self.active.len() as u64
+        self.members
     }
 
+    /// Lowest set bit first at every level: one read per `top` word,
+    /// then one per word a level above marks, then one step per member.
     #[inline]
     fn for_each_member(&self, mut f: impl FnMut(u64)) {
-        for &off in &self.active {
-            f(u64::from(off));
+        for (ti, &top) in self.top.iter().enumerate() {
+            for_each_bit(top, ti as u64, |mi| {
+                for_each_bit(self.mid[mi as usize], mi, |wi| {
+                    for_each_bit(self.bits.words[wi as usize], wi, &mut f);
+                });
+            });
+        }
+    }
+}
+
+/// The dense reference backend: one bool per host, visited by a full
+/// scan in offset order — O(len) per walk regardless of membership.
+/// The reference [`SoaHosts`] is compared against (chaos invariant I11);
+/// built only for tests and under the `oracle` feature.
+#[cfg(any(test, feature = "oracle"))]
+#[derive(Debug, Clone)]
+pub struct DenseHosts(Vec<bool>);
+
+#[cfg(any(test, feature = "oracle"))]
+impl HostSet for DenseHosts {
+    fn with_capacity(len: u64) -> DenseHosts {
+        DenseHosts(vec![false; len as usize])
+    }
+
+    fn contains(&self, off: u64) -> bool {
+        self.0[off as usize]
+    }
+
+    fn insert(&mut self, off: u64) -> bool {
+        let slot = &mut self.0[off as usize];
+        let fresh = !*slot;
+        *slot = true;
+        fresh
+    }
+
+    fn count(&self) -> u64 {
+        self.0.iter().filter(|f| **f).count() as u64
+    }
+
+    fn for_each_member(&self, mut f: impl FnMut(u64)) {
+        for (off, flag) in self.0.iter().enumerate() {
+            if *flag {
+                f(off as u64);
+            }
         }
     }
 }
@@ -165,32 +229,41 @@ mod tests {
     }
 
     #[test]
-    fn soa_queue_visits_each_member_once_in_insertion_order() {
-        let mut s = SoaHosts::with_capacity(100);
-        for off in [7u64, 3, 7, 99, 3, 0] {
+    fn soa_walk_visits_each_member_once_in_ascending_order() {
+        // The block boundaries of all three levels (63/64, 4095/4096,
+        // 2¹⁸ - 1/2¹⁸), with a partial last word at every level.
+        let mut s = SoaHosts::with_capacity(270_000);
+        for off in [
+            7u64, 4096, 3, 262_144, 64, 7, 269_999, 129, 63, 4095, 3, 262_143, 0,
+        ] {
             s.insert(off);
         }
         let mut seen = Vec::new();
         s.for_each_member(|off| seen.push(off));
-        assert_eq!(seen, vec![7, 3, 99, 0], "dups dropped, order = insertion");
-        assert_eq!(s.count(), 4);
-        assert!(s.contains(99) && !s.contains(98));
+        assert_eq!(
+            seen,
+            vec![0, 3, 7, 63, 64, 129, 4095, 4096, 262_143, 262_144, 269_999],
+            "dups dropped, ascending"
+        );
+        assert_eq!(s.count(), 11);
+        assert!(s.contains(269_999) && !s.contains(269_998));
     }
 
     #[test]
     fn backends_agree_on_membership() {
-        // The dense reference lives in community.rs; here just pin the
-        // SoA side against a straightforward model.
         let mut s = SoaHosts::with_capacity(512);
-        let mut model = vec![false; 512];
-        for i in 0..512u64 {
+        let mut dense = DenseHosts::with_capacity(512);
+        for i in 0..300u64 {
             let off = (i * 97) % 512;
-            assert_eq!(s.insert(off), !model[off as usize]);
-            model[off as usize] = true;
+            assert_eq!(s.insert(off), dense.insert(off));
         }
         for off in 0..512u64 {
-            assert_eq!(s.contains(off), model[off as usize]);
+            assert_eq!(s.contains(off), dense.contains(off));
         }
-        assert_eq!(s.count(), model.iter().filter(|m| **m).count() as u64);
+        assert_eq!(s.count(), dense.count());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        s.for_each_member(|off| a.push(off));
+        dense.for_each_member(|off| b.push(off));
+        assert_eq!(a, b);
     }
 }

@@ -18,8 +18,8 @@
 #   crates       the member crates' own tests (tier 1's `cargo test`
 #                covers only the root package, the workspace's one
 #                default member), in release; then the `checkpoint`
-#                crate's again in debug, so its `debug_assert!`s run
-#                under its own unit tests
+#                and `epidemic` crates' again in debug, so their
+#                `debug_assert!`s run under their own unit tests
 #   examples     run the four examples end to end (quickstart,
 #                forensics, worm_outbreak, community_defense); a
 #                nonzero exit from any of them fails the stage
@@ -127,7 +127,7 @@ stage_doc() {
 
 stage_crates() {
     cargo test --workspace --exclude sweeper-repro --release -q &&
-        cargo test -q -p checkpoint
+        cargo test -q -p checkpoint -p epidemic
 }
 
 stage_examples() {

@@ -1,14 +1,16 @@
 //! Property tests for the struct-of-arrays community engine (PR 9).
 //!
 //! The SoA backend (`epidemic::soa`) replaces the legacy dense per-tick
-//! scan with a bitset plus an active-host queue, and the contract is
+//! scan with a three-level bitset walked in ascending order, and the contract is
 //! absolute: over *any* configuration — shard count, wire faults,
 //! Byzantine producers, degraded-host throttling, the failure
 //! estimator — both engines must produce **bit-equal** outcomes, every
 //! field but the wall-clock timers
 //! (`CommunityOutcome::without_wall_clock`), because they consume the
-//! identical counter-based RNG stream and the coordinator's canonical
-//! inbox sort erases enumeration order.
+//! identical counter-based RNG stream and visit members in the same
+//! ascending order. That order is itself checked here: the apply phase
+//! reads the outboxes in place, so it is canonical only because both
+//! backends enumerate members in ascending offset order.
 //!
 //! A pinned regression at the bottom nails the zero-fault anchor under
 //! the SoA engine to values captured on the pre-PR-9 dense engine, so a
@@ -16,7 +18,9 @@
 
 use proptest::prelude::*;
 use sweeper_repro::epidemic::community::{run, CommunityEngine, CommunityParams};
-use sweeper_repro::epidemic::{DistNetParams, FailContParams, Parallelism};
+use sweeper_repro::epidemic::{
+    DenseHosts, DistNetParams, FailContParams, HostSet, Parallelism, SoaHosts,
+};
 
 /// FNV-1a over a curve, for compact pinning of long outcomes.
 fn curve_fnv(curve: &[u64]) -> u64 {
@@ -96,6 +100,45 @@ proptest! {
                 k
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Over random insert sets — capacities that mostly end in a partial
+    /// last word and often span several 4,096-offset `mid` blocks or two
+    /// 2¹⁸-offset `top` blocks, and on half the cases the block-boundary
+    /// offsets of every level (63/64, 4095/4096, 262143/262144) and the
+    /// last offset —
+    /// `SoaHosts` enumerates exactly the sequence the dense reference
+    /// scan does: every member once, in ascending offset order.
+    #[test]
+    fn soa_and_dense_enumerate_the_same_ascending_sequence(
+        len in prop_oneof![1u64..=300, 1u64..=9_000, 262_100u64..=270_000],
+        raw in proptest::collection::vec(any::<u64>(), 0..200),
+        boundary in any::<bool>(),
+    ) {
+        let mut offs: Vec<u64> = raw.iter().map(|r| r % len).collect();
+        if boundary {
+            let edges = [63, 64, 4095, 4096, 262_143, 262_144, len - 1];
+            offs.extend(edges.into_iter().filter(|&o| o < len));
+        }
+        let mut soa = SoaHosts::with_capacity(len);
+        let mut dense = DenseHosts::with_capacity(len);
+        for &off in &offs {
+            prop_assert_eq!(soa.insert(off), dense.insert(off), "insert {}", off);
+        }
+        let mut expected = offs.clone();
+        expected.sort_unstable();
+        expected.dedup();
+        let (mut from_soa, mut from_dense) = (Vec::new(), Vec::new());
+        soa.for_each_member(|off| from_soa.push(off));
+        dense.for_each_member(|off| from_dense.push(off));
+        prop_assert_eq!(&from_soa, &expected);
+        prop_assert_eq!(&from_dense, &expected);
+        prop_assert_eq!(soa.count(), expected.len() as u64);
+        prop_assert_eq!(dense.count(), expected.len() as u64);
     }
 }
 

@@ -20,7 +20,10 @@
 //!   gauges, and their trajectories on one Squid host and one attacked
 //!   Apache host under both engines. These were recorded while the
 //!   census still counted with hash sets and snapshot tables were
-//!   ordered maps.
+//!   ordered maps;
+//! * the three community-engine arms the benchmark's `community-1m`
+//!   workload runs, at its tiny scale, at one and four shards: every
+//!   field of the outcome but the wall-clock timers.
 
 use sweeper_repro::apps::workload::{Target, Workload};
 use sweeper_repro::apps::{httpd1, squid};
@@ -201,5 +204,194 @@ fn census_trajectories_are_pinned() {
             vec![1, 1, 3, 3, 5, 5, 7, 7, 9, 9, 11, 11],
             vec![6, 6, 8, 8, 10, 10, 12, 12, 14, 14, 16, 16]
         )
+    );
+}
+
+/// FNV-1a over `words`, continuing from `h`.
+fn fnv_words(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    h
+}
+
+/// FNV-1a over every field of a community outcome's
+/// `without_wall_clock()` view: the curve, every shard, tick, distnet
+/// and failcont counter, and `events_exchanged`. The outcome and its
+/// distnet and failcont blocks are destructured without `..`, so a field
+/// added to them cannot be left out silently.
+fn community_fnv(o: sweeper_repro::epidemic::CommunityOutcome) -> u64 {
+    use sweeper_repro::epidemic::{CommunityOutcome, DistOutcome, FailContOutcome};
+    let CommunityOutcome {
+        t0_tick,
+        infected,
+        infection_ratio,
+        curve,
+        ticks,
+        shards_used,
+        shard_stats,
+        tick_stats,
+        dist,
+        failcont,
+    } = o.without_wall_clock();
+    let opt = |v: Option<u64>| [u64::from(v.is_some()), v.unwrap_or(0)];
+    let mut h = fnv_words(0xcbf2_9ce4_8422_2325, opt(t0_tick));
+    h = fnv_words(h, [infected, infection_ratio.to_bits(), ticks]);
+    h = fnv_words(h, [shards_used as u64, curve.len() as u64]);
+    h = fnv_words(h, curve);
+    for s in shard_stats {
+        h = fnv_words(
+            h,
+            [
+                s.shard as u64,
+                s.hosts,
+                s.infected,
+                s.producer_contacts,
+                s.antibodies_applied,
+                s.events_sent_cross,
+                s.events_received_cross,
+                s.protected_blocks,
+                s.throttled_blocks,
+                s.failcont_suppressed,
+                s.failcont_failures,
+                s.generate_nanos as u64,
+                s.apply_nanos as u64,
+            ],
+        );
+    }
+    for t in tick_stats {
+        h = fnv_words(
+            h,
+            [
+                t.tick,
+                t.new_infections,
+                t.events_exchanged,
+                t.wall_nanos as u64,
+            ],
+        );
+    }
+    h = fnv_words(h, [u64::from(dist.is_some())]);
+    if let Some(DistOutcome {
+        activated_tick,
+        protection_complete_tick,
+        protected,
+        byzantine_producers,
+        deployed_unverified,
+        shard_stats,
+    }) = dist
+    {
+        h = fnv_words(h, [activated_tick]);
+        h = fnv_words(h, opt(protection_complete_tick));
+        h = fnv_words(h, [protected, byzantine_producers, deployed_unverified]);
+        for s in shard_stats {
+            h = fnv_words(
+                h,
+                [
+                    s.sends,
+                    s.retries,
+                    s.drops,
+                    s.dups,
+                    s.delayed,
+                    s.verified,
+                    s.rejected,
+                    s.quarantines,
+                    s.skipped_quarantined,
+                    s.late,
+                    s.gave_up,
+                ],
+            );
+        }
+    }
+    h = fnv_words(h, [u64::from(failcont.is_some())]);
+    if let Some(FailContOutcome {
+        flagged_sources,
+        failures_recorded,
+        suppressed_attempts,
+        bits_set,
+    }) = failcont
+    {
+        h = fnv_words(
+            h,
+            [
+                flagged_sources,
+                failures_recorded,
+                suppressed_attempts,
+                bits_set,
+            ],
+        );
+    }
+    h
+}
+
+/// The three `community-1m` benchmark arms at the benchmark's tiny
+/// scale (20,000 hosts, seed 7), at one and four shards: `(arm,
+/// infected, ticks, community_fnv)`. Recorded while the coordinator
+/// still sorted a copied inbox per shard every tick and `DistNet`
+/// verified every delivered bundle.
+#[test]
+fn community_arms_are_pinned() {
+    use sweeper_repro::epidemic::community::{run, CommunityEngine, CommunityParams};
+    use sweeper_repro::epidemic::{DistNetParams, FailContParams, Parallelism};
+    let arms = [
+        (
+            "none",
+            200,
+            0.0,
+            0,
+            DistNetParams::disabled(),
+            FailContParams::disabled(),
+        ),
+        (
+            "failest",
+            400,
+            0.0,
+            0,
+            DistNetParams::disabled(),
+            FailContParams::standard(),
+        ),
+        (
+            "antibody-lossy",
+            400,
+            1e-3,
+            40,
+            DistNetParams::lossy(0.4, 0.2),
+            FailContParams::disabled(),
+        ),
+    ];
+    let mut got = Vec::new();
+    for k in [1usize, 4] {
+        for &(name, max_ticks, alpha, gamma_ticks, distnet, failcont) in &arms {
+            let o = run(&CommunityParams {
+                hosts: 20_000,
+                alpha,
+                rho: 0.1,
+                gamma_ticks,
+                attempts_per_tick: 1,
+                attempt_prob: 1.0,
+                i0: 100,
+                max_ticks,
+                seed: 7,
+                parallelism: Parallelism::Fixed(k),
+                engine: CommunityEngine::Soa,
+                distnet,
+                failcont,
+            });
+            got.push((k, name, o.infected, o.ticks, community_fnv(o)));
+        }
+    }
+    assert_eq!(
+        got,
+        vec![
+            (1, "none", 20_000, 165, 0x503f_0227_feb3_8851),
+            (1, "failest", 19_550, 400, 0x3325_e425_1d71_e477),
+            (1, "antibody-lossy", 4_981, 120, 0xeced_f223_0c69_01f8),
+            (4, "none", 20_000, 165, 0x61bc_14eb_0a32_7c67),
+            (4, "failest", 19_550, 400, 0x7d44_6667_9560_1741),
+            (4, "antibody-lossy", 4_981, 120, 0xbafe_e2c9_6831_0452),
+        ],
+        "community outcome moved"
     );
 }
