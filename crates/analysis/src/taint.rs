@@ -111,12 +111,25 @@ pub struct TaintTool {
     /// Propagation log: pcs of instructions that moved taint (the raw
     /// material for taint-based VSEFs).
     prop_pcs: BTreeSet<u32>,
+    /// Whether an alert stops the run ([`TaintTool::stopping`]).
+    stop_on_alert: bool,
 }
 
 impl TaintTool {
-    /// A fresh tool with an empty shadow.
+    /// A fresh tool with an empty shadow that lets the run go on past
+    /// its alerts (analysis replays, which read the whole attack).
     pub fn new() -> TaintTool {
         TaintTool::default()
+    }
+
+    /// A fresh tool whose alerts stop the run
+    /// ([`Machine::request_stop`]): §4.2 sampling, where the tainted
+    /// control transfer must not be followed into the attacker's code.
+    pub fn stopping() -> TaintTool {
+        TaintTool {
+            stop_on_alert: true,
+            ..TaintTool::default()
+        }
     }
 
     /// Alerts raised so far.
@@ -198,6 +211,9 @@ impl Tool for TaintTool {
                     target: *target,
                     sources: tainted,
                 });
+                if self.stop_on_alert {
+                    m.request_stop();
+                }
             }
         }
         // Propagate per value flow: each destination receives the union

@@ -184,6 +184,10 @@ pub struct Detection {
 }
 
 /// Deployed VSEF instrumentation: all of a host's VSEFs in one tool.
+///
+/// Every detection also asks the machine to stop
+/// ([`Machine::request_stop`]), so the run that raised it returns right
+/// after the detecting instruction, before the exploit goes further.
 pub struct VsefRuntime {
     specs: Vec<VsefSpec>,
     by_pc: HashMap<u32, Vec<usize>>,
@@ -292,8 +296,10 @@ impl Tool for VsefRuntime {
         // while detections are pushed, so nothing is cloned per event.
         let specs = &self.specs;
         let detections = &mut self.detections;
-        let mut detect =
-            |i: usize, detail: String| detections.push(detection(&specs[i], pc, detail));
+        let mut detect = |i: usize, detail: String| {
+            detections.push(detection(&specs[i], pc, detail));
+            m.request_stop();
+        };
         for &i in idxs {
             match specs[i] {
                 VsefSpec::StoreSmashGuard { .. } => {
@@ -425,7 +431,7 @@ impl Tool for VsefRuntime {
         }
     }
 
-    fn on_ret(&mut self, _m: &Machine, pc: u32, ret_target: u32, sp: u32) {
+    fn on_ret(&mut self, m: &Machine, pc: u32, ret_target: u32, sp: u32) {
         self.shadow.pop_to(sp);
         // Slots at or below `sp` are the lowest keys: remove them in
         // place (unlike `split_off`, this builds no second tree).
@@ -449,12 +455,13 @@ impl Tool for VsefRuntime {
                             "return address changed: expected {expected:#010x}, got {ret_target:#010x}"
                         ),
                     ));
+                    m.request_stop();
                 }
             }
         }
     }
 
-    fn on_free(&mut self, _m: &Machine, pc: u32, ptr: u32, kind: FreeKind) {
+    fn on_free(&mut self, m: &Machine, pc: u32, ptr: u32, kind: FreeKind) {
         for spec in &self.specs {
             if let VsefSpec::DoubleFreeGuard { free_pc } = *spec {
                 if free_pc == pc && (kind == FreeKind::DoubleFree || self.freed.contains(&ptr)) {
@@ -463,6 +470,7 @@ impl Tool for VsefRuntime {
                         pc,
                         format!("double free of {ptr:#010x}"),
                     ));
+                    m.request_stop();
                 }
             }
         }

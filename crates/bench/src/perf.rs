@@ -199,12 +199,10 @@ impl FleetLatency {
 /// benign service latency during an outbreak versus the quiescent
 /// baseline, plus the determinism evidence.
 ///
-/// Deliberately carries **no wall-clock time and no shard count**:
-/// every field is a pure function of `(hosts, seed, …)`, so the
-/// printed table is reproducible bit-for-bit. Shard invariance is
-/// reported *inside* the block (`shard_invariant`, computed by running
-/// the same seed at 1 and N reactor shards and comparing digests)
-/// rather than by leaking the shard knob into it.
+/// Deliberately carries **no wall-clock time**: every field is a pure
+/// function of `(hosts, seed, …)`, so the printed table is reproducible
+/// bit-for-bit, and a repeat run printing the same table is the
+/// determinism check (invariant I10).
 #[derive(Debug, Clone)]
 pub struct FleetBlock {
     /// Guest Sweeper hosts simulated.
@@ -237,34 +235,27 @@ pub struct FleetBlock {
     pub outbreak: FleetLatency,
     /// The run's determinism digest, hex-printed.
     pub digest: String,
-    /// Whether 1-shard and N-shard runs produced bit-equal digests
-    /// (chaos invariant I10; must be `true`).
-    pub shard_invariant: bool,
 }
 
-/// Run the fleet reactor at 1 shard and at `check_shards` shards and
-/// fold the (1-shard) outcome plus the shard-invariance verdict into a
-/// [`FleetBlock`].
-pub fn fleet_block(cfg: &fleet::FleetConfig, check_shards: usize) -> Result<FleetBlock, String> {
-    let serial = fleet::run(&cfg.with_shards(1))?;
-    let sharded = fleet::run(&cfg.with_shards(check_shards.max(2)))?;
+/// Run the fleet reactor and fold its outcome into a [`FleetBlock`].
+pub fn fleet_block(cfg: &fleet::FleetConfig) -> Result<FleetBlock, String> {
+    let out = fleet::run(cfg)?;
     Ok(FleetBlock {
-        hosts: serial.hosts,
-        seed: serial.seed,
+        hosts: out.hosts,
+        seed: out.seed,
         target: format!("{:?}", cfg.target),
         horizon_ms: cfg.horizon_ms,
         outbreak_at_ms: cfg.outbreak_at_ms.unwrap_or(f64::NAN),
-        served: serial.served,
-        filtered: serial.filtered,
-        attacks: serial.attacks,
-        contacts: serial.contacts,
-        bundles_deployed: serial.bundles_deployed,
-        bundles_rejected: serial.bundles_rejected,
-        protected_hosts: serial.protected_hosts,
-        quiescent: FleetLatency::from_book(&serial.quiescent),
-        outbreak: FleetLatency::from_book(&serial.outbreak),
-        digest: format!("{:#018x}", serial.digest),
-        shard_invariant: serial.digest == sharded.digest,
+        served: out.served,
+        filtered: out.filtered,
+        attacks: out.attacks,
+        contacts: out.contacts,
+        bundles_deployed: out.bundles_deployed,
+        bundles_rejected: out.bundles_rejected,
+        protected_hosts: out.protected_hosts,
+        quiescent: FleetLatency::from_book(&out.quiescent),
+        outbreak: FleetLatency::from_book(&out.outbreak),
+        digest: format!("{:#018x}", out.digest),
     })
 }
 
@@ -300,7 +291,7 @@ pub fn render_fleet_block(b: &FleetBlock) -> String {
     s.push_str(&row("outbreak", &b.outbreak));
     s.push_str(&format!(
         "served {} | filtered {} | attacks {} | contacts {} | bundles +{}/-{} | \
-         protected {}/{} | digest {} | shard_invariant {}",
+         protected {}/{} | digest {}",
         b.served,
         b.filtered,
         b.attacks,
@@ -310,7 +301,6 @@ pub fn render_fleet_block(b: &FleetBlock) -> String {
         b.protected_hosts,
         b.hosts,
         b.digest,
-        b.shard_invariant,
     ));
     s
 }
@@ -322,9 +312,8 @@ pub fn render_fleet_block(b: &FleetBlock) -> String {
 /// which every attacked host runs both modes for the same fault and
 /// asserts bit-equal post-recovery digests.
 ///
-/// Follows the [`FleetBlock`] conventions: no wall-clock time, no shard
-/// count — every field is a pure function of `(hosts, seed, …)`, with
-/// shard invariance reported *inside* the block.
+/// Follows the [`FleetBlock`] conventions: no wall-clock time — every
+/// field is a pure function of `(hosts, seed, …)`.
 #[derive(Debug, Clone)]
 pub struct RecoveryBlock {
     /// Guest Sweeper hosts simulated (per leg).
@@ -364,29 +353,18 @@ pub struct RecoveryBlock {
     pub p999_ratio: f64,
     /// Domain-leg determinism digest, hex-printed.
     pub digest_domain: String,
-    /// Whether the Domain leg's digest is shard-count-invariant
-    /// (invariant I10; must be `true`).
-    pub shard_invariant: bool,
 }
 
-/// Run the fleet under Full, Domain (at 1 and `check_shards` shards),
-/// and Differential recovery, and fold the comparison into a
-/// [`RecoveryBlock`].
-pub fn recovery_block(
-    cfg: &fleet::FleetConfig,
-    check_shards: usize,
-) -> Result<RecoveryBlock, String> {
+/// Run the fleet under Full, Domain and Differential recovery, and fold
+/// the comparison into a [`RecoveryBlock`].
+pub fn recovery_block(cfg: &fleet::FleetConfig) -> Result<RecoveryBlock, String> {
     use sweeper::RecoveryMode;
-    let full = fleet::run(&cfg.with_recovery(RecoveryMode::Full).with_shards(1))?;
-    let domain = fleet::run(&cfg.with_recovery(RecoveryMode::Domain).with_shards(1))?;
-    let sharded = fleet::run(
-        &cfg.with_recovery(RecoveryMode::Domain)
-            .with_shards(check_shards.max(2)),
-    )?;
-    let diff = fleet::run(&cfg.with_recovery(RecoveryMode::Differential).with_shards(1))?;
+    let full = fleet::run(&cfg.with_recovery(RecoveryMode::Full))?;
+    let domain = fleet::run(&cfg.with_recovery(RecoveryMode::Domain))?;
+    let diff = fleet::run(&cfg.with_recovery(RecoveryMode::Differential))?;
     let parity_checks = diff.metrics.counter("recovery.domain_parity_checks");
     let parity_mismatches = diff.metrics.counter("recovery.domain_parity_mismatches");
-    let i12_violations = [&full, &domain, &sharded, &diff]
+    let i12_violations = [&full, &domain, &diff]
         .iter()
         .map(|o| o.metrics.counter("recovery.i12_violations"))
         .sum();
@@ -408,7 +386,6 @@ pub fn recovery_block(
         p999_ratio: domain.outbreak.percentile(0.999).unwrap_or(f64::NAN)
             / full.outbreak.percentile(0.999).unwrap_or(f64::NAN),
         digest_domain: format!("{:#018x}", domain.digest),
-        shard_invariant: domain.digest == sharded.digest,
     })
 }
 
@@ -442,7 +419,7 @@ pub fn render_recovery_block(b: &RecoveryBlock) -> String {
     s.push_str(&format!(
         "outbreak p999 ratio (domain/full) {:.4} | domain rollbacks {} | fallbacks {} | \
          spills {} | i12_violations {} | domain_parity {} | protected {}/{} (full) {}/{} (domain) | \
-         digest {} | shard_invariant {}",
+         digest {}",
         b.p999_ratio,
         b.domain_rollbacks,
         b.domain_fallbacks,
@@ -454,7 +431,6 @@ pub fn render_recovery_block(b: &RecoveryBlock) -> String {
         b.protected_domain,
         b.hosts,
         b.digest_domain,
-        b.shard_invariant,
     ));
     s
 }
@@ -836,10 +812,9 @@ mod tests {
     }
 
     #[test]
-    fn fleet_block_reports_latency_and_shard_invariance() {
+    fn fleet_block_reports_latency_and_is_bit_stable() {
         let cfg = fleet::FleetConfig::smoke(5, 9);
-        let b = fleet_block(&cfg, 3).expect("fleet runs");
-        assert!(b.shard_invariant, "1 vs 3 shards must digest-match");
+        let b = fleet_block(&cfg).expect("fleet runs");
         assert!(b.quiescent.samples > 0);
         assert!(b.quiescent.p99_ms.is_finite() && b.quiescent.p99_ms > 0.0);
         assert!(b.attacks > 0, "smoke outbreak lands: {b:?}");
@@ -849,7 +824,7 @@ mod tests {
             .iter()
             .all(|v| v.is_finite()));
         // Same seed, same printed table.
-        let again = fleet_block(&cfg, 3).expect("fleet runs");
+        let again = fleet_block(&cfg).expect("fleet runs");
         assert_eq!(
             render_fleet_block(&b),
             render_fleet_block(&again),
@@ -860,8 +835,7 @@ mod tests {
     #[test]
     fn recovery_block_holds_i12_and_parity_at_smoke_scale() {
         let cfg = fleet::FleetConfig::smoke(5, 9);
-        let b = recovery_block(&cfg, 3).expect("fleet runs");
-        assert!(b.shard_invariant, "Domain digest must be shard-invariant");
+        let b = recovery_block(&cfg).expect("fleet runs");
         assert_eq!(b.i12_violations, 0, "benign domains stay undisturbed");
         assert!(
             b.domain_parity,
@@ -870,7 +844,7 @@ mod tests {
         assert_eq!(b.protected_full, b.protected_domain, "same protection");
         assert!(b.domain_rollbacks > 0, "Domain mode actually ran: {b:?}");
         // Same seed, same printed table.
-        let again = recovery_block(&cfg, 3).expect("fleet runs");
+        let again = recovery_block(&cfg).expect("fleet runs");
         assert_eq!(
             render_recovery_block(&b),
             render_recovery_block(&again),

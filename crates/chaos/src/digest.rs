@@ -37,7 +37,7 @@ impl Hasher {
     pub fn bytes(&mut self, b: &[u8]) -> &mut Hasher {
         for &x in b {
             self.0 ^= u64::from(x);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
         self
     }

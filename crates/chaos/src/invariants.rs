@@ -17,7 +17,7 @@
 //! | I7 | a plan that fired nothing is bit-identical to the unfaulted run |
 //! | I8 | no consumer ever deploys an unverified antibody bundle |
 //! | I9 | an undamaged delta chain always materializes (`checkpoint.materialize_failures` = 0 whenever no `deltas_truncated` or `store_evictions` fault fired — a rebuild that fails its take-time image digest is a capture bug, not a degradation) |
-//! | I10 | the fleet reactor's outcome digest is shard-count-invariant (sharding is a layout knob, never a semantics knob) |
+//! | I10 | a repeat run of the same fleet gives the same outcome digest (the reactor's event order is a pure function of event identity) |
 //! | I11 | the SoA community engine is bit-identical to the legacy dense engine (every community leg runs both; their outcomes are equal outside the wall-clock fields, unconditionally — no fired fault relaxes it) |
 //! | I12 | a partial (domain) rollback never disturbs benign domains: benign connections in untouched domains are neither dropped nor replayed (`recovery.i12_violations` = 0, unconditionally — fired faults force the fail-closed path to Full, they never license a benign disturbance) |
 
@@ -245,18 +245,18 @@ pub fn check_i8(deployed_unverified: u64, ctx: &str) -> Option<Violation> {
     })
 }
 
-/// I10: the fleet reactor's outcome digest is shard-count-invariant.
+/// I10: a repeat run of the same fleet gives the same outcome digest.
 ///
 /// The reactor orders events by `(stamp, tie, host, seq)` where the tie
-/// is a pure function of event identity; re-partitioning hosts across
-/// shards can therefore never change the pop sequence, so the whole
-/// fleet outcome — every service completion, every contact, every
-/// per-host counter — must hash identically at 1 and N shards.
-pub fn check_i10(serial: u64, sharded: u64, ctx: &str) -> Option<Violation> {
-    (serial != sharded).then(|| {
+/// is a pure function of event identity, and every random draw is keyed
+/// by identity too, so the whole fleet outcome — every service
+/// completion, every contact, every per-host counter — must hash
+/// identically on a second run.
+pub fn check_i10(first: u64, repeat: u64, ctx: &str) -> Option<Violation> {
+    (first != repeat).then(|| {
         Violation::new(
             "I10",
-            format!("{ctx}: shards=1 digest {serial:#018x} != sharded digest {sharded:#018x}"),
+            format!("{ctx}: first digest {first:#018x} != repeat digest {repeat:#018x}"),
         )
     })
 }
@@ -507,7 +507,7 @@ mod tests {
         assert!(check_i10(7, 7, "fleet").is_none());
         let v = check_i10(7, 8, "fleet").expect("violation");
         assert_eq!(v.invariant, "I10");
-        assert!(v.detail.contains("shards=1"), "{}", v.detail);
+        assert!(v.detail.contains("repeat digest"), "{}", v.detail);
     }
 
     #[test]

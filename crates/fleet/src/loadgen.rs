@@ -4,11 +4,11 @@
 //! requests: inter-arrival gaps are exponentially distributed with the
 //! configured mean rate, drawn from the counter PRNG keyed by
 //! `(host, arrival-index)` so the whole arrival schedule is a pure
-//! function of the fleet seed — independent of processing order and of
-//! the reactor shard count. Open-loop matters for tail latency: clients
-//! do not wait for responses, so a host stalled in attack analysis
-//! keeps accumulating queue depth and the stall surfaces in p99/p999
-//! instead of silently throttling offered load.
+//! function of the fleet seed, independent of processing order.
+//! Open-loop matters for tail latency: clients do not wait for
+//! responses, so a host stalled in attack analysis keeps accumulating
+//! queue depth and the stall surfaces in p99/p999 instead of silently
+//! throttling offered load.
 
 use epidemic::rng::draw_unit;
 

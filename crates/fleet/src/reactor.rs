@@ -1,12 +1,8 @@
-//! The deterministic virtual-clock reactor: a sharded priority queue of
-//! timestamped per-host events with a total order that is independent
-//! of the shard count.
+//! The deterministic virtual-clock reactor: one priority queue of
+//! timestamped per-host events with a total order.
 //!
-//! Each shard owns a contiguous range of hosts and a `BinaryHeap` of
-//! that range's future events; popping takes the global minimum across
-//! shard heads. Determinism rests on the ordering key being a **pure
-//! function of the event's identity**, never of heap internals or
-//! insertion order:
+//! Determinism rests on the ordering key being a **pure function of the
+//! event's identity**, never of heap internals or insertion order:
 //!
 //! ```text
 //! (at_cycles, tie, host, seq)
@@ -18,10 +14,10 @@
 //! in a seeded pseudo-random order — no host systematically goes first
 //! at clock collisions, which are the *common* case with thousands of
 //! hosts on one virtual clock — and because `(host, seq)` pairs are
-//! unique, the order is strict. Re-partitioning hosts across any
-//! number of shards permutes heap internals but never the pop
-//! sequence, which is what lets the chaos harness demand bit-equal
-//! fleet digests at 1 vs N shards (invariant I10).
+//! unique, the order is strict. A repeat run of the same schedule
+//! therefore pops the same sequence, which is what lets the chaos
+//! harness demand bit-equal fleet digests across repeat runs
+//! (invariant I10).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -76,37 +72,30 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// The sharded deterministic event queue.
+/// The deterministic event queue.
 #[derive(Debug)]
 pub struct Reactor<T> {
     seed: u64,
     hosts: u32,
-    shards: Vec<BinaryHeap<Reverse<Entry<T>>>>,
+    heap: BinaryHeap<Reverse<Entry<T>>>,
     /// Per-host monotone event sequence numbers (the `seq` of the key).
     seqs: Vec<u64>,
-    len: usize,
     now: u64,
 }
 
 impl<T> Reactor<T> {
-    /// A reactor for `hosts` hosts partitioned over `shards` heaps
-    /// (clamped to `1..=hosts`), with tie-break draws keyed by `seed`.
-    pub fn new(hosts: u32, shards: usize, seed: u64) -> Reactor<T> {
+    /// A reactor for `hosts` hosts, with tie-break draws keyed by
+    /// `seed`. `_shards` is inert: it is kept only so the `benchmark`
+    /// package builds, and ROADMAP item 3 deletes it with its caller.
+    pub fn new(hosts: u32, _shards: usize, seed: u64) -> Reactor<T> {
         let hosts = hosts.max(1);
-        let shards = shards.clamp(1, hosts as usize);
         Reactor {
             seed,
             hosts,
-            shards: (0..shards).map(|_| BinaryHeap::new()).collect(),
+            heap: BinaryHeap::new(),
             seqs: vec![0; hosts as usize],
-            len: 0,
             now: 0,
         }
-    }
-
-    /// The contiguous-range shard owning `host`.
-    fn shard_of(&self, host: u32) -> usize {
-        (host as usize * self.shards.len()) / self.hosts as usize
     }
 
     /// Schedule `payload` for `host` at virtual cycle `at_cycles`
@@ -133,23 +122,13 @@ impl<T> Reactor<T> {
             seq,
             payload,
         };
-        let shard = self.shard_of(host);
-        self.shards[shard].push(Reverse(entry));
-        self.len += 1;
+        self.heap.push(Reverse(entry));
     }
 
-    /// Pop the globally earliest event and advance the reactor clock to
-    /// its stamp. `None` when the queue is empty.
+    /// Pop the earliest event and advance the reactor clock to its
+    /// stamp. `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<Fired<T>> {
-        let best = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.peek().map(|Reverse(e)| (e.key(), i)))
-            .min()?
-            .1;
-        let Reverse(entry) = self.shards.get_mut(best)?.pop()?;
-        self.len -= 1;
+        let Reverse(entry) = self.heap.pop()?;
         self.now = self.now.max(entry.at);
         Some(Fired {
             at_cycles: entry.at,
@@ -160,12 +139,12 @@ impl<T> Reactor<T> {
 
     /// Events currently queued.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// The reactor clock: the stamp of the latest popped event.
@@ -179,8 +158,8 @@ mod tests {
     use super::*;
 
     /// Drain a reactor pre-loaded by `fill`, returning the pop order.
-    fn drain(hosts: u32, shards: usize, fill: impl Fn(&mut Reactor<u32>)) -> Vec<(u64, u32, u32)> {
-        let mut r = Reactor::new(hosts, shards, 0x5eed);
+    fn drain(hosts: u32, fill: impl Fn(&mut Reactor<u32>)) -> Vec<(u64, u32, u32)> {
+        let mut r = Reactor::new(hosts, 1, 0x5eed);
         fill(&mut r);
         let mut out = Vec::new();
         while let Some(f) = r.pop() {
@@ -190,7 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn pop_order_is_time_ordered_and_shard_invariant() {
+    fn pop_order_is_time_ordered_and_insertion_order_free() {
         let fill = |r: &mut Reactor<u32>| {
             // Many same-stamp collisions across hosts, plus distinct
             // stamps, scheduled in a scrambled order.
@@ -200,17 +179,25 @@ mod tests {
                 r.schedule(100, host, 2000 + host);
             }
         };
-        let serial = drain(16, 1, fill);
-        assert_eq!(serial.len(), 48);
-        let mut stamps: Vec<u64> = serial.iter().map(|&(at, _, _)| at).collect();
+        let order = drain(16, fill);
+        assert_eq!(order.len(), 48);
+        let mut stamps: Vec<u64> = order.iter().map(|&(at, _, _)| at).collect();
         let mut sorted = stamps.clone();
         sorted.sort_unstable();
         assert_eq!(stamps, sorted, "pops are time-ordered");
         stamps.dedup();
-        assert!(stamps.len() < serial.len(), "stamp collisions occurred");
-        for shards in [2, 3, 4, 7, 16] {
-            assert_eq!(serial, drain(16, shards, fill), "shards={shards}");
-        }
+        assert!(stamps.len() < order.len(), "stamp collisions occurred");
+        // Scheduling the same per-host events with the hosts visited in
+        // reverse pops the same sequence: the key, not insertion order,
+        // decides.
+        let reversed = drain(16, |r| {
+            for host in (0..16u32).rev() {
+                r.schedule(100, host, host);
+                r.schedule(50 + u64::from(host % 3), host, 1000 + host);
+                r.schedule(100, host, 2000 + host);
+            }
+        });
+        assert_eq!(order, reversed);
     }
 
     #[test]

@@ -45,10 +45,9 @@
 //! wire delays, same-cycle tie-breaks — is a counter-PRNG draw keyed by
 //! stable identities (host ids, arrival indices, infection numbers),
 //! never by processing order or wall-clock anything. Infections are
-//! numbered in reactor pop order, which the reactor guarantees is
-//! shard-count-invariant, so the same seed produces a bit-identical
-//! [`FleetOutcome::digest`] for any shard count (chaos invariant I10)
-//! and across repeated runs.
+//! numbered in reactor pop order, which the reactor derives from event
+//! identity alone, so the same seed produces a bit-identical
+//! [`FleetOutcome::digest`] across repeated runs (chaos invariant I10).
 
 use std::collections::VecDeque;
 
@@ -77,8 +76,8 @@ pub const COMMUNITY_KEY: u64 = 0x5eed_f1ee_7c0d_e042;
 pub struct FleetConfig {
     /// Number of guest Sweeper hosts.
     pub hosts: u32,
-    /// Reactor shard count (affects data-structure layout only, never
-    /// results — see [`crate::reactor`]).
+    /// Inert: the reactor is one heap. Kept only so the `benchmark`
+    /// package builds; ROADMAP item 3 deletes it with its caller.
     pub shards: usize,
     /// Master seed; every random stream derives from it.
     pub seed: u64,
@@ -146,11 +145,6 @@ impl FleetConfig {
         }
     }
 
-    /// Same run with a different shard count (results must not change).
-    pub fn with_shards(self, shards: usize) -> FleetConfig {
-        FleetConfig { shards, ..self }
-    }
-
     /// Same run with a different per-host recovery strategy.
     pub fn with_recovery(self, recovery: RecoveryMode) -> FleetConfig {
         FleetConfig { recovery, ..self }
@@ -159,9 +153,9 @@ impl FleetConfig {
 
 /// Aggregate result of one fleet run.
 ///
-/// Deliberately free of wall-clock time and of the shard count: every
-/// field is a pure function of `(config minus shards)`, which is what
-/// makes the digest comparable across runs and shard counts.
+/// Deliberately free of wall-clock time: every field is a pure
+/// function of the config, which is what makes the digest comparable
+/// across runs.
 #[derive(Debug)]
 pub struct FleetOutcome {
     /// Hosts simulated.
@@ -190,7 +184,7 @@ pub struct FleetOutcome {
     pub outbreak: LatencyBook,
     /// FNV-1a digest of every service completion (host, arrival,
     /// completion) in reactor order plus final per-host state in host
-    /// order. Bit-identical across shard counts and repeated runs.
+    /// order. Bit-identical across repeated runs.
     pub digest: u64,
     /// All hosts' metrics merged in host-index order
     /// ([`MetricsRegistry::merge_all`]): counters sum, gauges keep the
@@ -620,17 +614,13 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_same_digest_any_shard_count() {
+    fn same_seed_same_digest() {
         let base = FleetConfig::smoke(5, 7);
         let one = run(&base).expect("run");
         let again = run(&base).expect("run");
         assert_eq!(one.digest, again.digest, "repeat runs are bit-identical");
-        for shards in [2, 3, 5] {
-            let sharded = run(&base.with_shards(shards)).expect("run");
-            assert_eq!(one.digest, sharded.digest, "shards={shards}");
-            assert_eq!(one.served, sharded.served);
-            assert_eq!(one.attacks, sharded.attacks);
-        }
+        assert_eq!(one.served, again.served);
+        assert_eq!(one.attacks, again.attacks);
         let other = run(&FleetConfig::smoke(5, 8)).expect("run");
         assert_ne!(one.digest, other.digest, "seed changes the run");
     }

@@ -6,6 +6,8 @@
 //! replay; here we only guarantee deterministic, fault-containing
 //! execution.
 
+use std::cell::Cell;
+
 use crate::alloc::HeapState;
 use crate::asm::Program;
 use crate::clock::{cost, Clock};
@@ -73,6 +75,11 @@ pub struct Machine {
     /// a clone starts empty, so a clone whose hook goes live before its
     /// first step still delivers its very first instruction to it.
     interest: InterestBuf,
+    /// The clock reading at which the current `run` returns: set on
+    /// entry to every `run`, and to 0 by [`Machine::request_stop`], so
+    /// a stop request ends the run through the same check as its cycle
+    /// budget.
+    deadline: Cell<u64>,
 }
 
 /// The machine's reusable [`Interest`] buffer: a scratch value, so a
@@ -112,6 +119,7 @@ impl Machine {
             status: self.status,
             icache: self.icache.clone(),
             interest: self.interest.clone(),
+            deadline: Cell::new(0),
         }
     }
 
@@ -143,6 +151,7 @@ impl Machine {
             status: Status::Running,
             icache: DecodeCache::new(true),
             interest: InterestBuf::default(),
+            deadline: Cell::new(0),
         })
     }
 
@@ -257,7 +266,9 @@ impl Machine {
     }
 
     /// Execute one instruction, delivering to `hook` the events it asks
-    /// for ([`Hook::interest`], asked once per call).
+    /// for ([`Hook::interest`], asked once per call). The single-step
+    /// reference the oracle tests check [`Machine::run`] against; a
+    /// [`Machine::request_stop`] made here has no run to end.
     pub fn step_hooked(&mut self, hook: &mut dyn Hook) -> Status {
         self.ask_interest(hook);
         if !self.enter() {
@@ -269,6 +280,15 @@ impl Machine {
             Err(f) => Status::Faulted(f),
         };
         self.status
+    }
+
+    /// End the current [`Machine::run`] once the executing instruction
+    /// completes, leaving the status `Running` as a cycle deadline does.
+    /// Hooks call it through the `&Machine` they receive, so a monitor
+    /// that detects an attack stops the guest at the detecting
+    /// instruction. A request outside a run is forgotten by the next.
+    pub fn request_stop(&self) {
+        self.deadline.set(0);
     }
 
     /// Ask `hook` for its interest, into the machine's buffer.
@@ -289,11 +309,13 @@ impl Machine {
         true
     }
 
-    /// Run until the status leaves `Running` or `max_cycles` elapse.
+    /// Run until the status leaves `Running`, `max_cycles` elapse, or a
+    /// hook calls [`Machine::request_stop`].
     ///
-    /// Returns the final status; on cycle exhaustion the status remains
-    /// `Running` (the machine is preemptible). A machine that is not
-    /// running on entry (halted, faulted or blocked) returns at once.
+    /// Returns the final status; on cycle exhaustion or a stop request
+    /// the status remains `Running` (the machine is preemptible). A
+    /// machine that is not running on entry (halted, faulted or blocked)
+    /// returns at once.
     ///
     /// The status lives in a local while the run lasts: `self.status`
     /// is written only when a step leaves `Running` (halt, block or
@@ -305,7 +327,8 @@ impl Machine {
     /// across calls, so a tool attached between runs (or on a fresh
     /// clone) observes every subsequent instruction it asks for.
     pub fn run(&mut self, hook: &mut dyn Hook, max_cycles: u64) -> Status {
-        let deadline = self.clock.cycles().saturating_add(max_cycles);
+        self.deadline
+            .set(self.clock.cycles().saturating_add(max_cycles));
         self.ask_interest(hook);
         if !self.enter() {
             return self.status;
@@ -323,7 +346,7 @@ impl Machine {
                     return self.status;
                 }
             }
-            if self.clock.cycles() >= deadline {
+            if self.clock.cycles() >= self.deadline.get() {
                 return Status::Running;
             }
         }
@@ -876,6 +899,27 @@ sc: .space 16
             m2.run(&mut NopHook, 1000),
             Status::Faulted(Fault::Protection { .. })
         ));
+    }
+
+    #[test]
+    fn a_hook_stops_the_run_after_the_current_instruction() {
+        struct StopAt(u32);
+        impl Hook for StopAt {
+            fn on_insn(&mut self, m: &Machine, pc: u32, _op: &Op) {
+                if pc == self.0 {
+                    m.request_stop();
+                }
+            }
+        }
+        let mut m = boot(".text\nmain:\n movi r0, 1\n movi r0, 2\n movi r0, 3\n halt\n");
+        let second = m.cpu.pc + INSN_SIZE;
+        let mut hook = StopAt(second);
+        assert_eq!(m.run(&mut hook, 1_000_000), Status::Running);
+        assert_eq!(m.insns_retired, 2, "the requesting instruction completed");
+        assert_eq!(m.cpu.get(Reg::R0), 2);
+        // A request made outside a run does not end the next one.
+        m.request_stop();
+        assert_eq!(m.run(&mut NopHook, 1_000_000), Status::Halted(3));
     }
 
     #[test]

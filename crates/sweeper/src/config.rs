@@ -66,10 +66,6 @@ pub struct Config {
     pub run_slicing: bool,
     /// Deployment role.
     pub role: Role,
-    /// Virtual-time cost of a full restart (paper: Squid restart >5 s).
-    pub restart_cycles: u64,
-    /// Cycle budget per analysis replay (safety bound).
-    pub replay_budget: u64,
     /// Sampling (paper §4.2): fraction of requests additionally run under
     /// full dynamic taint analysis. Catches attacks the probabilistic
     /// lightweight monitors can miss (e.g. a worm that guessed the
@@ -93,8 +89,6 @@ impl Default for Config {
             checkpoint_engine: Engine::default(),
             run_slicing: true,
             role: Role::Producer,
-            restart_cycles: secs_to_cycles(5.0),
-            replay_budget: 20_000_000_000,
             sample_rate: 0.0,
             nx: false,
             recovery: RecoveryMode::default(),

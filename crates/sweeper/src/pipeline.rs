@@ -28,7 +28,7 @@ use checkpoint::{
     CheckpointManager, CkptId, NoFault, Proxy, ReplayEnd, ReplayOutcome, ReplaySession,
 };
 use dbi::{Instrumenter, Tool, ToolId, TraceRecorder};
-use svm::clock::cycles_to_secs;
+use svm::clock::{cycles_to_secs, CYCLES_PER_SEC};
 use svm::loader::Layout;
 use svm::Machine;
 
@@ -43,6 +43,12 @@ pub const ATTACH_COST_CYCLES: u64 = 60_000_000; // 25 ms at 2.4 GHz.
 
 /// Cost of the static memory-state walk (stack scan + heap walk).
 pub const CORE_DUMP_CYCLES: u64 = 96_000_000; // 40 ms (paper: first VSEF at 40-60 ms).
+
+/// Cycle budget per analysis replay (safety bound).
+pub const REPLAY_BUDGET_CYCLES: u64 = 20_000_000_000;
+
+/// Virtual-time cost of a full restart (paper: Squid restart >5 s).
+pub const RESTART_CYCLES: u64 = 5 * CYCLES_PER_SEC;
 
 /// Per-step timing for Table 3.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -275,7 +281,6 @@ pub fn analyze_attack(
     config: &Config,
     faults: &mut dyn FaultHooks,
 ) -> Option<AnalysisReport> {
-    let replay_budget = config.replay_budget;
     let detection_at = timeline.now();
     let nominal = Layout::nominal();
     let host = live.layout;
@@ -329,7 +334,7 @@ pub fn analyze_attack(
         !taint_failed,
         config.run_slicing && !slicing_failed,
     ];
-    let mut rep = shared_replay(mgr, proxy, replay_budget, faults, tools)?;
+    let mut rep = shared_replay(mgr, proxy, REPLAY_BUDGET_CYCLES, faults, tools)?;
     metrics.end_span(sp_replay, timeline.now());
     let ckpt = rep.ckpt;
 
@@ -420,7 +425,7 @@ pub fn analyze_attack(
             };
             let solo = sess
                 .dropping(&others)
-                .with_budget(replay_budget)
+                .with_budget(REPLAY_BUDGET_CYCLES)
                 .run(&mut svm::NopHook, &mut *faults);
             step3_cycles += ATTACH_COST_CYCLES / 4 + solo.cycles;
             if matches!(solo.end, ReplayEnd::Faulted(_)) {

@@ -22,7 +22,6 @@ use dbi::{Instrumenter, ToolId};
 use svm::clock::cycles_to_secs;
 use svm::hook::Pair;
 use svm::loader::Layout;
-use svm::net::BlockedOn;
 use svm::rng::XorShift64;
 use svm::{Machine, Status};
 
@@ -30,7 +29,7 @@ use crate::error::SweeperError;
 
 use crate::config::{Config, RecoveryMode, Role};
 use crate::fault::{FaultHooks, NoFaultHooks};
-use crate::pipeline::{analyze_attack, AnalysisReport};
+use crate::pipeline::{analyze_attack, AnalysisReport, RESTART_CYCLES};
 use crate::timeline::{Event, Timeline};
 
 /// Outcome of offering one request to a protected server.
@@ -441,29 +440,14 @@ impl Sweeper {
         self.timeline.advance_to(self.machine.clock.cycles());
     }
 
-    /// Run the machine until it blocks on `accept` (idle), faults, or a
-    /// VSEF detection fires. Returns the stop condition.
+    /// Run the machine until it blocks (idle on `accept`, or waiting on
+    /// a read), halts, faults, or a deployed VSEF fires: a detection
+    /// stops the run right after the detecting instruction.
     fn run_until_idle(&mut self) -> Status {
-        loop {
-            let status = self.machine.run(&mut self.vsef_instr, 2_000_000);
-            self.vsef_instr.charge(&mut self.machine);
-            self.sync_time();
-            let vsef_fired = self
-                .vsef_instr
-                .get::<VsefRuntime>(self.vsef_id)
-                .map(|v| !v.detections().is_empty())
-                .unwrap_or(false);
-            if vsef_fired {
-                return status;
-            }
-            match status {
-                Status::Running => continue,
-                Status::Blocked(BlockedOn::Read { .. }) => return status,
-                Status::Blocked(BlockedOn::Accept) | Status::Halted(_) | Status::Faulted(_) => {
-                    return status
-                }
-            }
-        }
+        let status = self.machine.run(&mut self.vsef_instr, u64::MAX);
+        self.vsef_instr.charge(&mut self.machine);
+        self.sync_time();
+        status
     }
 
     /// Offer one client request to the protected server.
@@ -899,91 +883,52 @@ impl Sweeper {
 
     /// Run one request under full sampling instrumentation (taint paired
     /// with the deployed VSEFs). On a taint alert — tainted data about to
-    /// be used as a control-transfer target — the request is treated as
-    /// an attack *before the hijack executes*: the antibody is derived
-    /// directly from the sampling tool's findings (the heavyweight
-    /// analysis already ran; it was the monitoring).
+    /// be used as a control-transfer target — the run stops and the
+    /// request is treated as an attack *before the hijacked target runs*:
+    /// the antibody is derived directly from the sampling tool's findings
+    /// (the heavyweight analysis already ran; it was the monitoring).
     fn run_sampled(&mut self, log_id: usize) -> Result<Status, Box<AttackReport>> {
         let mut sampler = Instrumenter::new();
-        let taint_id = sampler.attach(Box::new(TaintTool::new()));
-        let status = loop {
-            // Sampled requests are driven one instruction at a time so
-            // that a taint alert stops execution *before* the flagged
-            // control transfer runs — detection must precede damage.
-            let status = {
-                let Sweeper {
-                    machine,
-                    vsef_instr,
-                    ..
-                } = self;
-                machine.step_hooked(&mut Pair(vsef_instr, &mut sampler))
-            };
-            let alerted = sampler
-                .get::<TaintTool>(taint_id)
-                .map(|t| !t.alerts().is_empty())
-                .unwrap_or(false);
-            if !alerted && status.is_running() {
-                continue;
-            }
-            // Sampling is the expensive path: its instrumentation cost is
-            // charged to the live clock (the §4.2 trade-off).
-            sampler.charge(&mut self.machine);
-            self.vsef_instr.charge(&mut self.machine);
-            self.sync_time();
-            let alert = sampler
-                .get::<TaintTool>(taint_id)
-                .and_then(|t| t.alerts().first().cloned());
-            if let Some(a) = alert {
-                let cause = format!(
-                    "sampling: tainted control transfer to {:#010x} at {:#010x}",
-                    a.target, a.pc
-                );
-                // Degrade gracefully if the taint tool went missing
-                // (detached or downcast failure): a sink-only VSEF is a
-                // weaker but valid antibody — never abort mid-recovery.
-                let prop: Vec<u32> = match sampler.get::<TaintTool>(taint_id) {
-                    Some(taint) => {
-                        let mut p: Vec<u32> = taint.propagation_pcs().iter().copied().collect();
-                        p.truncate(64);
-                        p
-                    }
-                    None => {
-                        self.timeline.record(Event::AttackDetected {
-                            cause: SweeperError::ToolUnavailable { tool: "taint" }.to_string(),
-                        });
-                        Vec::new()
-                    }
-                };
-                // Build the antibody from the live sampling findings.
-                let spec = VsefSpec::TaintFilter {
-                    prop_pcs: prop,
-                    sink_pc: a.pc,
-                };
-                let mut antibody = Antibody::new();
-                antibody.push(
-                    AntibodyItem::Vsef(spec.rebase(&self.machine.layout, &Layout::nominal())),
-                    1.0,
-                );
-                if let Some(lc) = self.proxy.get(log_id) {
-                    antibody.push(
-                        AntibodyItem::Signature(antibody::exact_from(&lc.input)),
-                        2.0,
-                    );
-                    antibody.push(AntibodyItem::ExploitInput(lc.input.clone()), 3.0);
-                }
-                let source = Detection::Sampled { log_id, antibody };
-                return Err(Box::new(self.handle_attack(cause, source)));
-            }
-            let vsef_fired = self
-                .vsef_instr
-                .get::<VsefRuntime>(self.vsef_id)
-                .map(|v| !v.detections().is_empty())
-                .unwrap_or(false);
-            if vsef_fired || !status.is_running() {
-                break status;
-            }
+        let taint_id = sampler.attach(Box::new(TaintTool::stopping()));
+        let status = self
+            .machine
+            .run(&mut Pair(&mut self.vsef_instr, &mut sampler), u64::MAX);
+        // Sampling is the expensive path: its instrumentation cost is
+        // charged to the live clock (the §4.2 trade-off).
+        sampler.charge(&mut self.machine);
+        self.vsef_instr.charge(&mut self.machine);
+        self.sync_time();
+        let Some((a, taint)) = sampler
+            .get::<TaintTool>(taint_id)
+            .and_then(|t| Some((t.alerts().first()?, t)))
+        else {
+            return Ok(status);
         };
-        Ok(status)
+        let cause = format!(
+            "sampling: tainted control transfer to {:#010x} at {:#010x}",
+            a.target, a.pc
+        );
+        let mut prop: Vec<u32> = taint.propagation_pcs().iter().copied().collect();
+        prop.truncate(64);
+        // Build the antibody from the live sampling findings.
+        let spec = VsefSpec::TaintFilter {
+            prop_pcs: prop,
+            sink_pc: a.pc,
+        };
+        let mut antibody = Antibody::new();
+        antibody.push(
+            AntibodyItem::Vsef(spec.rebase(&self.machine.layout, &Layout::nominal())),
+            1.0,
+        );
+        if let Some(lc) = self.proxy.get(log_id) {
+            antibody.push(
+                AntibodyItem::Signature(antibody::exact_from(&lc.input)),
+                2.0,
+            );
+            antibody.push(AntibodyItem::ExploitInput(lc.input.clone()), 3.0);
+        }
+        let source = Detection::Sampled { log_id, antibody };
+        Err(Box::new(self.handle_attack(cause, source)))
     }
 
     /// A point-in-time operator summary of the protected host.
@@ -1057,7 +1002,7 @@ impl Sweeper {
         if let Ok(mut fresh) = Machine::boot(&self.program, aslr) {
             fresh
                 .clock
-                .tick(self.machine.clock.cycles() + self.config.restart_cycles);
+                .tick(self.machine.clock.cycles() + RESTART_CYCLES);
             self.machine = fresh;
             // The drained pages belonged to the old instance; its
             // write generations mean nothing to the fresh boot.
@@ -1065,9 +1010,10 @@ impl Sweeper {
             for &id in drop_ids {
                 self.proxy.mark_dropped(id);
             }
-            // Pending (unserved) connections are lost on restart: drop
-            // every log entry newer than the last served one.
-            self.timeline.advance_by(self.config.restart_cycles);
+            // Every connection logged so far went to the old instance:
+            // the next one offered is the fresh machine's connection 0.
+            self.proxy.restart();
+            self.timeline.advance_by(RESTART_CYCLES);
             self.run_until_idle();
         }
     }

@@ -36,19 +36,21 @@
 #                builds a >= 10-snapshot incremental chain, and every
 #                retained snapshot must rebuild under its take-time
 #                image digest and roll back to the identical machine
-#   fleet-smoke  `tables fleet` at 1k hosts; the binary asserts shard
-#                invariance (the reactor determinism gate, invariant
-#                I10) and a finite p99 in both latency windows. The 1k
-#                digest itself is pinned in tier 1 (tests/pinned_outputs.rs)
+#   fleet-smoke  `tables fleet` at 1k hosts, run twice; the binary
+#                asserts a finite p99 in both latency windows, and the
+#                two printed tables must be byte-identical (the repeat-
+#                run determinism gate, invariant I10). The 1k digest
+#                itself is pinned in tier 1 (tests/pinned_outputs.rs)
 #   epidemic-smoke  `tables fig9fail` at reduced hosts; the binary
 #                asserts SoA/legacy parity (invariant I11, both
 #                backends run and compared), K-invariance, and a
 #                finite per-host tick rate
-#   recovery-smoke  `tables fleetrecover` at 1k hosts: the same
-#                outbreak under Full vs Domain recovery plus a
+#   recovery-smoke  `tables fleetrecover` at 1k hosts, run twice: the
+#                same outbreak under Full vs Domain recovery plus a
 #                Differential oracle leg; the binary asserts domain
-#                parity, zero I12 violations, shard invariance, and a
-#                Domain outbreak p999 strictly below Full's
+#                parity, zero I12 violations, and a Domain outbreak
+#                p999 strictly below Full's, and the two printed tables
+#                must be byte-identical (invariant I10)
 #   fig9dist     `tables fig9dist` at 1k hosts; the binary asserts no
 #                unverified deployment (invariant I8) in any cell
 #   benchmark    the end-to-end benchmark package's tests, which include
@@ -159,8 +161,21 @@ stage_ckptparity() {
 
 # The smoke stages below gate by exit status: each `tables` subcommand
 # asserts its own gates and panics (nonzero exit) when one fails.
+
+# tables_twice <subcommand> [flags]: run a `tables` subcommand twice.
+# Each run asserts its own gates; the two printed tables carry no wall
+# clock, so they must be byte-identical (repeat-run determinism,
+# invariant I10).
+tables_twice() {
+    out="$LOGDIR/$1.out"
+    cargo run --release -p bench --bin tables -- "$@" >"$out.1" &&
+        cargo run --release -p bench --bin tables -- "$@" >"$out.2" &&
+        cat "$out.1" &&
+        cmp "$out.1" "$out.2"
+}
+
 stage_fleet_smoke() {
-    cargo run --release -p bench --bin tables -- fleet --hosts=1000 --shards=2
+    tables_twice fleet --hosts=1000
 }
 
 stage_epidemic_smoke() {
@@ -168,7 +183,7 @@ stage_epidemic_smoke() {
 }
 
 stage_recovery_smoke() {
-    cargo run --release -p bench --bin tables -- fleetrecover --hosts=1000 --shards=2
+    tables_twice fleetrecover --hosts=1000
 }
 
 stage_fig9dist() {

@@ -194,3 +194,39 @@ fn cross_app_antibodies_do_not_false_positive() {
         );
     }
 }
+
+#[test]
+fn vsef_detection_stops_the_guest_before_the_shellcode_runs() {
+    // A consumer with ASLR off stands in for the lucky layout guess: the
+    // compromise exploit's return address is right. With only the
+    // producer's VSEFs deployed (no signature drops it at the proxy), the
+    // store-smash guard fires at the overflowing store, and the guest
+    // must stop there instead of running on into the shellcode.
+    let app = httpd1::app().expect("app");
+    let ab = produce_antibody(&app, httpd1::exploit_crash(&app).input, 5);
+    let vsef_only = sweeper_repro::antibody::Antibody {
+        releases: ab
+            .releases
+            .iter()
+            .filter(|r| matches!(r.item, sweeper_repro::antibody::AntibodyItem::Vsef(_)))
+            .cloned()
+            .collect(),
+    };
+    let cfg = Config {
+        aslr: sweeper_repro::svm::loader::Aslr::off(),
+        ..Config::consumer(5)
+    };
+    let mut c = Sweeper::protect(&app, cfg).expect("protect");
+    c.deploy_antibody(&vsef_only);
+    assert!(c.deployed_vsefs() > 0 && c.signatures.is_empty());
+    let ex = httpd1::exploit_compromise(&app, &sweeper_repro::svm::loader::Layout::nominal());
+    let RequestOutcome::Attack(r) = c.offer_request(ex.input) else {
+        panic!("the deployed VSEFs missed the exploit")
+    };
+    assert!(r.cause.starts_with("vsef:"), "{}", r.cause);
+    assert!(!r.compromised, "shellcode ran after {}", r.cause);
+    assert!(matches!(
+        c.offer_request(httpd1::benign_request("after.html")),
+        RequestOutcome::Served { .. }
+    ));
+}

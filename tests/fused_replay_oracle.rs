@@ -25,7 +25,9 @@ use sweeper_repro::obs::MetricsRegistry;
 use sweeper_repro::svm::clock::cycles_to_secs;
 use sweeper_repro::svm::loader::Layout;
 use sweeper_repro::svm::{Machine, NopHook, Status};
-use sweeper_repro::sweeper::pipeline::{ATTACH_COST_CYCLES, CORE_DUMP_CYCLES};
+use sweeper_repro::sweeper::pipeline::{
+    ATTACH_COST_CYCLES, CORE_DUMP_CYCLES, REPLAY_BUDGET_CYCLES,
+};
 use sweeper_repro::sweeper::{
     analyze_attack, Config, Event, InputFinding, NoFaultHooks, RequestOutcome, SliceVerdict,
     StepTimings, Sweeper, Timeline,
@@ -127,7 +129,7 @@ fn sequential(
     timeline: &mut Timeline,
     config: &Config,
 ) -> Option<Sequential> {
-    let budget = config.replay_budget;
+    let budget = REPLAY_BUDGET_CYCLES;
     let detection_at = timeline.now();
     let (host, nominal) = (live.layout, Layout::nominal());
     let norm = |spec: VsefSpec| spec.rebase(&host, &nominal);

@@ -207,7 +207,10 @@ fn census_trajectories_are_pinned() {
     );
 }
 
-/// FNV-1a over `words`, continuing from `h`.
+/// An FNV-1a-style fold over `words`, continuing from `h`. Its
+/// multiplier is `0x1000_0000_01b3`, not the FNV prime
+/// `0x100_0000_01b3`, so it is not FNV-1a; the pinned constants were
+/// recorded with it.
 fn fnv_words(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
     for w in words {
         for b in w.to_le_bytes() {

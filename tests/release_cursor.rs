@@ -6,21 +6,27 @@
 //!   (checkpoints, drains and filtering included) each served request
 //!   looks at a constant number of log entries, however long the log.
 //! * **Same answer** — at every call the cursor walk releases exactly
-//!   what a walk from the first entry would (the oracle below), across
-//!   filtered inputs, a domain rollback, a full rollback-and-replay
+//!   what a walk from the first live entry would (the oracle below),
+//!   across filtered inputs, a domain rollback, a full rollback-and-replay
 //!   recovery that also drops an already-served connection, and a fresh
-//!   boot that is out of step with the log.
+//!   boot announced by `Proxy::restart`.
+//! * **Own log ids after a restart** — once a restart replaced the
+//!   machine, each served request's response is released under its own
+//!   log id, not under an entry the old instance saw.
 
 use sweeper_repro::apps::httpd1;
 use sweeper_repro::apps::workload::{Target, Workload};
 use sweeper_repro::checkpoint::{
     recover, recover_domain, CheckpointManager, InputFilter, NoFault, Proxy, RecoveryOutcome,
+    ReplayFault,
 };
 use sweeper_repro::svm::asm::assemble;
 use sweeper_repro::svm::loader::Aslr;
 use sweeper_repro::svm::stdlib::LIB_ASM;
 use sweeper_repro::svm::{Machine, NopHook, Status};
-use sweeper_repro::sweeper::{Config, RequestOutcome, Sweeper};
+use sweeper_repro::sweeper::{
+    Config, FaultHooks, NoFaultHooks, RecoveryMode, RequestOutcome, Sweeper,
+};
 
 #[test]
 fn served_requests_visit_a_bounded_number_of_log_entries() {
@@ -113,10 +119,10 @@ impl InputFilter for Blocks {
     }
 }
 
-/// What a walk from the first log entry would release from `m` now.
+/// What a walk from the first live log entry would release from `m` now.
 fn from_first_entry(p: &Proxy, m: &Machine) -> Vec<(usize, Vec<u8>)> {
     let mut out = Vec::new();
-    for (guest, lc) in (0..).zip(p.log().iter().filter(|c| !c.filtered)) {
+    for (guest, lc) in (0..).zip(p.live_log().iter().filter(|c| !c.filtered)) {
         let Some(conn) = m.net.conn(guest) else {
             break;
         };
@@ -208,16 +214,76 @@ fn cursor_releases_what_a_walk_from_the_first_entry_releases() {
     for i in 0..4 {
         w.serve(if i == 2 { b"evil" } else { b"hello" });
     }
-    // A fresh boot that no drop announced: out of step with the log.
+    // A fresh boot: the entries logged so far belong to the old one.
     w.m = server();
+    w.proxy.restart();
     w.m.run(&mut NopHook, 100_000_000);
     w.mgr.discard_pending();
     w.mgr.take(&mut w.m);
+    let first_fresh = w.proxy.log().len();
     for _ in 0..3 {
         w.serve(b"again");
     }
+    let fresh: Vec<_> = w
+        .released
+        .iter()
+        .filter(|(id, _)| *id >= first_fresh)
+        .collect();
+    assert_eq!(fresh.len(), 3, "each fresh response under its own log id");
+    assert!(fresh.iter().all(|(_, b)| b == b"again"));
     let delivered = w.proxy.log().iter().filter(|c| !c.filtered).count();
     assert!(delivered >= 12, "the log kept growing: {delivered}");
     assert!(!w.released.is_empty());
     assert!(w.proxy.release_visits() > 0);
+}
+
+/// Evicts every retained checkpoint just before recovery runs, so a full
+/// recovery has nothing to replay from and restarts.
+struct EvictAll;
+
+impl ReplayFault for EvictAll {}
+
+impl FaultHooks for EvictAll {
+    fn before_recovery(&mut self, mgr: &mut CheckpointManager, _proxy: &mut Proxy) {
+        while mgr.evict_oldest().is_some() {}
+    }
+}
+
+#[test]
+fn responses_after_a_restart_are_released_under_their_own_log_ids() {
+    let app = httpd1::app().expect("app");
+    // Full recovery: a domain rollback needs no retained checkpoint.
+    let cfg = Config::producer(31).with_recovery(RecoveryMode::Full);
+    let mut s = Sweeper::protect(&app, cfg).expect("protect");
+    let mut released_before = Vec::new();
+    for i in 0..3 {
+        let out = s.offer_request(httpd1::benign_request(&format!("b{i}.html")));
+        let RequestOutcome::Served { log_id, .. } = out else {
+            panic!("benign request {i}: {out:?}")
+        };
+        released_before.push((log_id, s.proxy.get(log_id).expect("c").released.clone()));
+    }
+    s.set_fault_hooks(Box::new(EvictAll));
+    let RequestOutcome::Attack(r) = s.offer_request(httpd1::exploit_crash(&app).input) else {
+        panic!("expected attack")
+    };
+    assert_eq!(r.recovery_method, "restart");
+    s.set_fault_hooks(Box::new(NoFaultHooks));
+    for i in 0..3 {
+        let out = s.offer_request(httpd1::benign_request(&format!("a{i}.html")));
+        let RequestOutcome::Served { log_id, bytes } = out else {
+            panic!("request {i} after the restart: {out:?}")
+        };
+        let released = &s.proxy.get(log_id).expect("c").released;
+        assert!(bytes > 0, "request {i} released nothing");
+        assert_eq!(
+            released.len(),
+            bytes,
+            "request {i}'s response went to another log entry"
+        );
+    }
+    // The pre-restart entries keep exactly what they had released.
+    for (id, bytes) in released_before {
+        assert_eq!(s.proxy.get(id).expect("c").released, bytes);
+    }
 }

@@ -26,8 +26,7 @@ use sweeper_repro::svm::asm::assemble;
 use sweeper_repro::svm::isa::{Op, NUM_REGS};
 use sweeper_repro::svm::loader::Aslr;
 use sweeper_repro::svm::{Machine, NopHook, Status};
-use sweeper_repro::sweeper::pipeline::replay_reproduces;
-use sweeper_repro::sweeper::Config;
+use sweeper_repro::sweeper::pipeline::{replay_reproduces, REPLAY_BUDGET_CYCLES};
 
 type TaintSet = Arc<BTreeSet<TaintSource>>;
 
@@ -384,7 +383,7 @@ fn warm_up(bug: BugType) -> Vec<Vec<u8>> {
 
 #[test]
 fn paged_shadow_equals_map_oracle_on_every_guest_exploit() {
-    let budget = Config::producer(0).replay_budget;
+    let budget = REPLAY_BUDGET_CYCLES;
     for (app, exploit) in all_crash_exploits().expect("exploits") {
         let mut m = app.boot(Aslr::on(0x5eed)).expect("boot");
         m.run(&mut NopHook, 100_000_000);
