@@ -7,12 +7,15 @@
 //! host keep their served results — they are neither dropped nor replayed
 //! (invariant I12). The ledger attributes every page dirtied inside the
 //! current checkpoint window to the connection (**domain**) that was
-//! being serviced, using the write-generation ladder the incremental
-//! engine already maintains. Partial rollback is only *attempted*; it is
-//! never *trusted*:
+//! being serviced. It does not walk the page table itself: the
+//! manager's one dirty-page walk per served request
+//! ([`CheckpointManager::note_service`](crate::CheckpointManager::note_service))
+//! hands it the page list, already marked covered when the incremental
+//! engine captured those pages in the same pass. Partial rollback is only
+//! *attempted*; it is never *trusted*:
 //!
 //! - a page overwritten across domains whose earlier content was not
-//!   captured by a pre-copy drain is a **spill** — the overwriting
+//!   captured by the incremental engine is a **spill** — the overwriting
 //!   domain becomes non-rollbackable (`checkpoint.domain_spills`);
 //! - the ledger carries an integrity checksum over its attribution
 //!   entries, recomputed on every legitimate mutation, so a corrupted
@@ -47,7 +50,8 @@ pub enum DomainRefusal {
     CorruptLedger,
     /// An attacked domain overwrote (or was built on) uncovered
     /// cross-domain state (chaos family `domain-spill`, or a genuine
-    /// spill under the full-copy engine, which has no pre-copy drain).
+    /// spill under the full-copy engine, which captures no page between
+    /// snapshots).
     Spilled,
     /// A page's pre-attack content is unavailable (store eviction or
     /// checkpoint damage).
@@ -113,24 +117,22 @@ struct PageOwner {
     domain: u32,
     /// Write generation of that last dirty.
     gen: u64,
-    /// Whether a pre-copy drain captured the page's content *after* the
-    /// owning domain's writes — i.e. whether a later domain may
-    /// overwrite it without losing recoverable state.
+    /// Whether the incremental engine captured the page's content
+    /// *after* the owning domain's writes — i.e. whether a later domain
+    /// may overwrite it without losing recoverable state.
     covered: bool,
 }
 
 /// The page→domain attribution ledger for the current checkpoint window.
 ///
 /// Owned by the [`CheckpointManager`](crate::CheckpointManager), which
-/// resets it at every [`take`](crate::CheckpointManager::take), feeds it
-/// from `note_service`/`note_attack` at connection boundaries, and marks
-/// coverage on every pre-copy drain.
+/// resets it at every [`take`](crate::CheckpointManager::take) and feeds
+/// it the pages of its dirty-page walk from `note_service`/`note_attack`
+/// at connection boundaries.
 #[derive(Debug, Default)]
 pub struct DomainLedger {
     /// The checkpoint this window's attribution is anchored to.
     window: Option<CkptId>,
-    /// Write-generation watermark of the last attribution scan.
-    covered_gen: u64,
     owner: BTreeMap<u32, PageOwner>,
     /// Domains whose rollback is structurally unsafe (they overwrote
     /// uncovered cross-domain state).
@@ -156,7 +158,6 @@ impl DomainLedger {
     /// is not.
     pub fn reset(&mut self, window: CkptId, m: &Machine) {
         self.window = Some(window);
-        self.covered_gen = m.mem.write_seq();
         self.owner.clear();
         self.spilled.clear();
         self.boundary = Some(capture_boundary(m));
@@ -173,27 +174,26 @@ impl DomainLedger {
         self.boundary.as_ref().map(|b| b.conns)
     }
 
-    /// Attribute every page dirtied since the last scan to `domain`, and
-    /// advance the service boundary to the machine's current idle state.
-    /// Call after a *benign* connection completes.
-    pub fn note_service(&mut self, m: &Machine, domain: u32) {
-        self.attribute(m, domain);
+    /// Advance the service boundary to the machine's current idle
+    /// state. Call after a *benign* connection completes; the attack
+    /// connection leaves the boundary at the last benign idle state.
+    pub fn advance_boundary(&mut self, m: &Machine) {
         self.boundary = Some(capture_boundary(m));
     }
 
-    /// Attribute every page dirtied since the last scan to `domain`
-    /// *without* moving the service boundary. Call for the attack
-    /// connection after detection: the boundary must stay at the last
-    /// benign idle state.
-    pub fn note_attack(&mut self, m: &Machine, domain: u32) {
-        self.attribute(m, domain);
-    }
-
-    fn attribute(&mut self, m: &Machine, domain: u32) {
+    /// Credit each `(page, write generation)` in `pages` to `domain`,
+    /// `covered` when the caller captured those pages' current content,
+    /// and recompute the checksum once. A no-op with no window open.
+    pub fn attribute(
+        &mut self,
+        domain: u32,
+        pages: impl IntoIterator<Item = (u32, u64)>,
+        covered: bool,
+    ) {
         if self.window.is_none() {
             return;
         }
-        for (pno, gen, _) in m.mem.dirty_pages_since(self.covered_gen) {
+        for (pno, gen) in pages {
             if let Some(prev) = self.owner.get(&pno) {
                 if prev.domain != domain && !prev.covered {
                     // Cross-domain overwrite of uncovered state: the
@@ -208,19 +208,9 @@ impl DomainLedger {
                 PageOwner {
                     domain,
                     gen,
-                    covered: false,
+                    covered,
                 },
             );
-        }
-        self.covered_gen = m.mem.write_seq();
-        self.checksum = self.compute_checksum();
-    }
-
-    /// A pre-copy drain just captured every page dirtied in this window:
-    /// all current attribution entries become overwrite-safe.
-    pub fn mark_all_covered(&mut self) {
-        for o in self.owner.values_mut() {
-            o.covered = true;
         }
         self.checksum = self.compute_checksum();
     }
@@ -406,44 +396,54 @@ mod tests {
         Machine::boot(&prog, Aslr::off()).expect("boot")
     }
 
+    /// A ledger with a window open on a fresh counter machine.
+    fn open_ledger() -> DomainLedger {
+        let mut led = DomainLedger::new();
+        led.reset(CkptId(0), &boot_counter());
+        led
+    }
+
     #[test]
     fn uncovered_cross_domain_overwrite_spills() {
-        let mut m = boot_counter();
-        let mut led = DomainLedger::new();
-        led.reset(CkptId(0), &m);
-        m.run(&mut NopHook, 500);
-        led.note_service(&m, 0);
+        let mut led = open_ledger();
+        led.attribute(0, [(7, 1), (9, 2)], false);
         assert_eq!(led.spills, 0);
-        // Domain 1 overwrites the same data page; nothing drained it.
-        m.run(&mut NopHook, 500);
-        led.note_attack(&m, 1);
+        assert_eq!(led.pages_tracked(), 2);
+        // Domain 1 overwrites page 7; nothing captured domain 0's content.
+        led.attribute(1, [(7, 3)], false);
         assert_eq!(led.spills, 1);
         assert!(led.is_spilled(1));
         assert!(!led.is_spilled(0), "the overwritten domain stays safe");
+        assert_eq!(led.owned_pages(&[1]), vec![7]);
+        assert_eq!(led.owned_pages(&[0]), vec![9]);
         assert!(led.verify());
     }
 
     #[test]
-    fn drain_coverage_prevents_the_spill() {
-        let mut m = boot_counter();
-        let mut led = DomainLedger::new();
-        led.reset(CkptId(0), &m);
-        m.run(&mut NopHook, 500);
-        led.note_service(&m, 0);
-        led.mark_all_covered(); // a drain captured domain 0's writes
-        m.run(&mut NopHook, 500);
-        led.note_attack(&m, 1);
+    fn covered_pages_prevent_the_spill() {
+        let mut led = open_ledger();
+        // The incremental engine captured domain 0's writes.
+        led.attribute(0, [(7, 1)], true);
+        led.attribute(1, [(7, 2)], false);
         assert_eq!(led.spills, 0);
         assert!(!led.is_spilled(1));
+        // The same domain rewriting its own uncovered page is no spill.
+        led.attribute(1, [(7, 3)], false);
+        assert_eq!(led.spills, 0);
+    }
+
+    #[test]
+    fn attribution_needs_an_open_window() {
+        let mut led = DomainLedger::new();
+        led.attribute(0, [(7, 1)], false);
+        assert_eq!(led.pages_tracked(), 0);
+        assert_eq!(led.spills, 0);
     }
 
     #[test]
     fn tag_corruption_is_detected() {
-        let mut m = boot_counter();
-        let mut led = DomainLedger::new();
-        led.reset(CkptId(0), &m);
-        m.run(&mut NopHook, 500);
-        led.note_service(&m, 0);
+        let mut led = open_ledger();
+        led.attribute(0, [(7, 1)], false);
         assert!(led.verify());
         assert!(led.chaos_corrupt_tag(7));
         assert!(!led.verify(), "mis-attribution must not verify");

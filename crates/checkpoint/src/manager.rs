@@ -3,9 +3,11 @@
 //! Snapshots are **incremental by default**: a checkpoint captures only
 //! the pages whose write generation advanced since the previous capture
 //! (base snapshot + dirty deltas) into a content-hash deduplicating
-//! store shared across the ring ([`crate::incremental`]), and a pre-copy
-//! [`CheckpointManager::drain`] folds dirty pages in *between* service
-//! ticks so the snapshot instant itself is O(changed-since-drain). The
+//! store shared across the ring ([`crate::incremental`]). One dirty-page
+//! walk per served request, [`CheckpointManager::note_service`], credits
+//! each page to the request's rollback domain ([`crate::domains`]) and
+//! pre-copies it into the pending delta, so the snapshot instant itself
+//! is O(changed-since-last-walk). The
 //! legacy full-copy engine (a copy-on-write clone of the whole
 //! [`Machine`]) stays selectable as [`Engine::Full`], the Figure 4
 //! baseline. Every incremental record carries the digest of the image it
@@ -99,10 +101,11 @@ pub struct CheckpointManager {
     ring: VecDeque<Checkpoint>,
     /// Content-addressed page storage shared by the incremental records.
     store: DedupeStore,
-    /// Pages captured by the pre-copy drain since the last take,
-    /// already interned (one store reference held per entry).
+    /// Pages pre-copied since the last take, already interned (one
+    /// store reference held per entry).
     pending: BTreeMap<u32, (PageKey, u64)>,
-    /// Highest `write_seq` already covered by a capture or drain.
+    /// The one dirty-page watermark: `write_seq` at the last take or
+    /// walk (a drain, `note_service` or `note_attack`).
     covered_gen: u64,
     next_id: u64,
     last_taken_cycles: Option<u64>,
@@ -116,10 +119,10 @@ pub struct CheckpointManager {
     pub pages_copied_total: u64,
     /// Pages captured by the most recent checkpoint.
     pub last_pages_copied: usize,
-    /// Total pages folded by the pre-copy drain (background work, never
+    /// Total pages pre-copied between snapshots (background work, never
     /// charged to the service path).
     pub pages_drained_total: u64,
-    /// Virtual cycles of background pre-copy work (drain page interns).
+    /// Virtual cycles of background pre-copy work (page interns).
     pub precopy_cycles: u64,
     /// Reconstructions that failed closed (delta-chain truncation or
     /// dedupe-store eviction damage detected by digest verification).
@@ -187,33 +190,56 @@ impl CheckpointManager {
         }
     }
 
-    /// Pre-copy drain: fold the pages dirtied since the last capture or
-    /// drain into the pending delta, off the service path. Returns how
-    /// many pages were drained. The work is accounted as background
-    /// (`precopy_cycles`, `pages_drained_total`) and **never** charged
-    /// to the machine's clock — it models the checkpoint thread copying
-    /// pages while the server waits on the network, which is exactly why
-    /// the snapshot instant itself ([`CheckpointManager::take`]) only
-    /// pays for pages dirtied *since the drain*. No-op for the full
-    /// engine and before the base snapshot exists.
+    /// Pre-copy drain: fold the pages dirtied since the last walk into
+    /// the pending delta, off the service path, crediting them to no
+    /// rollback domain. Returns how many pages were drained. A served
+    /// request's own [`CheckpointManager::note_service`] walk already
+    /// pre-copies its pages; this is for memory dirtied outside a
+    /// request. The work is accounted as background (`precopy_cycles`,
+    /// `pages_drained_total`) and **never** charged to the machine's
+    /// clock — it models the checkpoint thread copying pages while the
+    /// server waits on the network, which is exactly why the snapshot
+    /// instant itself ([`CheckpointManager::take`]) only pays for pages
+    /// dirtied *since the last walk*. No-op for the full engine and
+    /// before the base snapshot exists.
     pub fn drain(&mut self, m: &Machine) -> usize {
-        if self.engine == Engine::Full || self.last_taken_cycles.is_none() {
+        self.walk(m, None, true)
+    }
+
+    /// The one walk over the pages dirtied since the watermark: credit
+    /// each to `domain` (if any), and intern it into the pending delta
+    /// when `capture` and the incremental engine's base snapshot exists
+    /// — which is what makes a credited page *covered*. Returns how many
+    /// pages it interned.
+    fn walk(&mut self, m: &Machine, domain: Option<u32>, capture: bool) -> usize {
+        let capture =
+            capture && self.engine == Engine::Incremental && self.last_taken_cycles.is_some();
+        if !capture && domain.is_none() {
             return 0;
         }
+        let (store, pending) = (&mut self.store, &mut self.pending);
         let mut drained = 0usize;
-        for (pno, gen, data) in m.mem.dirty_pages_since(self.covered_gen) {
-            let key = self.store.intern(Arc::clone(data));
-            if let Some((old, _)) = self.pending.insert(pno, (key, gen)) {
-                self.store.release(old);
-            }
-            drained += 1;
+        let pages = m
+            .mem
+            .dirty_pages_since(self.covered_gen)
+            .map(|(pno, gen, data)| {
+                if capture {
+                    let key = store.intern(Arc::clone(data));
+                    if let Some((old, _)) = pending.insert(pno, (key, gen)) {
+                        store.release(old);
+                    }
+                    drained += 1;
+                }
+                (pno, gen)
+            });
+        match domain {
+            Some(domain) => self.ledger.attribute(domain, pages, capture),
+            // A drain credits no one: run the walk for its interning.
+            None => pages.for_each(drop),
         }
         self.covered_gen = m.mem.write_seq();
         self.pages_drained_total += drained as u64;
         self.precopy_cycles += cost::PAGE_COPY * drained as u64;
-        // Every page dirtied in this window is now captured in `pending`:
-        // later cross-domain overwrites no longer lose recoverable state.
-        self.ledger.mark_all_covered();
         drained
     }
 
@@ -230,7 +256,7 @@ impl CheckpointManager {
     /// snapshot (caught as a materialize digest mismatch, degrading
     /// recovery to a restart for no reason). Releases every held store
     /// reference and rewinds the coverage watermark so the next drain
-    /// or capture rescans from the snapshot's own generation floor.
+    /// walk or capture rescans from the snapshot's own generation floor.
     pub fn discard_pending(&mut self) {
         for (key, _) in std::mem::take(&mut self.pending).into_values() {
             self.store.release(key);
@@ -245,7 +271,7 @@ impl CheckpointManager {
     /// (accounted here, deferred, rather than per-write). Incremental
     /// engine: the base snapshot pays the full-copy price once at boot; every later snapshot pays only
     /// [`cost::CHECKPOINT_DELTA`] plus a page copy per page dirtied
-    /// since the last [`CheckpointManager::drain`].
+    /// since the last walk. Either engine sets the watermark.
     pub fn take(&mut self, m: &mut Machine) -> CkptId {
         let base = self.last_taken_cycles.is_none();
         let (cost, pages) = match self.engine {
@@ -291,6 +317,7 @@ impl CheckpointManager {
         if self.ring.len() > self.max_retained {
             self.evict_oldest();
         }
+        self.covered_gen = m.mem.write_seq();
         self.ledger.reset(id, m);
         id
     }
@@ -304,7 +331,6 @@ impl CheckpointManager {
         for (key, _) in std::mem::take(&mut self.pending).into_values() {
             self.store.release(key);
         }
-        self.covered_gen = m.mem.write_seq();
         rec
     }
 
@@ -430,19 +456,23 @@ impl CheckpointManager {
         Some(m)
     }
 
-    /// Attribute the pages dirtied since the last attribution scan to
-    /// `domain` (a benign connection that just completed service), and
-    /// advance the ledger's service boundary to the machine's current
-    /// idle state. See [`crate::domains`].
+    /// The one dirty-page walk per served request: credit every page
+    /// dirtied since the last walk to `domain` (a benign connection that
+    /// just completed service), pre-copying it exactly as
+    /// [`CheckpointManager::drain`] would, then advance the ledger's
+    /// service boundary to the machine's current idle state. See
+    /// [`crate::domains`].
     pub fn note_service(&mut self, m: &Machine, domain: u32) {
-        self.ledger.note_service(m, domain);
+        self.walk(m, Some(domain), true);
+        self.ledger.advance_boundary(m);
     }
 
-    /// Attribute the pages dirtied since the last attribution scan to
-    /// `domain` (the detected attack connection) *without* moving the
-    /// service boundary.
+    /// Credit the pages dirtied since the last walk to `domain` (the
+    /// detected attack connection) as uncovered, capturing nothing — the
+    /// pending delta must keep their pre-attack content — and *without*
+    /// moving the service boundary.
     pub fn note_attack(&mut self, m: &Machine, domain: u32) {
-        self.ledger.note_attack(m, domain);
+        self.walk(m, Some(domain), false);
     }
 
     /// The page→domain attribution ledger for the current window.
@@ -934,7 +964,11 @@ mod tests {
         mgr.note_service(&m, 0); // benign connection 0 completed
         let v_boundary = m.mem.read_u32(0, v_addr).expect("r");
         let cpu_boundary = m.cpu.clone();
-        mgr.drain(&m); // pre-copy captures domain 0's writes
+        assert_eq!(
+            mgr.drain(&m),
+            0,
+            "note_service pre-copied domain 0's writes"
+        );
         m.run(&mut NopHook, 1000); // the "attack" dirties the same page
         mgr.note_attack(&m, 1);
         assert!(m.mem.read_u32(0, v_addr).expect("r") > v_boundary);
@@ -955,13 +989,44 @@ mod tests {
     }
 
     #[test]
-    fn uncovered_spill_refuses_partial_rollback() {
+    fn note_service_is_the_one_walk_per_request() {
         let mut m = boot_counter();
         let mut mgr = CheckpointManager::new(0, 8);
+        mgr.take(&mut m);
+        m.run(&mut NopHook, 1000);
+        mgr.note_service(&m, 0);
+        let tracked = mgr.ledger().pages_tracked();
+        assert!(tracked > 0, "the counter loop dirtied a page");
+        assert_eq!(
+            mgr.pages_drained_total, tracked as u64,
+            "pre-copied in the walk"
+        );
+        assert_eq!(mgr.precopy_cycles, cost::PAGE_COPY * tracked as u64);
+        assert_eq!(mgr.drain(&m), 0, "nothing left to drain");
+        // The attack's walk credits its pages but captures nothing.
+        m.run(&mut NopHook, 1000);
+        mgr.note_attack(&m, 1);
+        assert_eq!(mgr.pages_drained_total, tracked as u64);
+        assert_eq!(mgr.domain_spills(), 0, "domain 0's page was covered");
+        // Under the full engine the walk attributes without capturing.
+        let mut m = boot_counter();
+        let mut full = CheckpointManager::new(0, 8).with_engine(Engine::Full);
+        full.take(&mut m);
+        m.run(&mut NopHook, 1000);
+        full.note_service(&m, 0);
+        assert!(full.ledger().pages_tracked() > 0);
+        assert_eq!(full.pages_drained_total, 0);
+    }
+
+    #[test]
+    fn uncovered_spill_refuses_partial_rollback() {
+        // The full engine pre-copies nothing, so a served domain's pages
+        // stay uncovered: domain 1 overwrites uncovered domain-0 state.
+        let mut m = boot_counter();
+        let mut mgr = CheckpointManager::new(0, 8).with_engine(Engine::Full);
         let id = mgr.take(&mut m);
         m.run(&mut NopHook, 1000);
         mgr.note_service(&m, 0);
-        // No drain: domain 1 overwrites uncovered domain-0 state.
         m.run(&mut NopHook, 1000);
         mgr.note_attack(&m, 1);
         assert_eq!(mgr.domain_spills(), 1);
@@ -979,7 +1044,6 @@ mod tests {
         let id = mgr.take(&mut m);
         m.run(&mut NopHook, 1000);
         mgr.note_service(&m, 0);
-        mgr.drain(&m);
         m.run(&mut NopHook, 1000);
         mgr.note_attack(&m, 1);
         // Tag corruption: detected by the checksum, refused.
@@ -994,7 +1058,6 @@ mod tests {
         let id2 = mgr2.take(&mut m2);
         m2.run(&mut NopHook, 1000);
         mgr2.note_service(&m2, 0);
-        mgr2.drain(&m2);
         m2.run(&mut NopHook, 1000);
         mgr2.note_attack(&m2, 1);
         assert!(mgr2.chaos_force_domain_spill());
@@ -1023,7 +1086,6 @@ mod tests {
         let id2 = mgr2.take(&mut m2);
         m2.run(&mut NopHook, 1000);
         mgr2.note_service(&m2, 0);
-        mgr2.drain(&m2);
         m2.run(&mut NopHook, 1000);
         mgr2.note_attack(&m2, 1);
         while mgr2.chaos_evict_store_page() {}

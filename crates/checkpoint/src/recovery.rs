@@ -529,7 +529,7 @@ count: .word 0
     }
 
     /// An attacked world whose manager was fed the domain-attribution
-    /// callbacks (note_service + drain) the runtime performs.
+    /// callbacks (note_service, note_attack) the runtime performs.
     fn attributed_world() -> World {
         let mut m = server();
         let mut mgr = CheckpointManager::new(0, 8);
@@ -540,7 +540,6 @@ count: .word 0
         drive(&mut m);
         proxy.release_outputs(&m);
         mgr.note_service(&m, first as u32);
-        mgr.drain(&m);
         let (atk, _) = proxy.offer(&mut m, b"atkX".to_vec(), &[]);
         drive(&mut m);
         assert!(matches!(m.status(), Status::Faulted(_)));

@@ -16,8 +16,8 @@
 //!   a full protected server, serving benign load while the epidemic
 //!   contact model ([`epidemic::contact`]) injects a mid-run outbreak;
 //!   one host's rollback/replay/analysis pause overlaps every other
-//!   host's service, and checkpoint pre-copy drains are batched into
-//!   the gaps between events.
+//!   host's service. The reactor schedules no checkpoint work: each
+//!   served request's own dirty-page walk does the pre-copy.
 //!
 //! The headline measurement ([`sim::run`] → [`FleetOutcome`]): fleet-
 //! wide p50/p99/p999 benign service latency on the virtual clock,

@@ -2,7 +2,7 @@
 //! multiplexed on one deterministic virtual-clock reactor.
 //!
 //! Each host is a full Sweeper-protected server. The reactor drives
-//! five event kinds:
+//! four event kinds:
 //!
 //! - **Benign arrival** — open-loop Poisson client requests
 //!   ([`crate::loadgen`]); each arrival chains the next one.
@@ -10,11 +10,9 @@
 //!   contact process ([`epidemic::contact`]). Seeded mid-run by
 //!   patient-zero external scans at `outbreak_at_ms`.
 //! - **Complete** — a host finished a service step and becomes idle;
-//!   the between-event checkpoint pre-copy drain runs here, off the
-//!   reactor clock, and the next queued request starts.
-//! - **Drain** — the periodic idle-time pre-copy drain, so quiescent
-//!   hosts keep their dirty-page debt low and the next snapshot stays
-//!   instant.
+//!   the next queued request starts. (The checkpoint pre-copy needs no
+//!   event: each served request's own dirty-page walk interns its pages
+//!   before `poll_offer` returns.)
 //! - **Deliver** — a certified antibody bundle arriving from the first
 //!   producer to complete analysis; the host replay-verifies before
 //!   deploying ([`Sweeper::receive_certified`]).
@@ -99,7 +97,7 @@ pub struct FleetConfig {
     pub fanout: u32,
     /// Uniform `(min, max)` antibody wire delay in virtual ms.
     pub wire_delay_ms: (f64, f64),
-    /// Per-host checkpoint interval (and idle drain period), ms.
+    /// Per-host checkpoint interval, ms.
     pub interval_ms: u64,
     /// Hard cap on total worm contacts scheduled (keeps the branching
     /// process bounded above the horizon cutoff).
@@ -217,8 +215,6 @@ enum Ev {
     Worm,
     /// The host's in-flight service step finishes.
     Complete,
-    /// Periodic idle-time checkpoint pre-copy drain.
-    Drain,
     /// A certified antibody bundle arrives.
     Deliver(Box<CertifiedBundle>),
 }
@@ -248,7 +244,6 @@ struct Sim {
     worm_input: Vec<u8>,
     horizon: u64,
     outbreak_at: Option<u64>,
-    interval_cycles: u64,
     next_infection: u64,
     bundle_sent: bool,
     served: u64,
@@ -303,7 +298,6 @@ impl Sim {
             worm_input,
             horizon: secs_to_cycles(cfg.horizon_ms / 1e3),
             outbreak_at: cfg.outbreak_at_ms.map(|ms| secs_to_cycles(ms / 1e3)),
-            interval_cycles: secs_to_cycles(cfg.interval_ms as f64 / 1e3),
             next_infection: 0,
             bundle_sent: false,
             served: 0,
@@ -320,15 +314,12 @@ impl Sim {
     }
 
     /// Seed the initial event population: each host's first benign
-    /// arrival, each host's periodic drain, and patient zero's scans.
+    /// arrival and patient zero's scans.
     fn prime(&mut self) {
         for h in 0..self.cfg.hosts {
             let at = secs_to_cycles(self.lg.gap_secs(h, 0));
             if at <= self.horizon {
                 self.reactor.schedule(at, h, Ev::Benign { k: 0 });
-            }
-            if self.interval_cycles <= self.horizon {
-                self.reactor.schedule(self.interval_cycles, h, Ev::Drain);
             }
         }
         if self.outbreak_at.is_some() {
@@ -452,20 +443,7 @@ impl Sim {
                 }
                 Ev::Complete => {
                     self.hosts[h as usize].busy = false;
-                    // Between-event background work: fold the pages the
-                    // finished request dirtied into the pending delta
-                    // while the host is idle (never charged to service).
-                    self.hosts[h as usize].sw.drain_precopy();
                     self.maybe_begin_service(h, t);
-                }
-                Ev::Drain => {
-                    if !self.hosts[h as usize].busy {
-                        self.hosts[h as usize].sw.drain_precopy();
-                    }
-                    let next = t + self.interval_cycles;
-                    if next <= self.horizon {
-                        self.reactor.schedule(next, h, Ev::Drain);
-                    }
                 }
                 Ev::Deliver(bundle) => {
                     match self.hosts[h as usize]

@@ -19,9 +19,9 @@
 //! - *other events*: call/ret, alloc/free, syscall and input, wanted or
 //!   not as one group.
 //!
-//! [`Machine::run`](crate::machine::Machine::run) and
-//! [`Machine::step_hooked`](crate::machine::Machine::step_hooked) each
-//! ask once, on entry, and never keep the answer across calls, so an
+//! [`Machine::run`](crate::machine::Machine::run) (and the single-step
+//! oracle `Machine::step_hooked`, built for tests) each ask once, on
+//! entry, and never keep the answer across calls, so an
 //! attach between calls (or on a fresh clone) is seen by the very next
 //! instruction. An interest is a promise that the hook ignores every
 //! event outside it; the machine may still deliver more (for the rest of
@@ -132,9 +132,8 @@ impl Interest {
 pub trait Hook {
     /// Add the events this hook wants to `out`. The machine clears `out`
     /// and asks once on entry to each
-    /// [`Machine::run`](crate::machine::Machine::run) and
-    /// [`Machine::step_hooked`](crate::machine::Machine::step_hooked);
-    /// see the [module docs](self) for the contract.
+    /// [`Machine::run`](crate::machine::Machine::run) and the test-only
+    /// `Machine::step_hooked`; see the [module docs](self) for the contract.
     fn interest(&self, out: &mut Interest) {
         out.add_everything();
     }

@@ -13,7 +13,7 @@ use crate::asm::Program;
 use crate::clock::{cost, Clock};
 use crate::cpu::Cpu;
 use crate::error::{Fault, SvmError};
-use crate::hook::{Hook, Interest, NopHook};
+use crate::hook::{Hook, Interest};
 use crate::icache::{CacheStats, DecodeCache};
 use crate::isa::{Op, Reg, Syscall, INSN_SIZE};
 use crate::loader::{self, Aslr, Layout, SymbolMap};
@@ -64,8 +64,8 @@ pub struct Machine {
     /// Count of executed syscall instructions (including blocked
     /// retries, which re-enter the kernel model each attempt).
     pub syscalls_retired: u64,
-    /// Written by [`Machine::step_hooked`] after every step, and by
-    /// [`Machine::run`] only when a step leaves `Running`.
+    /// Written by [`Machine::run`] only when a step leaves `Running`
+    /// (and by the test-only single step after every step).
     status: Status,
     /// Predecoded-page instruction cache (cold after any clone, so
     /// checkpoints and rollbacks never inherit decode state).
@@ -260,15 +260,20 @@ impl Machine {
         }
     }
 
-    /// Execute one instruction without instrumentation.
+    /// Execute one instruction without instrumentation. A test
+    /// reference only: production code runs [`Machine::run`]. Built
+    /// under `cfg(test)` or the `oracle` feature.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn step(&mut self) -> Status {
-        self.step_hooked(&mut NopHook)
+        self.step_hooked(&mut crate::hook::NopHook)
     }
 
     /// Execute one instruction, delivering to `hook` the events it asks
     /// for ([`Hook::interest`], asked once per call). The single-step
     /// reference the oracle tests check [`Machine::run`] against; a
-    /// [`Machine::request_stop`] made here has no run to end.
+    /// [`Machine::request_stop`] made here has no run to end. Built
+    /// under `cfg(test)` or the `oracle` feature.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn step_hooked(&mut self, hook: &mut dyn Hook) -> Status {
         self.ask_interest(hook);
         if !self.enter() {
@@ -621,6 +626,7 @@ enum SysOutcome {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::hook::NopHook;
 
     fn boot(src: &str) -> Machine {
         let prog = assemble(src).expect("asm");

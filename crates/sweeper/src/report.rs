@@ -1,12 +1,10 @@
 //! Human-readable reports rendering the paper's Tables 2 and 3.
 
-use svm::loader::SymbolMap;
-
 use crate::pipeline::AnalysisReport;
 use crate::runtime::AttackReport;
 
 /// Render a Table 2-style block for one attack.
-pub fn table2_block(app: &str, report: &AttackReport, live_symbols: &SymbolMap) -> String {
+pub fn table2_block(app: &str, report: &AttackReport) -> String {
     let mut out = String::new();
     let push = |out: &mut String, s: String| {
         out.push_str(&s);
@@ -24,7 +22,6 @@ pub fn table2_block(app: &str, report: &AttackReport, live_symbols: &SymbolMap) 
     // Render with the symbols captured at analysis time: a restart may
     // have re-randomized the live machine's layout since.
     let symbols = &a.symbols;
-    let _ = live_symbols;
     push(
         &mut out,
         format!(
@@ -154,8 +151,8 @@ mod tests {
 
     #[test]
     fn table2_block_contains_all_four_steps() {
-        let (s, report) = attacked();
-        let block = table2_block("Squid", &report, &s.machine.symbols);
+        let (_s, report) = attacked();
+        let block = table2_block("Squid", &report);
         for needle in [
             "#1 memory state",
             "#2 memory bug",
@@ -202,7 +199,7 @@ mod tests {
         let RequestOutcome::Attack(r) = s.offer_request(squid::exploit_crash(&app).input) else {
             panic!("not detected")
         };
-        let block = table2_block("Squid", &r, &s.machine.symbols);
+        let block = table2_block("Squid", &r);
         assert!(block.contains("(none — consumer or known vulnerability)"));
         assert!(!block.contains("#2"), "no analysis sections:\n{block}");
     }

@@ -452,12 +452,6 @@ impl Sweeper {
 
     /// Offer one client request to the protected server.
     pub fn offer_request(&mut self, input: Vec<u8>) -> RequestOutcome {
-        // Pre-copy drain: fold pages dirtied by the previous request
-        // into the pending delta while the server is idle between
-        // requests. Background work — never charged to the service
-        // clock — which is what keeps the snapshot instant below
-        // O(dirty-since-last-checkpoint).
-        self.mgr.drain(&self.machine);
         // Checkpoint if due (taken at request boundaries, like Rx).
         if self.mgr.due(&self.machine) {
             let id = self.mgr.take(&mut self.machine);
@@ -512,9 +506,13 @@ impl Sweeper {
                 let released = self.proxy.release_outputs(&self.machine);
                 let bytes: usize = released.iter().map(|(_, b)| b.len()).sum();
                 self.requests_served += 1;
-                // Attribute this connection's dirty pages to its own
-                // rollback domain and advance the service boundary: the
-                // idle state a later partial rollback restores to.
+                // The one dirty-page walk of this request: attribute its
+                // pages to its own rollback domain, pre-copy them into
+                // the pending delta (background work, never charged to
+                // the service clock, so the next snapshot instant pays
+                // only for pages dirtied since), and advance the service
+                // boundary: the idle state a later partial rollback
+                // restores to.
                 self.mgr.note_service(&self.machine, log_id as u32);
                 self.timeline.record(Event::RequestServed { log_id, bytes });
                 RequestOutcome::Served { log_id, bytes }
@@ -552,12 +550,10 @@ impl Sweeper {
         }
     }
 
-    /// Pre-copy drain between reactor events: fold pages the last
-    /// request dirtied into the pending delta while the host is idle.
-    /// Background work, never charged to the service clock — the
-    /// reactor schedules these off its own clock so a due snapshot
-    /// only pays for pages dirtied since the last drain. Returns the
-    /// number of pages drained.
+    /// Inert: a served request's own dirty-page walk already pre-copies
+    /// its pages, so between requests there is nothing left to drain and
+    /// this returns 0. Kept only so the `benchmark` package builds; ROADMAP
+    /// item 3 deletes it with its caller.
     pub fn drain_precopy(&mut self) -> usize {
         self.mgr.drain(&self.machine)
     }

@@ -56,6 +56,9 @@
 #   benchmark    the end-to-end benchmark package's tests, which include
 #                `benchmark smoke`: every workload at a tiny size
 #                through the same code and correctness checks
+#   prodlines    report only, never fails: scripts/prodlines.sh prints
+#                the production line count (ROADMAP item 7's rule), the
+#                same without oracle-gated items, and all Rust
 #
 # Run from anywhere; works offline — all dependencies are in-tree.
 set -eu
@@ -194,6 +197,10 @@ stage_benchmark() {
     cargo test --offline --manifest-path benchmark/Cargo.toml
 }
 
+stage_prodlines() {
+    scripts/prodlines.sh || true
+}
+
 run_stage tier1 stage_tier1
 run_stage clippy stage_clippy
 run_stage doc stage_doc
@@ -208,6 +215,7 @@ run_stage epidemic-smoke stage_epidemic_smoke
 run_stage recovery-smoke stage_recovery_smoke
 run_stage fig9dist stage_fig9dist
 run_stage benchmark stage_benchmark
+run_stage prodlines stage_prodlines
 
 if [ "$RAN" -eq 0 ]; then
     echo "ci: unknown stage '$ONLY' (see the stage list in scripts/ci.sh)" >&2

@@ -174,11 +174,13 @@ fn census_trajectories_are_pinned() {
         run_squid(Engine::Full),
         (vec![6, 9, 12, 18, 21, 24, 27, 33], vec![0; 8])
     );
+    // `store_pages` is sampled right after a served request, whose own
+    // dirty-page walk has already pre-copied its pages into the store.
     assert_eq!(
         run_squid(Engine::Incremental),
         (
             vec![4, 6, 8, 11, 13, 15, 17, 20],
-            vec![9, 11, 13, 15, 18, 19, 21, 25]
+            vec![9, 11, 12, 16, 17, 20, 22, 25]
         )
     );
     let apache = httpd1::app().expect("app");

@@ -151,7 +151,7 @@ impl World {
     }
 
     /// Offer `input` (blocked by an `evil` filter), run the guest to
-    /// idle, attribute and drain like the runtime, and release.
+    /// idle, attribute (which pre-copies) like the runtime, and release.
     fn serve(&mut self, input: &[u8]) {
         let (id, delivered) = self
             .proxy
@@ -159,7 +159,6 @@ impl World {
         if delivered {
             self.m.run(&mut NopHook, 100_000_000);
             self.mgr.note_service(&self.m, id as u32);
-            self.mgr.drain(&self.m);
         }
         self.release();
     }

@@ -193,3 +193,30 @@ proptest! {
         prop_assert_eq!(recovery_digest(&s.machine), oracle_digest);
     }
 }
+
+/// A served request's own dirty-page walk is the only one it needs: it
+/// credits the request's pages to its rollback domain and pre-copies
+/// them into the pending delta in the same pass, so a drain right after
+/// finds nothing left to fold.
+#[test]
+fn served_request_is_attributed_and_precopied_in_one_walk() {
+    let app = squid::app().expect("app");
+    let mut s = Sweeper::protect(&app, Config::producer(11)).expect("protect");
+    let before = s.mgr.pages_drained_total;
+    let outcome = s.offer_request(squid::benign_request("u0", "h"));
+    assert!(
+        matches!(outcome, RequestOutcome::Served { .. }),
+        "{outcome:?}"
+    );
+    let tracked = s.mgr.ledger().pages_tracked();
+    assert!(
+        tracked > 0,
+        "the request dirtied pages and they were credited"
+    );
+    assert_eq!(
+        s.mgr.pages_drained_total - before,
+        tracked as u64,
+        "every credited page was already pre-copied"
+    );
+    assert_eq!(s.drain_precopy(), 0, "nothing left for a drain");
+}
