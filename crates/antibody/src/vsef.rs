@@ -12,7 +12,7 @@
 //! other hosts); [`VsefRuntime`] is the deployed instrumentation tool.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use analysis::ShadowStack;
 use dbi::effects::{effects, Loc};
@@ -195,7 +195,7 @@ pub struct VsefRuntime {
     /// Per-RetAddrGuard side stacks: spec idx -> (slot, expected) stack.
     side_stacks: HashMap<usize, Vec<(u32, u32)>>,
     /// Live return-address slots (for StoreSmashGuard).
-    ret_slots: BTreeMap<u32, u32>,
+    ret_slots: RetSlots,
     /// Freed payload pointers (for DoubleFreeGuard).
     freed: HashSet<u32>,
     /// Mini-taint shadow (for TaintFilter).
@@ -217,7 +217,7 @@ impl VsefRuntime {
             by_pc,
             shadow: ShadowStack::new(),
             side_stacks: HashMap::new(),
-            ret_slots: BTreeMap::new(),
+            ret_slots: RetSlots::default(),
             freed: HashSet::new(),
             taint: HashMap::new(),
             detections: Vec::new(),
@@ -264,6 +264,54 @@ impl VsefRuntime {
     }
 }
 
+/// The set of live return-address slots (stack addresses), kept as a
+/// strictly descending `Vec`: the guest stack grows down, so a call's
+/// slot is almost always below every live one and a call pushes, and a
+/// return drops the slots at or below its stack pointer from the end.
+#[derive(Default)]
+struct RetSlots(Vec<u32>);
+
+impl RetSlots {
+    /// Add slot `sp` (a no-op if live).
+    fn insert(&mut self, sp: u32) {
+        match self.0.last() {
+            Some(&top) if top <= sp => {
+                // Not below every live slot: insert in order.
+                let i = self.0.partition_point(|&s| s > sp);
+                if self.0.get(i) != Some(&sp) {
+                    self.0.insert(i, sp);
+                }
+            }
+            _ => self.0.push(sp),
+        }
+    }
+
+    /// Drop every slot at or below `sp`.
+    fn remove_to(&mut self, sp: u32) {
+        let keep = self.0.partition_point(|&s| s > sp);
+        self.0.truncate(keep);
+    }
+
+    /// The lowest slot whose 4 bytes a write of `len` bytes at `addr`
+    /// overlaps: a slot in `addr - 3 .. addr + len`, found by two binary
+    /// searches. A write whose end wraps past the top of the address
+    /// space overlaps nothing.
+    fn first_overlap(&self, addr: u32, len: u32) -> Option<u32> {
+        let (lo, hi) = (addr.saturating_sub(3), addr.wrapping_add(len));
+        let end = self.0.partition_point(|&s| s >= lo);
+        let start = self.0.partition_point(|&s| s >= hi).min(end);
+        self.0[start..end]
+            .iter()
+            .rev()
+            .copied()
+            .find(|&s| addr < s + 4 && s < hi)
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// The detection `spec` reports at `pc`.
 fn detection(spec: &VsefSpec, pc: u32, detail: String) -> Detection {
     Detection {
@@ -304,12 +352,7 @@ impl Tool for VsefRuntime {
             match specs[i] {
                 VsefSpec::StoreSmashGuard { .. } => {
                     if let Some((addr, len)) = e.mem_write {
-                        let overlap = self
-                            .ret_slots
-                            .range(addr.saturating_sub(3)..addr.wrapping_add(len))
-                            .map(|(&s, _)| s)
-                            .find(|&s| addr < s + 4 && s < addr.wrapping_add(len));
-                        if let Some(slot) = overlap {
+                        if let Some(slot) = self.ret_slots.first_overlap(addr, len) {
                             detect(i, format!("store hits return-address slot {slot:#010x}"));
                         }
                     }
@@ -421,7 +464,7 @@ impl Tool for VsefRuntime {
 
     fn on_call(&mut self, _m: &Machine, _pc: u32, target: u32, ret_addr: u32, sp: u32) {
         self.shadow.push(target, ret_addr, sp);
-        self.ret_slots.insert(sp, target);
+        self.ret_slots.insert(sp);
         for (i, s) in self.specs.iter().enumerate() {
             if let VsefSpec::RetAddrGuard { func, .. } = s {
                 if *func == target {
@@ -433,14 +476,7 @@ impl Tool for VsefRuntime {
 
     fn on_ret(&mut self, m: &Machine, pc: u32, ret_target: u32, sp: u32) {
         self.shadow.pop_to(sp);
-        // Slots at or below `sp` are the lowest keys: remove them in
-        // place (unlike `split_off`, this builds no second tree).
-        while let Some(slot) = self.ret_slots.first_entry() {
-            if *slot.key() > sp {
-                break;
-            }
-            slot.remove();
-        }
+        self.ret_slots.remove_to(sp);
         for (&i, stack) in self.side_stacks.iter_mut() {
             while let Some(&(slot, expected)) = stack.last() {
                 if slot > sp {
@@ -510,6 +546,42 @@ mod tests {
     use svm::asm::assemble;
     use svm::loader::Aslr;
     use svm::Status;
+
+    #[test]
+    fn ret_slot_stack_matches_an_ordered_set() {
+        use std::collections::BTreeSet;
+        let mut rng = svm::rng::XorShift64::new(0x5e7);
+        let (mut stack, mut set) = (RetSlots::default(), BTreeSet::new());
+        let mut sp = 0x8000u32;
+        for _ in 0..20_000 {
+            let r = rng.next_u64();
+            // Mostly nested calls and returns, sometimes a jump.
+            match r % 8 {
+                0..=2 => sp = sp.wrapping_sub(4 + (r >> 8) as u32 % 64),
+                3..=4 => sp = sp.wrapping_add(4 + (r >> 8) as u32 % 64),
+                5 => sp = 0x7f00 + (r >> 8) as u32 % 0x200,
+                _ => {}
+            }
+            if r & 0x100 == 0 {
+                stack.insert(sp);
+                set.insert(sp);
+            } else {
+                stack.remove_to(sp);
+                set.retain(|&s| s > sp);
+            }
+            let addr = sp.wrapping_add((r >> 16) as u32 % 96).wrapping_sub(48);
+            let len = [1, 4, 8, 64][(r >> 24) as usize % 4];
+            let (lo, hi) = (addr.saturating_sub(3), addr.wrapping_add(len));
+            let want = (lo <= hi)
+                .then(|| set.range(lo..hi).copied().find(|&s| addr < s + 4 && s < hi))
+                .flatten();
+            assert_eq!(stack.first_overlap(addr, len), want);
+            assert!(stack.0.iter().rev().copied().eq(set.iter().copied()));
+        }
+        // A write that wraps past the top of the address space.
+        stack.insert(0xffff_fff0);
+        assert_eq!(stack.first_overlap(0xffff_fffe, 4), None);
+    }
 
     fn boot(src: &str, input: &[u8]) -> Machine {
         let prog = assemble(src).expect("asm");

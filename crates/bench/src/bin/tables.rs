@@ -59,6 +59,13 @@
 //!   merged observability snapshot (counters, gauges, pipeline phase
 //!   spans on the virtual clock with wall-clock mirrors) human-readably.
 //! * `obsjson` — the same snapshot as compact JSON.
+//! * `servicepath [--requests=N] [--rounds=R]` — the service path of a
+//!   protected Squid request in host wall time, layer by layer: a bare
+//!   `Machine::run`, then the proxy, the checkpoint manager's per-request
+//!   walk, and `Sweeper::offer_request` with checkpoints off and at
+//!   200 ms (default 4,000 requests, 9 alternating rounds; median µs per
+//!   request with the round range). Its gate is that every request is
+//!   served; the wall numbers are report-only.
 //!
 //! Wall-clock performance is measured by the `benchmark/` package, not
 //! here.
@@ -105,6 +112,7 @@ const COMMANDS: &[(&str, &[&str])] = &[
     ("fig9dist", &["hosts", "seed"]),
     ("obs", &[]),
     ("obsjson", &[]),
+    ("servicepath", &["requests", "rounds"]),
 ];
 
 /// What `all` prints, in order.
@@ -307,6 +315,11 @@ fn run(cmd: &str, flags: &Flags) {
             println!("{}", bench::obs_snapshot().render());
         }
         "obsjson" => println!("{}", bench::obs_snapshot().to_json()),
+        "servicepath" => {
+            let n = flags.get("requests").unwrap_or(4000usize).max(1);
+            let rounds = flags.get("rounds").unwrap_or(9usize).max(1);
+            service_path(n, rounds);
+        }
         "vsef" => {
             let (base, vsef, overhead, sites) = vsef_overhead(200);
             println!(
@@ -367,6 +380,27 @@ fn run(cmd: &str, flags: &Flags) {
         }
         _ => unreachable!("`{cmd}` is listed in COMMANDS but has no arm"),
     }
+}
+
+fn service_path(n: usize, rounds: usize) {
+    println!(
+        "Service path of a protected Squid request (host wall time, {n} requests, median of {rounds} alternating rounds):"
+    );
+    println!("{:<42} {:>8} {:>18}", "layers", "us/req", "round range");
+    let rows = bench::service_path_us(n, rounds);
+    for r in &rows {
+        println!(
+            "{:<42} {:>8.2} {:>8.2} .. {:<7.2}",
+            r.layer, r.median_us, r.min_us, r.max_us
+        );
+    }
+    let (bare, off, full) = (&rows[0], &rows[3], &rows[4]);
+    println!(
+        "protected / bare: {:.2}x with checkpoints off, {:.2}x at 200 ms ({} takes per round after the base snapshot)\n",
+        off.median_us / bare.median_us,
+        full.median_us / bare.median_us,
+        full.takes
+    );
 }
 
 fn fig4() {

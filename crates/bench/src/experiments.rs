@@ -162,6 +162,118 @@ fn serve_benign_squid(s: &mut Sweeper, n: usize) -> usize {
     bytes
 }
 
+/// One layer of the `tables servicepath` probe: host wall time per
+/// served Squid request, over the probe's rounds.
+#[derive(Debug, Clone, Copy)]
+pub struct ServicePathRow {
+    /// What runs per request (each row adds to the one above it).
+    pub layer: &'static str,
+    /// Median microseconds per request.
+    pub median_us: f64,
+    /// Lowest and highest round, microseconds per request.
+    pub min_us: f64,
+    /// See `min_us`.
+    pub max_us: f64,
+    /// Checkpoints taken per round after the base snapshot (0 outside
+    /// the last row).
+    pub takes: u64,
+}
+
+/// The layers of the service path, innermost first.
+pub const SERVICE_LAYERS: [&str; 5] = [
+    "bare Machine::run, NopHook",
+    "+ Proxy::offer, release_outputs",
+    "+ CheckpointManager::note_service",
+    "Sweeper::offer_request, checkpoints off",
+    "Sweeper::offer_request, 200 ms",
+];
+
+/// The service path of a protected Squid request, layer by layer, in
+/// host wall time: `n` benign requests (workload seed 7) on a fresh host
+/// per layer and round, the host booted to its accept loop outside the
+/// timed region. The layers alternate: round `r` starts at layer
+/// `r % 5`. Every request must be served.
+pub fn service_path_us(n: usize, rounds: usize) -> Vec<ServicePathRow> {
+    let app = squid::app().expect("app");
+    let mut times = vec![Vec::with_capacity(rounds); SERVICE_LAYERS.len()];
+    let mut takes = [0u64; SERVICE_LAYERS.len()];
+    for r in 0..rounds {
+        for k in 0..SERVICE_LAYERS.len() {
+            let layer = (r + k) % SERVICE_LAYERS.len();
+            let (secs, t) = serve_layer(&app, layer, n);
+            times[layer].push(secs * 1e6 / n as f64);
+            takes[layer] = t;
+        }
+    }
+    times
+        .into_iter()
+        .zip(SERVICE_LAYERS)
+        .zip(takes)
+        .map(|((mut us, layer), takes)| {
+            us.sort_by(f64::total_cmp);
+            ServicePathRow {
+                layer,
+                median_us: us[us.len() / 2],
+                min_us: us[0],
+                max_us: us[us.len() - 1],
+                takes,
+            }
+        })
+        .collect()
+}
+
+/// Serve `n` benign Squid requests through the first `layer + 1` layers
+/// of [`SERVICE_LAYERS`]. Returns the timed seconds and the checkpoints
+/// taken after the base snapshot.
+fn serve_layer(app: &App, layer: usize, n: usize) -> (f64, u64) {
+    use checkpoint::{CheckpointManager, Proxy};
+    use svm::{NopHook, Status};
+    let mut w = apps::workload::Workload::new(apps::workload::Target::Squid, 7);
+    let reqs: Vec<Vec<u8>> = (0..n).map(|_| w.next_request()).collect();
+    let cfg = Config::producer(7);
+    if layer >= 3 {
+        let cfg = if layer == 3 {
+            Config {
+                checkpoint_interval: u64::MAX,
+                ..cfg
+            }
+        } else {
+            cfg
+        };
+        let mut s = Sweeper::protect(app, cfg).expect("protect");
+        let start = std::time::Instant::now();
+        for req in reqs {
+            let out = s.offer_request(req);
+            assert!(matches!(out, RequestOutcome::Served { .. }), "{out:?}");
+        }
+        return (start.elapsed().as_secs_f64(), s.mgr.taken_total - 1);
+    }
+    let mut m = app.boot(cfg.aslr).expect("boot");
+    m.run(&mut NopHook, u64::MAX);
+    let mut proxy = Proxy::new();
+    let mut mgr = CheckpointManager::new(u64::MAX, cfg.retained_checkpoints);
+    mgr.take(&mut m);
+    let start = std::time::Instant::now();
+    for req in reqs {
+        let log_id = if layer == 0 {
+            m.net.push_connection(req);
+            m.unblock();
+            0
+        } else {
+            proxy.offer(&mut m, req, &[]).0
+        };
+        let status = m.run(&mut NopHook, u64::MAX);
+        assert!(matches!(status, Status::Blocked(_)), "{status:?}");
+        if layer >= 1 {
+            proxy.release_outputs(&m);
+        }
+        if layer == 2 {
+            mgr.note_service(&mut m, log_id as u32);
+        }
+    }
+    (start.elapsed().as_secs_f64(), 0)
+}
+
 /// One end-to-end observability snapshot, for `tables obs[json]`: run
 /// the canonical Squid exploit through a full producer and export the
 /// merged metrics (VM, checkpoint ring, proxy, VSEF instrumentation,

@@ -20,5 +20,6 @@ pub use driver::{
     run_protected, CadenceCell, ThroughputRun,
 };
 pub use experiments::{
-    end_to_end_gamma, obs_snapshot, table1, table2, table3, vsef_overhead, vsef_wall_ms,
+    end_to_end_gamma, obs_snapshot, service_path_us, table1, table2, table3, vsef_overhead,
+    vsef_wall_ms, ServicePathRow, SERVICE_LAYERS,
 };

@@ -562,7 +562,7 @@ mod tests {
             // the dirtied pages) so the tag-corruption and forced-spill
             // seams can actually land.
             m.run(&mut svm::NopHook, 200);
-            mgr.note_service(&m, (i % 3) as u32);
+            mgr.note_service(&mut m, (i % 3) as u32);
             p.before_recovery(&mut mgr, &mut proxy);
             out.push(format!("retained {}", mgr.retained()));
         }

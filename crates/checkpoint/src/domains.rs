@@ -129,7 +129,7 @@ struct PageOwner {
 /// resets it at every [`take`](crate::CheckpointManager::take) and feeds
 /// it the pages of its dirty-page walk from `note_service`/`note_attack`
 /// at connection boundaries.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DomainLedger {
     /// The checkpoint this window's attribution is anchored to.
     window: Option<CkptId>,
@@ -144,6 +144,22 @@ pub struct DomainLedger {
     /// Integrity checksum over the attribution entries, recomputed on
     /// every legitimate mutation and verified before any restore.
     checksum: u64,
+}
+
+/// An empty ledger (no window open) whose checksum verifies.
+impl Default for DomainLedger {
+    fn default() -> DomainLedger {
+        let mut led = DomainLedger {
+            window: None,
+            owner: BTreeMap::new(),
+            spilled: BTreeSet::new(),
+            boundary: None,
+            spills: 0,
+            checksum: 0,
+        };
+        led.checksum = led.compute_checksum();
+        led
+    }
 }
 
 impl DomainLedger {
@@ -430,6 +446,12 @@ mod tests {
         // The same domain rewriting its own uncovered page is no spill.
         led.attribute(1, [(7, 3)], false);
         assert_eq!(led.spills, 0);
+    }
+
+    #[test]
+    fn a_fresh_ledger_verifies() {
+        assert!(DomainLedger::new().verify());
+        assert!(DomainLedger::default().verify());
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! [`DedupeStore`] — identical page contents anywhere across the ring
 //! share one store slot — and records a cumulative `page -> (slot, gen)`
 //! table per snapshot (an ascending vector, 24 bytes per page, no
-//! data). Reconstruction
+//! data). Interning happens only here, at a take: the manager's
+//! per-request pre-copy keeps the pages themselves, not store slots, so
+//! a page dirtied by many requests between two snapshots is hashed
+//! once. Reconstruction
 //! ([`DeltaRecord::materialize`]) rebuilds a `Machine` from the record's
 //! machine skeleton plus the store, verifies the full-image digest
 //! captured at take time, and is bit-identical to a full clone — a
@@ -26,7 +29,7 @@
 //! page skips the loop: its digest is the compile-time lane hash of
 //! 4,096 zero bytes, so it still dedupes with a written all-zero page.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -335,8 +338,8 @@ pub struct DeltaRecord {
     /// Cumulative page table: every mapped page, referenced by store
     /// key, in strictly ascending page order.
     pages: Vec<PageEntry>,
-    /// Pages newly interned by this snapshot (the delta; the rest of
-    /// `pages` was inherited from the previous record or the drain).
+    /// Pages interned by this snapshot (the delta; the rest of `pages`
+    /// was inherited from the previous record).
     pub delta_len: usize,
     /// `mem_digest` of the captured image, verified on materialize.
     image_digest: u64,
@@ -344,11 +347,11 @@ pub struct DeltaRecord {
 
 impl DeltaRecord {
     /// Capture `m` incrementally: `prev` is the previous record's
-    /// cumulative table (empty for the base snapshot) and `pending` the
-    /// pre-copy drain's already-interned dirty pages. Only pages whose
-    /// generation advanced past both are interned now — the snapshot
-    /// instant is O(changed-since-drain) in hashing, one ordered walk of
-    /// the three tables otherwise.
+    /// cumulative table (empty for the base snapshot). A page whose
+    /// generation still equals `prev`'s entry is inherited (one more
+    /// reference, no hashing); every other page is interned now, once
+    /// per take however many requests pre-copied it since the last one.
+    /// One ordered walk of the two tables.
     ///
     /// The image digest is [`mem_digest`] of `m`, folded as the table is
     /// built: a fresh page is hashed once, for the store and the image
@@ -357,33 +360,18 @@ impl DeltaRecord {
     /// its slot keeps. Any other inherited page is hashed from its live
     /// bytes, so an entry reused against the write-gen ladder contract
     /// still leaves a digest its materialization fails to match.
-    pub fn capture(
-        m: &Machine,
-        store: &mut DedupeStore,
-        prev: &[PageEntry],
-        pending: &BTreeMap<u32, (PageKey, u64)>,
-    ) -> DeltaRecord {
+    pub fn capture(m: &Machine, store: &mut DedupeStore, prev: &[PageEntry]) -> DeltaRecord {
         let mut pages = Vec::with_capacity(prev.len());
         let mut delta_len = 0usize;
         let mut image = FNV_OFFSET;
         let mut prev = prev.iter().peekable();
-        let mut pending = pending.iter().peekable();
         for (pno, gen, data) in m.mem.pages() {
             while prev.next_if(|e| e.0 < pno).is_some() {}
-            while pending.next_if(|e| *e.0 < pno).is_some() {}
-            let drained = pending.next_if(|e| *e.0 == pno).map(|e| *e.1);
-            let inherited = prev.next_if(|e| e.0 == pno).map(|e| (e.1, e.2));
-            // Prefer, in order: a pending drained capture at the live
-            // generation, the previous record's entry at the live
-            // generation, else intern fresh. Equal generations guarantee
-            // identical bytes (the write-gen ladder contract).
-            let reuse = [drained, inherited]
-                .into_iter()
-                .flatten()
-                .find(|&(_, g)| g == gen)
-                .map(|(key, _)| key);
-            let (key, digest) = match reuse {
-                Some(key) => (key, store.bump(key, data)),
+            // Equal generations guarantee identical bytes (the
+            // write-gen ladder contract).
+            let inherited = prev.next_if(|e| e.0 == pno).filter(|e| e.2 == gen);
+            let (key, digest) = match inherited {
+                Some(&(_, key, _)) => (key, store.bump(key, data)),
                 None => {
                     delta_len += 1;
                     let digest = page_digest(data);
@@ -574,7 +562,7 @@ mod tests {
         assert!(page(rezeroed).is_written() && !page(fresh).is_written());
         assert_eq!(page_digest(page(rezeroed)), page_digest(page(fresh)));
         let mut store = DedupeStore::new();
-        let rec = DeltaRecord::capture(&m, &mut store, &[], &BTreeMap::new());
+        let rec = DeltaRecord::capture(&m, &mut store, &[]);
         let key = |pno| rec.pages().iter().find(|e| e.0 == pno).expect("mapped").1;
         assert_eq!(key(rezeroed), key(fresh), "one slot");
         let rebuilt = rec.materialize(&store).expect("materializes");
@@ -606,11 +594,10 @@ mod tests {
         .expect("asm");
         let mut m = Machine::boot(&prog, Aslr::off()).expect("boot");
         let mut store = DedupeStore::new();
-        let empty = BTreeMap::new();
-        let base = DeltaRecord::capture(&m, &mut store, &[], &empty);
+        let base = DeltaRecord::capture(&m, &mut store, &[]);
         assert_eq!(base.delta_len, m.mem.mapped_pages(), "base interns all");
         m.run(&mut svm::NopHook, 2000);
-        let next = DeltaRecord::capture(&m, &mut store, base.pages(), &empty);
+        let next = DeltaRecord::capture(&m, &mut store, base.pages());
         assert!(
             next.delta_len < base.delta_len,
             "only dirtied pages re-interned: {} vs {}",
@@ -634,15 +621,14 @@ mod tests {
         let prog = svm::asm::assemble(".text\nmain:\n halt\n").expect("asm");
         let m = Machine::boot(&prog, Aslr::off()).expect("boot");
         let mut store = DedupeStore::new();
-        let empty = BTreeMap::new();
-        let rec = DeltaRecord::capture(&m, &mut store, &[], &empty);
+        let rec = DeltaRecord::capture(&m, &mut store, &[]);
         assert!(rec.materialize(&store).is_some());
         // Dedupe-store eviction race: a referenced slot vanishes.
         store.chaos_evict_one().expect("live slot");
         assert!(rec.materialize(&store).is_none(), "fails closed");
         // Delta-chain truncation on a fresh capture.
         let mut store2 = DedupeStore::new();
-        let mut rec2 = DeltaRecord::capture(&m, &mut store2, &[], &empty);
+        let mut rec2 = DeltaRecord::capture(&m, &mut store2, &[]);
         assert_eq!(rec2.chaos_truncate(&mut store2, 2), 2);
         assert!(rec2.materialize(&store2).is_none(), "fails closed");
     }
@@ -653,12 +639,11 @@ mod tests {
         let prog = svm::asm::assemble(".text\nmain:\n halt\n").expect("asm");
         let m = Machine::boot(&prog, Aslr::off()).expect("boot");
         let mut store = DedupeStore::new();
-        let empty = BTreeMap::new();
-        let base = DeltaRecord::capture(&m, &mut store, &[], &empty);
+        let base = DeltaRecord::capture(&m, &mut store, &[]);
         // The next capture inherits every entry, one of them from a slot
         // the chaos seam evicted: its digest comes from the live bytes.
         store.chaos_evict_one().expect("live slot");
-        let next = DeltaRecord::capture(&m, &mut store, base.pages(), &empty);
+        let next = DeltaRecord::capture(&m, &mut store, base.pages());
         assert_eq!(next.delta_len, 0, "every entry inherited");
         assert_eq!(next.image_digest(), mem_digest(&m.mem));
         assert!(next.pages().windows(2).all(|w| w[0].0 < w[1].0));

@@ -7,8 +7,14 @@
 //! walk per served request, [`CheckpointManager::note_service`], credits
 //! each page to the request's rollback domain ([`crate::domains`]) and
 //! pre-copies it into the pending delta, so the snapshot instant itself
-//! is O(changed-since-last-walk). The
-//! legacy full-copy engine (a copy-on-write clone of the whole
+//! charges only for what changed since the last walk. The walk costs
+//! O(pages written): it reads the machine's write set
+//! ([`svm::mem::Mem::dirty_pages_since`] from the mark it left last
+//! time) rather than scanning the page table. The pending delta holds
+//! the pages themselves (a shared `Arc` and the generation it was taken
+//! at), not store slots: hashing and interning happen once per page at
+//! [`CheckpointManager::take`], not once per request that dirties it.
+//! The legacy full-copy engine (a copy-on-write clone of the whole
 //! [`Machine`]) stays selectable as [`Engine::Full`], the Figure 4
 //! baseline. Every incremental record carries the digest of the image it
 //! captured and refuses to materialize anything else, so damage fails
@@ -25,6 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use svm::clock::cost;
+use svm::mem::Page;
 use svm::Machine;
 
 use crate::domains::{DomainLedger, DomainRecovery, DomainRefusal};
@@ -101,9 +108,10 @@ pub struct CheckpointManager {
     ring: VecDeque<Checkpoint>,
     /// Content-addressed page storage shared by the incremental records.
     store: DedupeStore,
-    /// Pages pre-copied since the last take, already interned (one
-    /// store reference held per entry).
-    pending: BTreeMap<u32, (PageKey, u64)>,
+    /// Pages pre-copied since the last take: each page's storage (a
+    /// shared `Arc`; a later guest write copies first) and the
+    /// generation it was walked at. Nothing is interned until a take.
+    pending: BTreeMap<u32, (Arc<Page>, u64)>,
     /// The one dirty-page watermark: `write_seq` at the last take or
     /// walk (a drain, `note_service` or `note_attack`).
     covered_gen: u64,
@@ -122,8 +130,14 @@ pub struct CheckpointManager {
     /// Total pages pre-copied between snapshots (background work, never
     /// charged to the service path).
     pub pages_drained_total: u64,
-    /// Virtual cycles of background pre-copy work (page interns).
+    /// Virtual cycles of background pre-copy work (one page copy per
+    /// page walked into the pending delta).
     pub precopy_cycles: u64,
+    /// Page-table entries the dirty-page walks visited
+    /// ([`svm::mem::Mem::dirty_scan_len`]): the pages written since the
+    /// last walk when the watermark is the machine's mark, the whole
+    /// table otherwise (statistics).
+    pub walk_entries_visited: u64,
     /// Reconstructions that failed closed (delta-chain truncation or
     /// dedupe-store eviction damage detected by digest verification).
     /// Chaos invariant I9 requires 0 on any run where neither kind of
@@ -163,6 +177,7 @@ impl CheckpointManager {
             last_pages_copied: 0,
             pages_drained_total: 0,
             precopy_cycles: 0,
+            walk_entries_visited: 0,
             materialize_failures: Cell::new(0),
             ledger: DomainLedger::new(),
             domain_rollbacks: 0,
@@ -202,42 +217,42 @@ impl CheckpointManager {
     /// instant itself ([`CheckpointManager::take`]) only pays for pages
     /// dirtied *since the last walk*. No-op for the full engine and
     /// before the base snapshot exists.
-    pub fn drain(&mut self, m: &Machine) -> usize {
+    pub fn drain(&mut self, m: &mut Machine) -> usize {
         self.walk(m, None, true)
     }
 
     /// The one walk over the pages dirtied since the watermark: credit
-    /// each to `domain` (if any), and intern it into the pending delta
-    /// when `capture` and the incremental engine's base snapshot exists
-    /// — which is what makes a credited page *covered*. Returns how many
-    /// pages it interned.
-    fn walk(&mut self, m: &Machine, domain: Option<u32>, capture: bool) -> usize {
+    /// each to `domain` (if any), and keep it in the pending delta when
+    /// `capture` and the incremental engine's base snapshot exists —
+    /// which is what makes a credited page *covered*. Then move the
+    /// watermark, and the machine's mark with it, to the current
+    /// `write_seq`. Returns how many pages it kept.
+    fn walk(&mut self, m: &mut Machine, domain: Option<u32>, capture: bool) -> usize {
         let capture =
             capture && self.engine == Engine::Incremental && self.last_taken_cycles.is_some();
         if !capture && domain.is_none() {
             return 0;
         }
-        let (store, pending) = (&mut self.store, &mut self.pending);
+        let pending = &mut self.pending;
         let mut drained = 0usize;
+        self.walk_entries_visited += m.mem.dirty_scan_len(self.covered_gen) as u64;
         let pages = m
             .mem
             .dirty_pages_since(self.covered_gen)
             .map(|(pno, gen, data)| {
                 if capture {
-                    let key = store.intern(Arc::clone(data));
-                    if let Some((old, _)) = pending.insert(pno, (key, gen)) {
-                        store.release(old);
-                    }
+                    pending.insert(pno, (Arc::clone(data), gen));
                     drained += 1;
                 }
                 (pno, gen)
             });
         match domain {
             Some(domain) => self.ledger.attribute(domain, pages, capture),
-            // A drain credits no one: run the walk for its interning.
+            // A drain credits no one: run the walk for its capture.
             None => pages.for_each(drop),
         }
         self.covered_gen = m.mem.write_seq();
+        m.mem.mark_clean();
         self.pages_drained_total += drained as u64;
         self.precopy_cycles += cost::PAGE_COPY * drained as u64;
         drained
@@ -248,19 +263,15 @@ impl CheckpointManager {
     /// Must be called after the live machine is **rolled back or
     /// replaced**: a rollback rewinds `write_seq`, so the forward
     /// execution resumed from the snapshot re-reaches generation
-    /// numbers the drained pages were recorded under — with different
-    /// bytes. The "equal generations ⇒ identical bytes" contract that
-    /// lets [`DeltaRecord::capture`] reuse a pending page holds only
-    /// within one forward execution; folding a pre-rollback drain into
-    /// a post-rollback delta leaks stale page content into the next
-    /// snapshot (caught as a materialize digest mismatch, degrading
-    /// recovery to a restart for no reason). Releases every held store
-    /// reference and rewinds the coverage watermark so the next drain
-    /// walk or capture rescans from the snapshot's own generation floor.
+    /// numbers the pending pages and the coverage watermark were
+    /// recorded under — with different bytes. Left in place, the
+    /// watermark would hide the resumed execution's writes from the
+    /// next walk and take, and a domain rollback could restore a page
+    /// of the abandoned execution. Drops every pending page and rewinds
+    /// the coverage watermark so the next walk or take rescans the
+    /// whole page table from generation 0.
     pub fn discard_pending(&mut self) {
-        for (key, _) in std::mem::take(&mut self.pending).into_values() {
-            self.store.release(key);
-        }
+        self.pending.clear();
         self.covered_gen = 0;
     }
 
@@ -318,19 +329,18 @@ impl CheckpointManager {
             self.evict_oldest();
         }
         self.covered_gen = m.mem.write_seq();
+        m.mem.mark_clean();
         self.ledger.reset(id, m);
         id
     }
 
-    /// Capture an incremental record, consuming the pending drain set.
+    /// Capture an incremental record, interning the pages it needs, and
+    /// drop the pending drain set.
     fn capture_delta(&mut self, m: &Machine) -> DeltaRecord {
         let prev = self.ring.back().and_then(Checkpoint::delta);
         let prev = prev.map_or(&[][..], DeltaRecord::pages);
-        let rec = DeltaRecord::capture(m, &mut self.store, prev, &self.pending);
-        // The record holds its own references now; drop the drain's.
-        for (key, _) in std::mem::take(&mut self.pending).into_values() {
-            self.store.release(key);
-        }
+        let rec = DeltaRecord::capture(m, &mut self.store, prev);
+        self.pending.clear();
         rec
     }
 
@@ -462,7 +472,7 @@ impl CheckpointManager {
     /// [`CheckpointManager::drain`] would, then advance the ledger's
     /// service boundary to the machine's current idle state. See
     /// [`crate::domains`].
-    pub fn note_service(&mut self, m: &Machine, domain: u32) {
+    pub fn note_service(&mut self, m: &mut Machine, domain: u32) {
         self.walk(m, Some(domain), true);
         self.ledger.advance_boundary(m);
     }
@@ -471,7 +481,7 @@ impl CheckpointManager {
     /// detected attack connection) as uncovered, capturing nothing — the
     /// pending delta must keep their pre-attack content — and *without*
     /// moving the service boundary.
-    pub fn note_attack(&mut self, m: &Machine, domain: u32) {
+    pub fn note_attack(&mut self, m: &mut Machine, domain: u32) {
         self.walk(m, Some(domain), false);
     }
 
@@ -496,10 +506,11 @@ impl CheckpointManager {
     /// boundary, a failing ledger checksum, a spilled domain, or a
     /// missing restore source refuses the partial path (the caller runs
     /// full rollback + replay instead). The pre-attack content of each
-    /// owned page comes from the pre-copy drain's `pending` set when
-    /// present (captured *after* the last benign write), else from the
-    /// checkpoint image (the page was untouched between the snapshot and
-    /// the attack).
+    /// owned page is the pre-copy drain's pending page when present
+    /// (captured *after* the last benign write; held directly, so no
+    /// store damage can take it), else the page of the checkpoint image
+    /// (the page was untouched between the snapshot and the attack),
+    /// which store damage can make unavailable.
     pub fn rollback_domain(
         &mut self,
         id: CkptId,
@@ -524,7 +535,7 @@ impl CheckpointManager {
         let mut ckpt_image: Option<Machine> = None;
         for pno in owned {
             let arc = match self.pending.get(&pno) {
-                Some(&(key, _)) => self.store.get(key).cloned(),
+                Some((page, _)) => Some(Arc::clone(page)),
                 None => {
                     if ckpt_image.is_none() {
                         ckpt_image = self.materialize(id);
@@ -901,7 +912,7 @@ mod tests {
         inc.take(&mut inc_m);
         full_m.run(&mut NopHook, 5000);
         inc_m.run(&mut NopHook, 5000);
-        let drained = inc.drain(&inc_m);
+        let drained = inc.drain(&mut inc_m);
         assert!(drained > 0, "the counter loop dirtied at least one page");
         let before_full = full.overhead_cycles;
         let before_inc = inc.overhead_cycles;
@@ -932,7 +943,7 @@ mod tests {
         let mut mgr = CheckpointManager::new(0, 8);
         let a = mgr.take(&mut m);
         m.run(&mut NopHook, 3000);
-        mgr.drain(&m);
+        mgr.drain(&mut m);
         m.run(&mut NopHook, 3000);
         let b = mgr.take(&mut m);
         assert!(mgr.materialize(a).is_some());
@@ -961,16 +972,16 @@ mod tests {
         let id = mgr.take(&mut m);
         let v_addr = m.symbols.addr_of("v").expect("v");
         m.run(&mut NopHook, 1000);
-        mgr.note_service(&m, 0); // benign connection 0 completed
+        mgr.note_service(&mut m, 0); // benign connection 0 completed
         let v_boundary = m.mem.read_u32(0, v_addr).expect("r");
         let cpu_boundary = m.cpu.clone();
         assert_eq!(
-            mgr.drain(&m),
+            mgr.drain(&mut m),
             0,
             "note_service pre-copied domain 0's writes"
         );
         m.run(&mut NopHook, 1000); // the "attack" dirties the same page
-        mgr.note_attack(&m, 1);
+        mgr.note_attack(&mut m, 1);
         assert!(m.mem.read_u32(0, v_addr).expect("r") > v_boundary);
         let rec = mgr.rollback_domain(id, &mut m, &[1]).expect("partial");
         assert!(rec.pages_restored >= 1);
@@ -994,7 +1005,7 @@ mod tests {
         let mut mgr = CheckpointManager::new(0, 8);
         mgr.take(&mut m);
         m.run(&mut NopHook, 1000);
-        mgr.note_service(&m, 0);
+        mgr.note_service(&mut m, 0);
         let tracked = mgr.ledger().pages_tracked();
         assert!(tracked > 0, "the counter loop dirtied a page");
         assert_eq!(
@@ -1002,10 +1013,10 @@ mod tests {
             "pre-copied in the walk"
         );
         assert_eq!(mgr.precopy_cycles, cost::PAGE_COPY * tracked as u64);
-        assert_eq!(mgr.drain(&m), 0, "nothing left to drain");
+        assert_eq!(mgr.drain(&mut m), 0, "nothing left to drain");
         // The attack's walk credits its pages but captures nothing.
         m.run(&mut NopHook, 1000);
-        mgr.note_attack(&m, 1);
+        mgr.note_attack(&mut m, 1);
         assert_eq!(mgr.pages_drained_total, tracked as u64);
         assert_eq!(mgr.domain_spills(), 0, "domain 0's page was covered");
         // Under the full engine the walk attributes without capturing.
@@ -1013,7 +1024,7 @@ mod tests {
         let mut full = CheckpointManager::new(0, 8).with_engine(Engine::Full);
         full.take(&mut m);
         m.run(&mut NopHook, 1000);
-        full.note_service(&m, 0);
+        full.note_service(&mut m, 0);
         assert!(full.ledger().pages_tracked() > 0);
         assert_eq!(full.pages_drained_total, 0);
     }
@@ -1026,9 +1037,9 @@ mod tests {
         let mut mgr = CheckpointManager::new(0, 8).with_engine(Engine::Full);
         let id = mgr.take(&mut m);
         m.run(&mut NopHook, 1000);
-        mgr.note_service(&m, 0);
+        mgr.note_service(&mut m, 0);
         m.run(&mut NopHook, 1000);
-        mgr.note_attack(&m, 1);
+        mgr.note_attack(&mut m, 1);
         assert_eq!(mgr.domain_spills(), 1);
         assert_eq!(
             mgr.rollback_domain(id, &mut m, &[1]),
@@ -1043,9 +1054,9 @@ mod tests {
         let mut mgr = CheckpointManager::new(0, 8);
         let id = mgr.take(&mut m);
         m.run(&mut NopHook, 1000);
-        mgr.note_service(&m, 0);
+        mgr.note_service(&mut m, 0);
         m.run(&mut NopHook, 1000);
-        mgr.note_attack(&m, 1);
+        mgr.note_attack(&mut m, 1);
         // Tag corruption: detected by the checksum, refused.
         assert!(mgr.chaos_corrupt_domain_tag(3));
         assert_eq!(
@@ -1057,9 +1068,9 @@ mod tests {
         let mut mgr2 = CheckpointManager::new(0, 8);
         let id2 = mgr2.take(&mut m2);
         m2.run(&mut NopHook, 1000);
-        mgr2.note_service(&m2, 0);
+        mgr2.note_service(&mut m2, 0);
         m2.run(&mut NopHook, 1000);
-        mgr2.note_attack(&m2, 1);
+        mgr2.note_attack(&mut m2, 1);
         assert!(mgr2.chaos_force_domain_spill());
         let out = mgr2.rollback_domain(id2, &mut m2, &[1]);
         assert_eq!(out, Err(DomainRefusal::Spilled));
@@ -1075,24 +1086,89 @@ mod tests {
         m.run(&mut NopHook, 500);
         mgr.take(&mut m); // opens a fresh window
         m.run(&mut NopHook, 500);
-        mgr.note_attack(&m, 1);
+        mgr.note_attack(&mut m, 1);
         assert_eq!(
             mgr.rollback_domain(old, &mut m, &[1]),
             Err(DomainRefusal::StaleWindow)
         );
-        // Evicted dedupe slots make the pending restore source vanish.
+        // An attack-only page has no pending copy, so its pre-attack
+        // content comes from the checkpoint image; evicted dedupe slots
+        // make that image, and so the restore source, vanish.
         let mut m2 = boot_counter();
         let mut mgr2 = CheckpointManager::new(0, 8);
         let id2 = mgr2.take(&mut m2);
         m2.run(&mut NopHook, 1000);
-        mgr2.note_service(&m2, 0);
-        m2.run(&mut NopHook, 1000);
-        mgr2.note_attack(&m2, 1);
+        mgr2.note_attack(&mut m2, 1);
+        assert!(
+            mgr2.pending.is_empty(),
+            "the attack's walk captures nothing"
+        );
         while mgr2.chaos_evict_store_page() {}
         assert_eq!(
             mgr2.rollback_domain(id2, &mut m2, &[1]),
             Err(DomainRefusal::PageUnavailable)
         );
+        assert_eq!(mgr2.materialize_failures(), 1);
+    }
+
+    #[test]
+    fn pending_restore_matches_full_rollback_and_replay() {
+        // Domain 0 is served and pre-copied; the attack (domain 1) then
+        // rewrites the same page, so domain rollback restores it from
+        // the pending page itself, not from the store.
+        let mut m = boot_counter();
+        let mut mgr = CheckpointManager::new(0, 8);
+        let id = mgr.take(&mut m);
+        m.run(&mut NopHook, 1000);
+        mgr.note_service(&mut m, 0);
+        let benign_insns = m.insns_retired;
+        m.run(&mut NopHook, 1000);
+        mgr.note_attack(&mut m, 1);
+        let owned = mgr.ledger().owned_pages(&[1]);
+        assert!(!owned.is_empty());
+        assert!(owned.iter().all(|p| mgr.pending.contains_key(p)));
+        // The store holds no pending page: evicting it all leaves the
+        // pending restore sources intact.
+        while mgr.chaos_evict_store_page() {}
+        mgr.rollback_domain(id, &mut m, &[1]).expect("partial");
+        // The reference: full rollback, then replay the benign work.
+        let mut full = CheckpointManager::new(0, 8);
+        let mut r = boot_counter();
+        let rid = full.take(&mut r);
+        r.run(&mut NopHook, 1000);
+        let mut replay = full.rollback(rid).expect("rollback");
+        while replay.insns_retired < benign_insns {
+            replay.step();
+        }
+        assert_eq!(
+            crate::domains::recovery_digest(&m),
+            crate::domains::recovery_digest(&replay)
+        );
+    }
+
+    #[test]
+    fn walks_visit_only_the_pages_written() {
+        let mut m = boot_counter();
+        let mut mgr = CheckpointManager::new(0, 8);
+        mgr.take(&mut m);
+        for domain in 0..20 {
+            m.run(&mut NopHook, 1000);
+            let (visited, drained) = (mgr.walk_entries_visited, mgr.pages_drained_total);
+            mgr.note_service(&mut m, domain);
+            assert_eq!(mgr.walk_entries_visited - visited, 1);
+            assert_eq!(mgr.pages_drained_total - drained, 1, "one data page");
+        }
+        // After a discard the watermark is older than the mark: one full
+        // scan, then the write set again.
+        mgr.discard_pending();
+        m.run(&mut NopHook, 1000);
+        let visited = mgr.walk_entries_visited;
+        mgr.drain(&mut m);
+        assert!(mgr.walk_entries_visited - visited >= m.mem.mapped_pages() as u64);
+        m.run(&mut NopHook, 1000);
+        let visited = mgr.walk_entries_visited;
+        assert_eq!(mgr.drain(&mut m), 1);
+        assert_eq!(mgr.walk_entries_visited - visited, 1);
     }
 
     #[test]

@@ -539,11 +539,11 @@ count: .word 0
         let (first, _) = proxy.offer(&mut m, b"first".to_vec(), &[]);
         drive(&mut m);
         proxy.release_outputs(&m);
-        mgr.note_service(&m, first as u32);
+        mgr.note_service(&mut m, first as u32);
         let (atk, _) = proxy.offer(&mut m, b"atkX".to_vec(), &[]);
         drive(&mut m);
         assert!(matches!(m.status(), Status::Faulted(_)));
-        mgr.note_attack(&m, atk as u32);
+        mgr.note_attack(&mut m, atk as u32);
         World {
             m,
             mgr,

@@ -11,7 +11,7 @@
 //!   patient-zero external scans at `outbreak_at_ms`.
 //! - **Complete** — a host finished a service step and becomes idle;
 //!   the next queued request starts. (The checkpoint pre-copy needs no
-//!   event: each served request's own dirty-page walk interns its pages
+//!   event: each served request's own dirty-page walk pre-copies its pages
 //!   before `poll_offer` returns.)
 //! - **Deliver** — a certified antibody bundle arriving from the first
 //!   producer to complete analysis; the host replay-verifies before

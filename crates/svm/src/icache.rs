@@ -19,9 +19,13 @@
 //! - **Precise invalidation** on any guest or host write to a cached
 //!   page, via [`Mem::page_gen`] write generations — self-modifying
 //!   code, host shellcode injection, and allocator-metadata stores near
-//!   code all invalidate exactly the dirtied page. The hot-path check
-//!   is O(1): while [`Mem::write_seq`] is unchanged since the last
-//!   validation, the page is provably untouched.
+//!   code all invalidate exactly the dirtied page. Every page the cache
+//!   decodes is marked watched in the machine's memory
+//!   ([`Mem::watch_page`]), and the hot-path check is O(1): while
+//!   [`Mem::watched_seq`], which only writes and restores to watched
+//!   pages move, is unchanged since the last validation, the page is
+//!   provably untouched. A store to a data page the cache never decoded
+//!   leaves the sequence alone, so the next fetch stays inline.
 //! - **Cold after clone**: cloning a machine *is* a checkpoint, so a
 //!   rolled-back machine must never reuse decode state from the live
 //!   one; [`DecodeCache`]'s `Clone` therefore yields an empty cache
@@ -63,6 +67,9 @@ pub struct CacheStats {
     pub bypasses: u64,
     /// Wholesale flushes (layout change, NX toggle, capacity, restore).
     pub flushes: u64,
+    /// Out-of-line re-validations: a watched page was written since
+    /// this page was last validated, so its generation was compared.
+    pub validations: u64,
 }
 
 /// The slot of `pc` within its page.
@@ -76,7 +83,7 @@ struct CachedPage {
     pno: u32,
     /// [`Mem::page_gen`] value the slots were decoded against.
     gen: u64,
-    /// [`Mem::write_seq`] value at the last validation of this page.
+    /// [`Mem::watched_seq`] value at the last validation of this page.
     seen_seq: u64,
     /// Decoded slot per aligned pc; `None` = undecodable word (the
     /// dispatcher re-runs the slow path to raise the precise fault).
@@ -84,7 +91,10 @@ struct CachedPage {
 }
 
 impl CachedPage {
-    fn build(pno: u32, mem: &Mem) -> Option<CachedPage> {
+    /// Decode page `pno`, watching it first so that any later write to
+    /// it moves [`Mem::watched_seq`].
+    fn build(pno: u32, mem: &mut Mem) -> Option<CachedPage> {
+        mem.watch_page(pno);
         let bytes = mem.page_bytes(pno)?;
         let mut slots = Vec::with_capacity(SLOTS_PER_PAGE);
         for i in 0..SLOTS_PER_PAGE {
@@ -95,7 +105,7 @@ impl CachedPage {
         Some(CachedPage {
             pno,
             gen: mem.page_gen(pno),
-            seen_seq: mem.write_seq(),
+            seen_seq: mem.watched_seq(),
             slots: slots.into_boxed_slice(),
         })
     }
@@ -202,14 +212,16 @@ impl DecodeCache {
     /// reproduces the exact fault, if any). The key is the one of the
     /// last [`DecodeCache::enter`].
     ///
-    /// The common case — `pc` on the most recently used page, nothing
-    /// written anywhere since that page was last validated, a decodable
-    /// slot — is answered inline; everything else goes out of line.
+    /// The common case — `pc` on the most recently used page, no
+    /// watched page written since that page was last validated, a
+    /// decodable slot — is answered inline; everything else goes out of
+    /// line. `mem` is mutable only so that a page build can watch its
+    /// page.
     #[inline]
-    pub fn lookup(&mut self, mem: &Mem, pc: u32) -> Option<Op> {
+    pub fn lookup(&mut self, mem: &mut Mem, pc: u32) -> Option<Op> {
         if let Some(page) = self.pages.get(self.mru) {
             if page.pno == pc / PAGE_SIZE as u32
-                && page.seen_seq == mem.write_seq()
+                && page.seen_seq == mem.watched_seq()
                 && pc.is_multiple_of(INSN_SIZE)
             {
                 if let Some(op) = page.slots[slot_of(pc)] {
@@ -222,7 +234,7 @@ impl DecodeCache {
     }
 
     #[inline(never)]
-    fn lookup_slow(&mut self, mem: &Mem, pc: u32) -> Option<Op> {
+    fn lookup_slow(&mut self, mem: &mut Mem, pc: u32) -> Option<Op> {
         if !self.enabled {
             return None;
         }
@@ -252,14 +264,15 @@ impl DecodeCache {
         };
         self.mru = idx;
         let page = &mut self.pages[idx];
-        // Precise invalidation: skip entirely while nothing anywhere was
+        // Precise invalidation: skip entirely while no watched page was
         // written; otherwise compare this page's write generation.
-        if page.seen_seq != mem.write_seq() {
+        if page.seen_seq != mem.watched_seq() {
+            self.stats.validations += 1;
             if page.gen != mem.page_gen(pno) {
                 page.redecode(mem);
                 self.stats.invalidations += 1;
             }
-            page.seen_seq = mem.write_seq();
+            page.seen_seq = mem.watched_seq();
         }
         match page.slots[slot_of(pc)] {
             Some(op) => {
@@ -307,11 +320,11 @@ mod tests {
             rd: Reg(3),
             imm: 0x42,
         };
-        let mem = code_mem(&[op, Op::Halt]);
+        let mut mem = code_mem(&[op, Op::Halt]);
         let mut c = DecodeCache::new(true);
         c.enter(&Layout::nominal(), mem.nx);
-        assert_eq!(c.lookup(&mem, 0x1000), Some(op));
-        assert_eq!(c.lookup(&mem, 0x1008), Some(Op::Halt));
+        assert_eq!(c.lookup(&mut mem, 0x1000), Some(op));
+        assert_eq!(c.lookup(&mut mem, 0x1008), Some(Op::Halt));
         assert_eq!(c.stats().misses, 1, "one page build");
         assert_eq!(c.stats().hits, 2);
         assert_eq!(c.cached_pages(), 1);
@@ -319,19 +332,42 @@ mod tests {
 
     #[test]
     fn write_to_cached_page_invalidates_precisely() {
-        let mem = code_mem(&[Op::Nop, Op::Halt]);
+        let mut mem = code_mem(&[Op::Nop, Op::Halt]);
         let mut c = DecodeCache::new(true);
         c.enter(&Layout::nominal(), mem.nx);
-        assert_eq!(c.lookup(&mem, 0x1000), Some(Op::Nop));
-        // Overwrite slot 0 with `halt` via a guest-visible write.
-        let mut mem = mem;
+        assert_eq!(c.lookup(&mut mem, 0x1000), Some(Op::Nop));
+        // Overwrite slot 0 with `halt` via a host write.
         mem.write_bytes_host(0x1000, &Op::Halt.encode()).expect("w");
         assert_eq!(
-            c.lookup(&mem, 0x1000),
+            c.lookup(&mut mem, 0x1000),
             Some(Op::Halt),
             "stale Op must not be served after the page was written"
         );
         assert_eq!(c.stats().invalidations, 1);
+    }
+
+    #[test]
+    fn data_stores_keep_the_inline_path_and_restores_invalidate() {
+        let mut mem = code_mem(&[Op::Nop, Op::Halt]);
+        mem.map(0x2000, PAGE_SIZE as u32, Perm::RW, "data")
+            .expect("map");
+        let mut c = DecodeCache::new(true);
+        c.enter(&Layout::nominal(), mem.nx);
+        assert_eq!(c.lookup(&mut mem, 0x1000), Some(Op::Nop));
+        for i in 0..64 {
+            mem.write_u32(0, 0x2000 + 4 * i, i).expect("w");
+            assert_eq!(c.lookup(&mut mem, 0x1008), Some(Op::Halt));
+        }
+        assert_eq!(c.stats().validations, 0, "data stores re-check nothing");
+        assert_eq!(c.stats().hits, 65);
+        // Restoring the code page's old storage is a write to it.
+        let (old, gen) = mem.page_arc(1).expect("mapped");
+        mem.write_bytes_host(0x1000, &Op::Halt.encode()).expect("w");
+        assert_eq!(c.lookup(&mut mem, 0x1000), Some(Op::Halt));
+        mem.restore_page(1, old, gen);
+        assert_eq!(c.lookup(&mut mem, 0x1000), Some(Op::Nop), "restored");
+        assert_eq!(c.stats().invalidations, 2);
+        assert_eq!(c.stats().validations, 2);
     }
 
     #[test]
@@ -341,20 +377,20 @@ mod tests {
         mem.write_bytes_host(0x1008, &[0x7f; 8]).expect("w");
         let mut c = DecodeCache::new(true);
         c.enter(&Layout::nominal(), mem.nx);
-        assert_eq!(c.lookup(&mem, 0x1004), None, "unaligned");
-        assert_eq!(c.lookup(&mem, 0x1008), None, "undecodable word");
-        assert_eq!(c.lookup(&mem, 0x9000), None, "unmapped page");
+        assert_eq!(c.lookup(&mut mem, 0x1004), None, "unaligned");
+        assert_eq!(c.lookup(&mut mem, 0x1008), None, "undecodable word");
+        assert_eq!(c.lookup(&mut mem, 0x9000), None, "unmapped page");
         assert_eq!(c.stats().hits, 0);
         assert!(c.stats().bypasses >= 3);
     }
 
     #[test]
     fn layout_and_nx_changes_flush() {
-        let mem = code_mem(&[Op::Nop]);
+        let mut mem = code_mem(&[Op::Nop]);
         let mut c = DecodeCache::new(true);
         let lay = Layout::nominal();
         c.enter(&lay, mem.nx);
-        assert!(c.lookup(&mem, 0x1000).is_some());
+        assert!(c.lookup(&mut mem, 0x1000).is_some());
         c.enter(&lay, mem.nx);
         assert_eq!(c.stats().flushes, 0, "same key: nothing flushed");
         assert_eq!(c.cached_pages(), 1);
@@ -362,20 +398,19 @@ mod tests {
         other.code_base += PAGE_SIZE as u32; // re-randomized layout
         c.enter(&other, mem.nx);
         assert_eq!(c.stats().flushes, 1, "layout change flushed");
-        assert!(c.lookup(&mem, 0x1000).is_some());
-        let mut mem = mem;
+        assert!(c.lookup(&mut mem, 0x1000).is_some());
         mem.nx = true; // RWX page stays executable, but the key changes
         c.enter(&other, mem.nx);
-        assert!(c.lookup(&mem, 0x1000).is_some());
+        assert!(c.lookup(&mut mem, 0x1000).is_some());
         assert_eq!(c.stats().flushes, 2, "NX toggle flushed");
     }
 
     #[test]
     fn clone_is_cold() {
-        let mem = code_mem(&[Op::Nop]);
+        let mut mem = code_mem(&[Op::Nop]);
         let mut c = DecodeCache::new(true);
         c.enter(&Layout::nominal(), mem.nx);
-        assert!(c.lookup(&mem, 0x1000).is_some());
+        assert!(c.lookup(&mut mem, 0x1000).is_some());
         let snap = c.clone();
         assert!(snap.enabled());
         assert_eq!(snap.cached_pages(), 0, "clone starts cold");
@@ -384,10 +419,10 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_answers() {
-        let mem = code_mem(&[Op::Nop]);
+        let mut mem = code_mem(&[Op::Nop]);
         let mut c = DecodeCache::new(false);
         c.enter(&Layout::nominal(), mem.nx);
-        assert_eq!(c.lookup(&mem, 0x1000), None);
+        assert_eq!(c.lookup(&mut mem, 0x1000), None);
         assert_eq!(c.stats(), CacheStats::default());
     }
 }

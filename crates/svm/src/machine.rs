@@ -367,7 +367,7 @@ impl Machine {
         // non-executable page, undecodable word) falls back to the slow
         // fetch+decode, which raises the precise fault at this pc. Both
         // paths yield bit-identical ops, faults, and cycle accounting.
-        let op = match self.icache.lookup(&self.mem, pc) {
+        let op = match self.icache.lookup(&mut self.mem, pc) {
             Some(op) => op,
             None => {
                 let word = self.mem.fetch(pc)?;

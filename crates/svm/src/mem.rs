@@ -34,6 +34,22 @@
 //! the first byte whose page refuses the access, after the bytes before
 //! it have landed, and [`Mem::write_seq`] and every page's generation
 //! count bytes.
+//!
+//! The store path keeps two records for the layers above it, so that
+//! neither has to scan the page table:
+//!
+//! - **The write set**: the page numbers written since the last
+//!   [`Mem::mark_clean`], kept sorted. A store records its page when the
+//!   page's generation was at or below the mark, i.e. on the page's
+//!   first write since the mark, so every page whose generation is past
+//!   the mark is in the set. [`Mem::dirty_pages_since`] answers from the
+//!   set for any watermark at or past the mark, in O(pages written), and
+//!   falls back to a scan of the whole table for an older one.
+//! - **Watched pages**: a page the decode cache has decoded is marked
+//!   watched ([`Mem::watch_page`]), and a write to a watched page, guest
+//!   store, host injection or [`Mem::restore_page`] alike, moves
+//!   [`Mem::watched_seq`]. A store to any other page leaves it alone, so
+//!   the decode cache's hot check survives data stores.
 
 use std::sync::Arc;
 
@@ -178,6 +194,8 @@ struct PageSlot {
     data: Arc<Page>,
     gen: u64,
     perm: Perm,
+    /// Whether a write to this page moves [`Mem::watched_seq`].
+    watched: bool,
 }
 
 /// The permission of a restored page that no region covers.
@@ -306,6 +324,14 @@ pub struct Mem {
     /// Monotone count of byte writes across the whole address space;
     /// see [`Mem::write_seq`].
     write_seq: u64,
+    /// `write_seq` at the last [`Mem::mark_clean`].
+    mark: u64,
+    /// The write set: every page whose generation passed `mark`, in
+    /// ascending page order (a page restored back below the mark may
+    /// linger; readers filter by generation).
+    written: Vec<u32>,
+    /// Count of writes to watched pages; see [`Mem::watched_seq`].
+    watched_seq: u64,
     /// When true, exec permission is enforced (NX). The paper's 2003-era
     /// targets predate NX, so the default is `false` (data is executable).
     pub nx: bool,
@@ -324,6 +350,9 @@ impl Mem {
             pages: PageTable::default(),
             regions: Vec::new(),
             write_seq: 0,
+            mark: 0,
+            written: Vec::new(),
+            watched_seq: 0,
             nx: false,
         }
     }
@@ -365,6 +394,7 @@ impl Mem {
                     data: Arc::new(Page::zeroed()),
                     gen: 0,
                     perm,
+                    watched: false,
                 },
             );
         }
@@ -417,11 +447,30 @@ impl Mem {
     /// carries, as its generation, the sequence number of its own last
     /// byte — the numbers one-byte-at-a-time stores would leave.
     /// Unchanged `write_seq` is a cheap O(1) proof that no page changed
-    /// since a consumer last validated its view; the predecoded
-    /// instruction cache uses it to skip per-page generation checks on
-    /// the hot path.
+    /// since a consumer last observed it; the checkpoint manager keeps
+    /// its dirty-page watermark in these units. (The predecoded
+    /// instruction cache watches only the pages it decoded:
+    /// [`Mem::watched_seq`].)
     pub fn write_seq(&self) -> u64 {
         self.write_seq
+    }
+
+    /// Monotone count of writes (stores and restores) to watched pages:
+    /// unchanged, it proves that no page the decode cache has decoded
+    /// was written. Stores to unwatched pages do not move it.
+    pub fn watched_seq(&self) -> u64 {
+        self.watched_seq
+    }
+
+    /// Watch page `pno` (no-op if unmapped): from now on every write to
+    /// it moves [`Mem::watched_seq`]. The decode cache watches each page
+    /// it decodes. Clones and snapshots keep the watch; nothing clears
+    /// it, so a page the cache later drops stays watched, which costs
+    /// only a re-validation after a write to it.
+    pub fn watch_page(&mut self, pno: u32) {
+        if let Some(slot) = self.pages.get_mut(pno) {
+            slot.watched = true;
+        }
     }
 
     /// Write generation of page `pno` (0 if never written or unmapped).
@@ -478,14 +527,31 @@ impl Mem {
 
     /// Store `data`, which lies within one page, at `addr`: one lookup,
     /// one copy-on-write step, one copy. `write_seq` grows by the length
-    /// and the page's generation becomes the new value.
+    /// and the page's generation becomes the new value; the page's first
+    /// write since the mark enters the write set, and a write to a
+    /// watched page moves `watched_seq`.
     #[inline]
     fn store(&mut self, pc: u32, addr: u32, data: &[u8], guest: bool) -> Result<(), Fault> {
         let (slot, off) = Self::slot_mut(&mut self.pages, pc, addr, guest)?;
         Arc::make_mut(&mut slot.data).bytes_mut()[off..off + data.len()].copy_from_slice(data);
+        let first = slot.gen <= self.mark;
         self.write_seq += data.len() as u64;
         slot.gen = self.write_seq;
+        if slot.watched {
+            self.watched_seq += 1;
+        }
+        if first {
+            Self::note_written(&mut self.written, Self::page_of(addr));
+        }
         Ok(())
+    }
+
+    /// Put `pno` in the sorted write set (once).
+    #[cold]
+    fn note_written(written: &mut Vec<u32>, pno: u32) {
+        if let Err(i) = written.binary_search(&pno) {
+            written.insert(i, pno);
+        }
     }
 
     /// Write `data` from `addr` on, one [`Mem::store`] per page chunk
@@ -633,14 +699,56 @@ impl Mem {
 
     /// [`Mem::pages`] restricted to the pages whose write generation
     /// advanced past `gen` (i.e. pages dirtied since a consumer last
-    /// observed `write_seq() == gen`). Newly mapped pages start at
-    /// generation 0, so a consumer that needs *every* page it has never
-    /// seen must also diff [`Mem::page_table`] against its own table —
-    /// but this address space never unmaps, and all mapping happens at
-    /// load time, so post-boot consumers only ever see the gen ladder
-    /// move.
+    /// observed `write_seq() == gen`), in ascending page order. Newly
+    /// mapped pages start at generation 0, so a consumer that needs
+    /// *every* page it has never seen must also diff
+    /// [`Mem::page_table`] against its own table — but this address
+    /// space never unmaps, and all mapping happens at load time, so
+    /// post-boot consumers only ever see the gen ladder move.
+    ///
+    /// For `gen` at or past the last [`Mem::mark_clean`] the answer
+    /// comes from the write set, visiting only the pages written since
+    /// the mark; an older `gen` scans the whole table.
+    /// [`Mem::dirty_scan_len`] says how many entries a call visits.
     pub fn dirty_pages_since(&self, gen: u64) -> impl Iterator<Item = (u32, u64, &Arc<Page>)> + '_ {
-        self.pages().filter(move |&(_, g, _)| g > gen)
+        let (set, scan) = if gen >= self.mark {
+            let set = self.written.iter().filter_map(move |&pno| {
+                let s = self.pages.get(pno)?;
+                Some((pno, s.gen, &s.data))
+            });
+            (Some(set), None)
+        } else {
+            (None, Some(self.pages()))
+        };
+        set.into_iter()
+            .flatten()
+            .chain(scan.into_iter().flatten())
+            .filter(move |&(_, g, _)| g > gen)
+    }
+
+    /// How many page-table entries [`Mem::dirty_pages_since`]`(gen)`
+    /// visits: the write set's length at or past the mark, else every
+    /// slot of the table.
+    pub fn dirty_scan_len(&self, gen: u64) -> usize {
+        if gen >= self.mark {
+            self.written.len()
+        } else {
+            self.pages.slots.len()
+        }
+    }
+
+    /// Set the mark to the current `write_seq` and empty the write set:
+    /// the next page written is the first of a new set. A consumer that
+    /// keeps its own watermark at `write_seq` calls this each time it
+    /// catches up, so its next [`Mem::dirty_pages_since`] is O(pages
+    /// written since). A page restored at a generation past `write_seq`
+    /// (never done by a checkpoint, whose generations come from this
+    /// address space's own past) stays in the set.
+    pub fn mark_clean(&mut self) {
+        let (pages, seq) = (&self.pages, self.write_seq);
+        self.written
+            .retain(|&pno| pages.get(pno).is_some_and(|s| s.gen > seq));
+        self.mark = seq;
     }
 
     /// Capture page `pno`'s backing storage by reference: an O(1) `Arc`
@@ -663,6 +771,9 @@ impl Mem {
             pages: PageTable::default(),
             regions: self.regions.clone(),
             write_seq: self.write_seq,
+            mark: self.write_seq,
+            written: Vec::new(),
+            watched_seq: self.watched_seq,
             nx: self.nx,
         }
     }
@@ -675,11 +786,19 @@ impl Mem {
     /// that covers it (no access at all if none does, which a page that
     /// came from [`Mem::map`] never meets). The first page restored into
     /// a region adds that region's span to the table; a page outside
-    /// every region gets a span of its own.
+    /// every region gets a span of its own. A page restored past the
+    /// mark enters the write set, and restoring a watched page moves
+    /// [`Mem::watched_seq`], as a write would.
     pub fn restore_page(&mut self, pno: u32, data: Arc<Page>, gen: u64) {
+        if gen > self.mark && self.pages.get(pno).is_none_or(|s| s.gen <= self.mark) {
+            Self::note_written(&mut self.written, pno);
+        }
         if let Some(slot) = self.pages.get_mut(pno) {
             slot.data = data;
             slot.gen = gen;
+            if slot.watched {
+                self.watched_seq += 1;
+            }
             return;
         }
         let start = pno.checked_mul(PAGE_SIZE as u32);
@@ -692,7 +811,15 @@ impl Mem {
             self.pages
                 .cover(Self::page_of(r.start), r.len / PAGE_SIZE as u32);
         }
-        self.pages.set(pno, PageSlot { data, gen, perm });
+        self.pages.set(
+            pno,
+            PageSlot {
+                data,
+                gen,
+                perm,
+                watched: false,
+            },
+        );
     }
 }
 

@@ -7,15 +7,17 @@
 //! op sequences over RW, R, RX and RWX pages, an unmapped hole,
 //! page-crossing and wrapping addresses, with NX on and off, must give
 //! equal results, equal fault payloads, equal `write_seq`, equal
-//! per-page generations and equal bytes after every op. Named cases pin
+//! per-page generations, equal bytes and equal `dirty_pages_since`
+//! answers after every op, with write-set marks (`mark_clean`) among
+//! the ops. Named cases pin
 //! the partial-write-then-fault behaviour of a word store across a page
 //! boundary (into a read-only page and into a hole) and of a `read`
 //! syscall whose buffer runs into an unmapped page.
 //!
 //! A second oracle works at the level of the page table: random `map`s,
 //! skeletons, page restores in random order (a page outside every
-//! region and a restore into an occupied slot among them) and held
-//! snapshots, against a `BTreeMap` reference. Both must agree on which
+//! region and a restore into an occupied slot among them), write-set
+//! marks and held snapshots, against a `BTreeMap` reference. Both must agree on which
 //! maps are refused, and after every op on the page count, generations,
 //! executability, sharing and storage identities, and on the full
 //! `pages()`, `page_table()` and `dirty_pages_since` sequences in
@@ -224,6 +226,8 @@ enum MemOp {
     /// incremental checkpoint path); the oracle is untouched, so every
     /// later op also checks the rebuilt permissions.
     Rebuild,
+    /// Start a new write set ([`Mem::mark_clean`]); the oracle has none.
+    MarkClean,
 }
 
 /// Addresses near the interesting places: every page boundary of the
@@ -275,6 +279,7 @@ fn arb_op() -> impl Strategy<Value = MemOp> {
         }),
         (arb_addr(), arb_data()).prop_map(|(addr, data)| MemOp::WriteBytesHost { addr, data }),
         Just(MemOp::Rebuild),
+        Just(MemOp::MarkClean),
     ]
 }
 
@@ -305,6 +310,10 @@ fn apply(mem: &mut Mem, op: &MemOp) -> Outcome {
             *mem = rebuilt;
             Ok(Vec::new())
         }
+        MemOp::MarkClean => {
+            mem.mark_clean();
+            Ok(Vec::new())
+        }
     }
 }
 
@@ -327,7 +336,7 @@ fn apply_oracle(oracle: &mut ByteMem, op: &MemOp) -> Outcome {
         MemOp::WriteBytesHost { addr, data } => {
             oracle.write_bytes_host(*addr, data).map(|()| Vec::new())
         }
-        MemOp::Rebuild => Ok(Vec::new()),
+        MemOp::Rebuild | MemOp::MarkClean => Ok(Vec::new()),
     }
 }
 
@@ -352,6 +361,19 @@ fn state_diff(mem: &Mem, oracle: &ByteMem) -> Option<String> {
         }
         if mem.page_bytes(pno) != want.map(|p| &p.0) {
             return Some(format!("page {pno:#x} bytes differ"));
+        }
+    }
+    let seq = oracle.write_seq;
+    for g in [0, seq / 2, seq.saturating_sub(3), seq] {
+        let dirty: Vec<u32> = mem.dirty_pages_since(g).map(|(p, _, _)| p).collect();
+        let want: Vec<u32> = oracle
+            .pages
+            .iter()
+            .filter(|(_, p)| p.1 > g)
+            .map(|(&pno, _)| pno)
+            .collect();
+        if dirty != want {
+            return Some(format!("dirty_pages_since({g}) {dirty:?} vs {want:?}"));
         }
     }
     None
@@ -517,6 +539,8 @@ enum TableOp {
     Hold,
     /// Drop the oldest held snapshot.
     Release,
+    /// Start a new write set ([`Mem::mark_clean`]).
+    MarkClean,
 }
 
 const PERMS: [Perm; 4] = [Perm::R, Perm::RW, Perm::RX, Perm::RWX];
@@ -538,6 +562,7 @@ fn arb_table_op() -> impl Strategy<Value = TableOp> {
             .prop_map(|(pno, gen)| TableOp::RestoreFresh { pno, gen }),
         Just(TableOp::Hold),
         Just(TableOp::Release),
+        Just(TableOp::MarkClean),
     ]
 }
 
@@ -599,6 +624,7 @@ impl Tables {
                     self.held.remove(0);
                 }
             }
+            TableOp::MarkClean => self.mem.mark_clean(),
         }
         Ok(())
     }

@@ -513,7 +513,7 @@ impl Sweeper {
                 // only for pages dirtied since), and advance the service
                 // boundary: the idle state a later partial rollback
                 // restores to.
-                self.mgr.note_service(&self.machine, log_id as u32);
+                self.mgr.note_service(&mut self.machine, log_id as u32);
                 self.timeline.record(Event::RequestServed { log_id, bytes });
                 RequestOutcome::Served { log_id, bytes }
             }
@@ -555,7 +555,7 @@ impl Sweeper {
     /// this returns 0. Kept only so the `benchmark` package builds; ROADMAP
     /// item 3 deletes it with its caller.
     pub fn drain_precopy(&mut self) -> usize {
-        self.mgr.drain(&self.machine)
+        self.mgr.drain(&mut self.machine)
     }
 
     /// Handle a detected attack: obtain the antibody and the drop set,
@@ -635,7 +635,7 @@ impl Sweeper {
             .map(|c| c.domain)
             .collect();
         if let Some(&d) = attacked.first() {
-            self.mgr.note_attack(&self.machine, d);
+            self.mgr.note_attack(&mut self.machine, d);
         }
         // Fault seam: the eviction-race window between choosing a
         // checkpoint and replaying from it. A hook may evict the chosen

@@ -53,6 +53,11 @@
 #                must be byte-identical (invariant I10)
 #   fig9dist     `tables fig9dist` at 1k hosts; the binary asserts no
 #                unverified deployment (invariant I8) in any cell
+#   servicepath  `tables servicepath` at a reduced size: the service
+#                path of a protected Squid request, layer by layer, in
+#                host wall time. Gates on exit status only (every
+#                request must be served); its wall numbers are
+#                report-only
 #   benchmark    the end-to-end benchmark package's tests, which include
 #                `benchmark smoke`: every workload at a tiny size
 #                through the same code and correctness checks
@@ -193,6 +198,10 @@ stage_fig9dist() {
     cargo run --release -p bench --bin tables -- fig9dist --hosts=1000
 }
 
+stage_servicepath() {
+    cargo run --release -p bench --bin tables -- servicepath --requests=1000 --rounds=3
+}
+
 stage_benchmark() {
     cargo test --offline --manifest-path benchmark/Cargo.toml
 }
@@ -214,6 +223,7 @@ run_stage fleet-smoke stage_fleet_smoke
 run_stage epidemic-smoke stage_epidemic_smoke
 run_stage recovery-smoke stage_recovery_smoke
 run_stage fig9dist stage_fig9dist
+run_stage servicepath stage_servicepath
 run_stage benchmark stage_benchmark
 run_stage prodlines stage_prodlines
 

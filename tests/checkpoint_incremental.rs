@@ -172,7 +172,7 @@ impl Leg {
                 self.take();
             }
             HostOp::Drain => {
-                self.mgr.drain(&self.m);
+                self.mgr.drain(&mut self.m);
             }
             HostOp::Evict => {
                 self.mgr.evict_oldest();
@@ -326,7 +326,7 @@ fn pending_drain_does_not_leak_across_rollback() {
     // Dirty one page and drain it: the pending set now holds the page
     // under the current write generation, content [1; 8].
     leg.m.mem.write_bytes_host(buf, &[1u8; 8]).expect("patch");
-    assert_eq!(leg.mgr.drain(&leg.m), 1, "the patched page drains");
+    assert_eq!(leg.mgr.drain(&mut leg.m), 1, "the patched page drains");
     // Roll back to the base: write_seq rewinds past the drained
     // generation.
     let rolled = leg.mgr.rollback(base).expect("base materializes");
@@ -398,4 +398,39 @@ fn dedupe_store_eviction_fails_closed() {
         );
     }
     assert!(leg.mgr.materialize_failures() > 0, "failures were counted");
+}
+
+/// The served-request walk visits only the pages the request wrote: over
+/// 2,000 seed-7 Squid requests (with the takes a 200 ms cadence makes
+/// among them), each `note_service` walk visits no more page-table
+/// entries than it finds dirty pages. A scan of the whole table would
+/// visit every one of the host's ~290 mapped pages.
+#[test]
+fn request_walks_visit_only_written_pages() {
+    use sweeper_repro::apps::squid;
+    use sweeper_repro::apps::workload::{Target, Workload};
+    use sweeper_repro::sweeper::{Config, RequestOutcome, Sweeper};
+    let app = squid::app().expect("app");
+    let mut s = Sweeper::protect(&app, Config::producer(7)).expect("protect");
+    let mut w = Workload::new(Target::Squid, 7);
+    let (mut visited_total, mut written_total) = (0, 0);
+    for i in 0..2000 {
+        let (visited, written) = (s.mgr.walk_entries_visited, s.mgr.pages_drained_total);
+        let out = s.offer_request(w.next_request());
+        assert!(matches!(out, RequestOutcome::Served { .. }), "{out:?}");
+        let visited = s.mgr.walk_entries_visited - visited;
+        let written = s.mgr.pages_drained_total - written;
+        assert!(written > 0, "request {i} wrote nothing");
+        assert!(
+            visited <= written,
+            "request {i}: {visited} visited, {written} written"
+        );
+        visited_total += visited;
+        written_total += written;
+    }
+    assert!(s.mgr.taken_total > 1, "the cadence took checkpoints");
+    assert!(
+        visited_total < 20 * 2000,
+        "{visited_total} visits, {written_total} written"
+    );
 }

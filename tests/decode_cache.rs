@@ -461,3 +461,41 @@ fn rollback_flush_and_write_bump_same_page_count_once() {
     // invalidations.
     assert!(after_i.misses > warm_i.misses, "flushed pages re-decode");
 }
+
+#[test]
+fn data_stores_take_no_slow_path_validation() {
+    // A loop storing to a data word: no store lands on a decoded page,
+    // so the inline check keeps holding and the out-of-line path never
+    // re-compares a page generation.
+    let prog = assemble(
+        ".text\nmain:\n movi r1, v\nloop:\n ld r0, [r1, 0]\n addi r0, r0, 1\n st [r1, 0], r0\n jmp loop\n.data\nv: .word 0\n",
+    )
+    .expect("asm");
+    let mut m = Machine::boot(&prog, Aslr::off()).expect("boot");
+    assert!(matches!(m.run(&mut NopHook, 100_000), Status::Running));
+    let v = m.symbols.addr_of("v").expect("v");
+    assert!(m.mem.read_u32(0, v).expect("r") > 1_000, "the loop stored");
+    let st = m.icache_stats();
+    assert!(st.hits > 4_000, "{st:?}");
+    assert_eq!((st.validations, st.invalidations), (0, 0), "{st:?}");
+
+    // The same on a real request path: 500 benign Squid requests.
+    let app = squid::app().expect("app");
+    let mut s =
+        sweeper_repro::sweeper::Sweeper::protect(&app, sweeper_repro::sweeper::Config::producer(7))
+            .expect("protect");
+    let mut w = sweeper_repro::apps::workload::Workload::new(
+        sweeper_repro::apps::workload::Target::Squid,
+        7,
+    );
+    for _ in 0..500 {
+        let out = s.offer_request(w.next_request());
+        assert!(matches!(
+            out,
+            sweeper_repro::sweeper::RequestOutcome::Served { .. }
+        ));
+    }
+    let st = s.machine.icache_stats();
+    assert!(st.hits > 100_000, "{st:?}");
+    assert_eq!(st.validations, 0, "{st:?}");
+}

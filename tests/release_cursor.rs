@@ -158,7 +158,7 @@ impl World {
             .offer(&mut self.m, input.to_vec(), &[&Blocks(b"evil")]);
         if delivered {
             self.m.run(&mut NopHook, 100_000_000);
-            self.mgr.note_service(&self.m, id as u32);
+            self.mgr.note_service(&mut self.m, id as u32);
         }
         self.release();
     }
@@ -169,7 +169,7 @@ impl World {
         assert!(delivered);
         self.m.run(&mut NopHook, 100_000_000);
         assert!(matches!(self.m.status(), Status::Faulted(_)));
-        self.mgr.note_attack(&self.m, id as u32);
+        self.mgr.note_attack(&mut self.m, id as u32);
         id
     }
 }
