@@ -661,7 +661,7 @@ impl<S: HostSet> Shard<S> {
 }
 
 /// Which shard owns `host`, given per-shard `(lo, hi)` bounds.
-fn shard_of(host: u64, bounds: &[(u64, u64)]) -> usize {
+pub(crate) fn shard_of(host: u64, bounds: &[(u64, u64)]) -> usize {
     // Bounds are contiguous and sorted; binary search the partition.
     match bounds.binary_search_by(|&(lo, hi)| {
         if host < lo {

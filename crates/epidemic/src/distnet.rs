@@ -51,31 +51,48 @@
 //! results bit-identically (enforced by `tests/distnet_parity.rs` and
 //! the chaos differential leg).
 //!
-//! ## Index-based state (PR 9)
+//! ## Index-based state
 //!
-//! The million-host engine rework replaced this module's map-shaped
-//! state with host-index structures: per-consumer `protected` /
-//! `degraded` / `gave-up` flags live in [`crate::soa::HostBits`]
-//! bitsets (3 bits per consumer instead of a struct), quarantine lists
-//! in a host-indexed vector, and the send/arrival schedules in
-//! fixed-size **tick rings** instead of `BTreeMap<tick, …>`. Every
-//! scheduled entry lands strictly in the future and at most
-//! `cap + base − 1` (retries) or `max_delay + 1` (duplicated
-//! arrivals) ticks ahead, and the engine steps the network on every
-//! consecutive tick — so a ring of `cap + base + max_delay + 2`
-//! buckets indexed by `tick % horizon` can never collide. Bucket push
-//! order is preserved exactly as the map kept it, so delivery order —
-//! and therefore every outcome — is bit-identical to the map-based
-//! implementation (pinned by the PR 9 regression in
-//! `community::tests::pinned_outcomes_are_unchanged_by_the_rework`).
-//! Drained buckets are swapped back after processing, so the
-//! steady-state step loop allocates nothing.
+//! All per-consumer state is a few bytes, indexed by the consumer's
+//! offset `host - producers`:
+//!
+//! * the `protected` / `degraded` / `gave-up` flags are three
+//!   [`crate::soa::HostBits`] bitsets (3 bits per consumer);
+//! * the producers a consumer quarantined form a linked list of
+//!   `(src, next)` nodes in one arena shared by every consumer, headed
+//!   by one `u32` per consumer. A node is allocated only when a
+//!   rejection quarantines a new producer, and a membership test walks
+//!   the list, as short as the consumer's rejections;
+//! * the send and arrival schedules are fixed-size **tick rings**
+//!   instead of `BTreeMap<tick, …>`. Every scheduled entry lands
+//!   strictly in the future and at most `cap + base − 1` (retries) or
+//!   `max_delay + 1` (duplicated arrivals) ticks ahead, and the engine
+//!   steps the network on every consecutive tick, so a ring of
+//!   `cap + base + max_delay + 2` buckets indexed by `tick % horizon`
+//!   can never collide.
+//!
+//! A consumer has at most one outstanding send: the initial broadcast
+//! schedules one per consumer, and popping a send schedules at most one
+//! successor. So a send bucket is an intrusive FIFO list, a
+//! `head`/`tail` pair per bucket plus a `u32` link and a `u16` attempt
+//! number per consumer, and the initial broadcast is the list
+//! `0 → 1 → … → n−1`, built as the links are allocated. An arrival
+//! bucket holds 8-byte `(consumer, src)` entries and keeps its capacity
+//! across ticks. Every bucket is processed in push order, as the
+//! map-based schedule kept it, so delivery order, and therefore every
+//! outcome, is bit-identical to it (pinned by
+//! `community::tests::pinned_outcomes_are_unchanged_by_the_rework` and
+//! `tests/pinned_outputs.rs`). After [`DistNet::new`] the send schedule
+//! allocates nothing, and the arrival buckets and the quarantine arena
+//! only grow to their high-water marks; [`DistNet::heap_bytes`] sums
+//! every structure.
 
 use antibody::bundle::{Antibody, AntibodyItem};
 use antibody::signature::Signature;
 use antibody::vsef::VsefSpec;
 use antibody::CertifiedBundle;
 
+use crate::community::shard_of;
 use crate::rng::{draw, to_unit};
 use crate::soa::HostBits;
 
@@ -265,13 +282,36 @@ impl DistShardStats {
     }
 }
 
+/// End of a quarantine or send list (and an empty list head).
+const NIL: u32 = u32::MAX;
+
+/// The send link of a consumer that is in no send bucket: given up, or
+/// protected at its last pop. Distinct from [`NIL`], which marks the
+/// last consumer *in* a bucket.
+const UNLINKED: u32 = u32::MAX - 1;
+
 /// A bundle in flight, due at a known tick.
 #[derive(Debug, Clone, Copy)]
 struct Arrival {
-    /// Receiving host.
-    host: u64,
+    /// Receiving consumer, `host - producers`.
+    idx: u32,
     /// Sending producer.
-    src: u64,
+    src: u32,
+}
+
+/// One send bucket: a FIFO list of consumers threaded through
+/// [`DistNet::send_next`].
+#[derive(Debug, Clone, Copy)]
+struct SendList {
+    head: u32,
+    tail: u32,
+}
+
+impl SendList {
+    const EMPTY: SendList = SendList {
+        head: NIL,
+        tail: NIL,
+    };
 }
 
 /// The distribution network state for one community run.
@@ -302,12 +342,19 @@ pub struct DistNet {
     degraded_set: HostBits,
     /// Per-consumer exhausted-attempt-budget flags.
     gave_up_set: HostBits,
-    /// Producers quarantined by each consumer (host-indexed; empty for
-    /// consumers that never saw a rejection).
-    quarantined: Vec<Vec<u64>>,
-    /// Send schedule: ring bucket `due % horizon` holds the
-    /// `(host, attempt)` pairs due at tick `due`.
-    send_ring: Vec<Vec<(u64, u32)>>,
+    /// Per consumer, the first node of its quarantine list in
+    /// `quarantine_nodes` ([`NIL`] when it quarantined nobody).
+    quarantine_head: Vec<u32>,
+    /// Every consumer's quarantine list nodes: `(producer, next node)`.
+    quarantine_nodes: Vec<(u32, u32)>,
+    /// Send schedule: ring bucket `due % horizon` lists the consumers
+    /// whose outstanding send is due at tick `due`.
+    send_ring: Vec<SendList>,
+    /// Per consumer, the next consumer in its send bucket ([`NIL`] at
+    /// the bucket's tail, [`UNLINKED`] outside every bucket).
+    send_next: Vec<u32>,
+    /// Per consumer, the attempt number of its outstanding send.
+    send_attempt: Vec<u16>,
     /// In-flight bundles: ring bucket `due % horizon`.
     arrival_ring: Vec<Vec<Arrival>>,
     /// Ring size: strictly greater than the farthest-future schedule
@@ -365,6 +412,14 @@ impl DistNet {
     /// producer's bundle (forging the Byzantine ones) and verify it once,
     /// and record the initial broadcast tick. `bounds` is the community's
     /// contiguous shard partition (for counter attribution).
+    ///
+    /// # Panics
+    ///
+    /// Before allocating anything, if `p.max_attempts` exceeds the
+    /// attempt slots the draw counters reserve per host (a larger
+    /// budget would alias the wire rolls of `(host, 2¹⁶)` with those
+    /// of `(host + 1, 0)`), or if the producer or consumer ids do not
+    /// fit the network's 32-bit entries.
     pub fn new(
         p: &DistNetParams,
         seed: u64,
@@ -373,6 +428,20 @@ impl DistNet {
         bounds: &[(u64, u64)],
         activated_tick: u64,
     ) -> DistNet {
+        assert!(
+            u64::from(p.max_attempts) <= ATTEMPT_SLOTS,
+            "max_attempts {} exceeds the {ATTEMPT_SLOTS} attempt slots per host",
+            p.max_attempts
+        );
+        assert!(
+            producers <= hosts && producers <= u64::from(u32::MAX),
+            "{producers} producers of {hosts} hosts do not fit 32-bit producer ids"
+        );
+        let n_consumers = hosts - producers;
+        assert!(
+            n_consumers <= u64::from(UNLINKED),
+            "{n_consumers} consumers do not fit 32-bit consumer indices"
+        );
         let key = draw(seed, DOMAIN_KEY, 0);
         let honest_ab = model_antibody(seed);
         let mut byz = Vec::with_capacity(producers as usize);
@@ -399,22 +468,33 @@ impl DistNet {
             });
             verdicts.push(bundle.is_some_and(|b| b.verify(key).is_ok()));
         }
-        let consumers = producers..hosts;
-        let n_consumers = hosts - producers;
+        let n = n_consumers as u32;
         let horizon = p.cap() + p.base() + p.max_delay_ticks + 2;
-        let mut net = DistNet {
+        let mut send_ring = vec![SendList::EMPTY; horizon as usize];
+        // Initial broadcast: attempt 0 for every consumer, this tick,
+        // in consumer order.
+        if n > 0 {
+            send_ring[(activated_tick % horizon) as usize] = SendList {
+                head: 0,
+                tail: n - 1,
+            };
+        }
+        DistNet {
             p: *p,
             seed,
             producers,
-            consumers,
+            consumers: producers..hosts,
             bounds: bounds.to_vec(),
             verdicts,
             byz,
             protected_set: HostBits::new(n_consumers),
             degraded_set: HostBits::new(n_consumers),
             gave_up_set: HostBits::new(n_consumers),
-            quarantined: vec![Vec::new(); n_consumers as usize],
-            send_ring: vec![Vec::new(); horizon as usize],
+            quarantine_head: vec![NIL; n as usize],
+            quarantine_nodes: Vec::new(),
+            send_ring,
+            send_next: (1..=n).map(|i| if i == n { NIL } else { i }).collect(),
+            send_attempt: vec![0; n as usize],
             arrival_ring: vec![Vec::new(); horizon as usize],
             horizon,
             stats: vec![DistShardStats::default(); bounds.len()],
@@ -422,19 +502,7 @@ impl DistNet {
             protection_complete_tick: None,
             protected_count: 0,
             deployed_unverified: 0,
-        };
-        // Initial broadcast: attempt 0 for every consumer, this tick.
-        let slot = (activated_tick % horizon) as usize;
-        net.send_ring[slot] = net.consumers.clone().map(|h| (h, 0)).collect();
-        net
-    }
-
-    /// Shard index owning `host`.
-    fn shard_of(&self, host: u64) -> usize {
-        self.bounds
-            .iter()
-            .position(|&(lo, hi)| host >= lo && host < hi)
-            .unwrap_or(self.bounds.len() - 1)
+        }
     }
 
     /// Whether `host` has deployed a verified antibody.
@@ -452,19 +520,54 @@ impl DistNet {
         self.degraded_set.contains(idx) && !self.protected_set.contains(idx)
     }
 
+    /// Bytes of heap the network holds: capacity × element size, summed
+    /// over every structure.
+    pub fn heap_bytes(&self) -> usize {
+        fn cap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        cap(&self.bounds)
+            + cap(&self.verdicts)
+            + cap(&self.byz)
+            + self.protected_set.heap_bytes()
+            + self.degraded_set.heap_bytes()
+            + self.gave_up_set.heap_bytes()
+            + cap(&self.quarantine_head)
+            + cap(&self.quarantine_nodes)
+            + cap(&self.send_ring)
+            + cap(&self.send_next)
+            + cap(&self.send_attempt)
+            + cap(&self.arrival_ring)
+            + self.arrival_ring.iter().map(cap).sum::<usize>()
+            + cap(&self.stats)
+    }
+
     /// Counter key for `(host, attempt)` wire rolls.
     fn wire_key(host: u64, attempt: u32) -> u64 {
         host.wrapping_mul(ATTEMPT_SLOTS)
             .wrapping_add(u64::from(attempt))
     }
 
-    /// Deliver one bundle to `host`, verify-before-deploy. Returns 1 if
-    /// the host became protected *and* is not already infected (i.e. it
-    /// newly resolved), else 0.
-    fn deliver(&mut self, host: u64, src: u64, tick: u64, infected: &dyn Fn(u64) -> bool) -> u64 {
-        let shard = self.shard_of(host);
-        let idx = host - self.producers;
-        if self.protected_set.contains(idx) {
+    /// Whether consumer `idx` quarantined producer `src`.
+    fn quarantined(&self, idx: u32, src: u32) -> bool {
+        let mut node = self.quarantine_head[idx as usize];
+        while node != NIL {
+            let (q, next) = self.quarantine_nodes[node as usize];
+            if q == src {
+                return true;
+            }
+            node = next;
+        }
+        false
+    }
+
+    /// Deliver one bundle to consumer `idx`, verify-before-deploy.
+    /// Returns 1 if the host became protected *and* is not already
+    /// infected (i.e. it newly resolved), else 0.
+    fn deliver(&mut self, idx: u32, src: u32, tick: u64, infected: &dyn Fn(u64) -> bool) -> u64 {
+        let host = u64::from(idx) + self.producers;
+        let shard = shard_of(host, &self.bounds);
+        if self.protected_set.contains(u64::from(idx)) {
             self.stats[shard].late += 1;
             return 0;
         }
@@ -473,12 +576,18 @@ impl DistNet {
         // once in `new`). The *only* path into `protected_set`.
         if !self.verdicts[src as usize] {
             self.stats[shard].rejected += 1;
-            let q = &mut self.quarantined[idx as usize];
-            if !q.contains(&src) {
-                q.push(src);
+            if !self.quarantined(idx, src) {
+                assert!(
+                    self.quarantine_nodes.len() < NIL as usize,
+                    "quarantine arena exceeds 32-bit node ids"
+                );
+                let node = self.quarantine_nodes.len() as u32;
+                let head = &mut self.quarantine_head[idx as usize];
+                self.quarantine_nodes.push((src, *head));
+                *head = node;
                 self.stats[shard].quarantines += 1;
             }
-            self.degraded_set.insert(idx);
+            self.degraded_set.insert(u64::from(idx));
             return 0;
         }
         if self.byz[src as usize] {
@@ -487,7 +596,7 @@ impl DistNet {
             // terms.
             self.deployed_unverified += 1;
         }
-        self.protected_set.insert(idx);
+        self.protected_set.insert(u64::from(idx));
         self.stats[shard].verified += 1;
         self.protected_count += 1;
         if self.protected_count == self.consumers.end - self.consumers.start {
@@ -496,13 +605,20 @@ impl DistNet {
         u64::from(!infected(host))
     }
 
-    /// Schedule attempt `attempt` for `host` after the backoff.
-    fn schedule_retry(&mut self, host: u64, attempt: u32, tick: u64) {
+    /// Schedule attempt `attempt` for consumer `idx` after the backoff,
+    /// at the tail of its due bucket. `idx` must be in no send bucket.
+    fn schedule_retry(&mut self, idx: u32, attempt: u32, tick: u64) {
+        debug_assert_eq!(
+            self.send_next[idx as usize], UNLINKED,
+            "consumer {idx} would be linked into two send buckets"
+        );
+        let host = u64::from(idx) + self.producers;
         if attempt >= self.p.max_attempts {
-            let idx = host - self.producers;
-            if !self.gave_up_set.contains(idx) && !self.protected_set.contains(idx) {
-                self.gave_up_set.insert(idx);
-                let shard = self.shard_of(host);
+            if !self.gave_up_set.contains(u64::from(idx))
+                && !self.protected_set.contains(u64::from(idx))
+            {
+                self.gave_up_set.insert(u64::from(idx));
+                let shard = shard_of(host, &self.bounds);
                 self.stats[shard].gave_up += 1;
             }
             return;
@@ -514,7 +630,16 @@ impl DistNet {
             due - tick,
             self.horizon
         );
-        self.send_ring[(due % self.horizon) as usize].push((host, attempt));
+        // `attempt < max_attempts <= ATTEMPT_SLOTS`, so it fits a u16.
+        self.send_attempt[idx as usize] = attempt as u16;
+        self.send_next[idx as usize] = NIL;
+        let list = &mut self.send_ring[(due % self.horizon) as usize];
+        if list.tail == NIL {
+            list.head = idx;
+        } else {
+            self.send_next[list.tail as usize] = idx;
+        }
+        list.tail = idx;
     }
 
     /// One distribution tick: process due arrivals, then due sends.
@@ -526,60 +651,71 @@ impl DistNet {
         let slot = (tick % self.horizon) as usize;
         // Everything scheduled during this step lands strictly in the
         // future and within the horizon, so it can never hit `slot`;
-        // the drained buckets are swapped back below to keep their
-        // capacity — the steady-state step allocates nothing.
+        // the drained arrival bucket is swapped back below to keep its
+        // capacity.
         let mut arrivals = std::mem::take(&mut self.arrival_ring[slot]);
         for a in arrivals.drain(..) {
-            newly_resolved += self.deliver(a.host, a.src, tick, infected);
+            newly_resolved += self.deliver(a.idx, a.src, tick, infected);
         }
         self.arrival_ring[slot] = arrivals;
-        let mut due = std::mem::take(&mut self.send_ring[slot]);
-        for &(host, attempt) in due.iter() {
-            let idx = host - self.producers;
-            if self.protected_set.contains(idx) {
-                continue; // Acknowledged: the producer stops retrying.
-            }
-            let src = (host + u64::from(attempt)) % self.producers;
-            let shard = self.shard_of(host);
-            if self.quarantined[idx as usize].contains(&src) {
-                self.stats[shard].skipped_quarantined += 1;
-                self.schedule_retry(host, attempt + 1, tick);
-                continue;
-            }
-            self.stats[shard].sends += 1;
-            if attempt > 0 {
-                self.stats[shard].retries += 1;
-            }
-            let key = Self::wire_key(host, attempt);
-            // The send is unacknowledged until a delivery verifies, so
-            // the retry is scheduled unconditionally; a later verified
-            // delivery suppresses it at pop time.
-            self.schedule_retry(host, attempt + 1, tick);
-            if self.p.loss > 0.0 && to_unit(draw(self.seed, DOMAIN_LOSS, key)) < self.p.loss {
-                self.stats[shard].drops += 1;
-                continue;
-            }
-            let delay = if self.p.max_delay_ticks > 0 {
-                draw(self.seed, DOMAIN_DELAY, key) % (self.p.max_delay_ticks + 1)
-            } else {
-                0
-            };
-            if self.p.dup > 0.0 && to_unit(draw(self.seed, DOMAIN_DUP, key)) < self.p.dup {
-                self.stats[shard].dups += 1;
-                let at = ((tick + delay + 1) % self.horizon) as usize;
-                self.arrival_ring[at].push(Arrival { host, src });
-            }
-            if delay == 0 {
-                newly_resolved += self.deliver(host, src, tick, infected);
-            } else {
-                self.stats[shard].delayed += 1;
-                let at = ((tick + delay) % self.horizon) as usize;
-                self.arrival_ring[at].push(Arrival { host, src });
-            }
+        let mut idx = std::mem::replace(&mut self.send_ring[slot], SendList::EMPTY).head;
+        while idx != NIL {
+            // Unlink before anything can re-link `idx` into a later
+            // bucket.
+            let next = std::mem::replace(&mut self.send_next[idx as usize], UNLINKED);
+            newly_resolved += self.send_one(idx, tick, infected);
+            idx = next;
         }
-        due.clear();
-        self.send_ring[slot] = due;
         newly_resolved
+    }
+
+    /// Pop consumer `idx`'s send due at `tick`: skip it if the consumer
+    /// is protected, else transmit and schedule the next attempt. Returns
+    /// 1 if a same-tick delivery newly resolved the consumer, else 0.
+    fn send_one(&mut self, idx: u32, tick: u64, infected: &dyn Fn(u64) -> bool) -> u64 {
+        if self.protected_set.contains(u64::from(idx)) {
+            return 0; // Acknowledged: the producer stops retrying.
+        }
+        let host = u64::from(idx) + self.producers;
+        let attempt = u32::from(self.send_attempt[idx as usize]);
+        // `producers` fits a u32 (asserted in `new`), so `src` does too.
+        let src = ((host + u64::from(attempt)) % self.producers) as u32;
+        let shard = shard_of(host, &self.bounds);
+        if self.quarantined(idx, src) {
+            self.stats[shard].skipped_quarantined += 1;
+            self.schedule_retry(idx, attempt + 1, tick);
+            return 0;
+        }
+        self.stats[shard].sends += 1;
+        if attempt > 0 {
+            self.stats[shard].retries += 1;
+        }
+        let key = Self::wire_key(host, attempt);
+        // The send is unacknowledged until a delivery verifies, so
+        // the retry is scheduled unconditionally; a later verified
+        // delivery suppresses it at pop time.
+        self.schedule_retry(idx, attempt + 1, tick);
+        if self.p.loss > 0.0 && to_unit(draw(self.seed, DOMAIN_LOSS, key)) < self.p.loss {
+            self.stats[shard].drops += 1;
+            return 0;
+        }
+        let delay = if self.p.max_delay_ticks > 0 {
+            draw(self.seed, DOMAIN_DELAY, key) % (self.p.max_delay_ticks + 1)
+        } else {
+            0
+        };
+        if self.p.dup > 0.0 && to_unit(draw(self.seed, DOMAIN_DUP, key)) < self.p.dup {
+            self.stats[shard].dups += 1;
+            let at = ((tick + delay + 1) % self.horizon) as usize;
+            self.arrival_ring[at].push(Arrival { idx, src });
+        }
+        if delay == 0 {
+            return self.deliver(idx, src, tick, infected);
+        }
+        self.stats[shard].delayed += 1;
+        let at = ((tick + delay) % self.horizon) as usize;
+        self.arrival_ring[at].push(Arrival { idx, src });
+        0
     }
 
     /// Per-shard counters (index = shard).
@@ -646,6 +782,46 @@ mod tests {
 
     fn bounds1(hosts: u64) -> Vec<(u64, u64)> {
         vec![(0, hosts)]
+    }
+
+    /// More hosts than any allocation could hold: `new` must refuse
+    /// each unrepresentable parameter before it reserves a byte, so
+    /// these panic with the assert's message, not an allocation failure.
+    const UNALLOCATABLE: u64 = u64::MAX;
+
+    #[test]
+    #[should_panic(expected = "attempt slots per host")]
+    fn an_attempt_budget_past_the_draw_slots_is_refused() {
+        let p = DistNetParams {
+            max_attempts: ATTEMPT_SLOTS as u32 + 1,
+            ..DistNetParams::ideal()
+        };
+        DistNet::new(&p, 7, UNALLOCATABLE, 1, &bounds1(UNALLOCATABLE), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit producer ids")]
+    fn producer_ids_past_u32_are_refused() {
+        let p = DistNetParams::ideal();
+        let producers = u64::from(u32::MAX) + 1;
+        DistNet::new(&p, 7, UNALLOCATABLE, producers, &bounds1(UNALLOCATABLE), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit consumer indices")]
+    fn consumer_indices_past_u32_are_refused() {
+        let p = DistNetParams::ideal();
+        DistNet::new(&p, 7, UNALLOCATABLE, 1, &bounds1(UNALLOCATABLE), 0);
+    }
+
+    #[test]
+    fn the_full_attempt_budget_is_accepted() {
+        let p = DistNetParams {
+            max_attempts: ATTEMPT_SLOTS as u32,
+            ..DistNetParams::ideal()
+        };
+        let mut net = DistNet::new(&p, 7, 10, 2, &bounds1(10), 0);
+        assert_eq!(net.step(0, &|_| false), 8);
     }
 
     #[test]

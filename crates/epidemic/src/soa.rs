@@ -49,6 +49,11 @@ impl HostBits {
         }
     }
 
+    /// Bytes of heap the set holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Capacity of the set (number of addressable indices).
     pub fn len(&self) -> u64 {
         self.len

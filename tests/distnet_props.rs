@@ -6,7 +6,9 @@
 //! from pure draws), and its jitter must stay inside one base interval
 //! so that retries spread without reordering. On top of the schedule,
 //! the end-to-end property: under any finite loss rate, an honest-wire
-//! community eventually protects every consumer.
+//! community eventually protects every consumer. Last, a bound on the
+//! network's own memory: a few bytes per consumer, however many
+//! quarantines, retries and in-flight bundles it holds.
 
 use proptest::prelude::*;
 use sweeper_repro::epidemic::community::{run, CommunityEngine, CommunityParams};
@@ -151,4 +153,30 @@ proptest! {
             consumers
         );
     }
+}
+
+/// The network's whole heap stays a few bytes per consumer: a
+/// 20,000-host lossy, partly Byzantine wire stepped directly for 1,000
+/// ticks never holds more than 32 bytes per consumer, counting every
+/// structure at its capacity (the quarantine arena, the arrival
+/// buckets at their high-water marks, the send links and attempts).
+#[test]
+fn distnet_heap_stays_within_32_bytes_per_consumer() {
+    use sweeper_repro::epidemic::DistNet;
+    let (hosts, producers) = (20_000u64, 20u64);
+    let consumers = hosts - producers;
+    let p = DistNetParams::lossy(0.4, 0.2);
+    let mut net = DistNet::new(&p, 7, hosts, producers, &[(0, hosts)], 0);
+    for tick in 0..1_000 {
+        net.step(tick, &|_| false);
+        assert!(
+            net.heap_bytes() as u64 <= 32 * consumers,
+            "tick {tick}: {} heap bytes for {consumers} consumers",
+            net.heap_bytes()
+        );
+    }
+    // The run must exercise what the bound covers: quarantines fill the
+    // arena and losses keep retries in the send schedule.
+    let s = net.shard_stats()[0];
+    assert!(s.quarantines > 0 && s.retries > 0 && s.dups > 0 && s.delayed > 0);
 }

@@ -405,3 +405,105 @@ fn community_arms_are_pinned() {
         "community outcome moved"
     );
 }
+
+/// The distribution network's parameter corners, each a one-field
+/// change to `DistNetParams::lossy(0.4, 0.2)` on a 5,000-host community
+/// with 5 producers, at one and three shards: `(corner, k, infected,
+/// ticks, gave_up, skipped_quarantined, community_fnv)`. A jitter span
+/// above one tick, a three-tick delay, heavy duplication, half the
+/// producers Byzantine, and an attempt budget small enough that
+/// consumers give up. Seed 11 makes two of the five producers
+/// Byzantine even at the 0.2 fraction, and with so few producers a
+/// consumer's retries come back to one it quarantined, so every corner
+/// but the four-attempt one also takes the send path that skips it. Recorded before `DistNet`'s
+/// state moved to an arena and intrusive lists.
+#[test]
+fn distnet_corners_are_pinned() {
+    use sweeper_repro::epidemic::community::{run, CommunityEngine, CommunityParams};
+    use sweeper_repro::epidemic::{DistNetParams, FailContParams, Parallelism};
+    let lossy = DistNetParams::lossy(0.4, 0.2);
+    let corners = [
+        (
+            "jitter",
+            DistNetParams {
+                retry_base_ticks: 3,
+                retry_cap_ticks: 8,
+                ..lossy
+            },
+        ),
+        (
+            "delay",
+            DistNetParams {
+                max_delay_ticks: 3,
+                ..lossy
+            },
+        ),
+        ("dup", DistNetParams { dup: 0.3, ..lossy }),
+        (
+            "byzantine",
+            DistNetParams {
+                byzantine: 0.5,
+                ..lossy
+            },
+        ),
+        (
+            "give-up",
+            DistNetParams {
+                max_attempts: 4,
+                ..lossy
+            },
+        ),
+    ];
+    let mut got = Vec::new();
+    for k in [1usize, 3] {
+        for &(name, distnet) in &corners {
+            let o = run(&CommunityParams {
+                hosts: 5_000,
+                alpha: 0.001,
+                rho: 0.1,
+                gamma_ticks: 20,
+                attempts_per_tick: 1,
+                attempt_prob: 1.0,
+                i0: 20,
+                max_ticks: 400,
+                seed: 11,
+                parallelism: Parallelism::Fixed(k),
+                engine: CommunityEngine::Soa,
+                distnet,
+                failcont: FailContParams::disabled(),
+            });
+            let stats = &o
+                .dist
+                .as_ref()
+                .expect("the network activates in every corner")
+                .shard_stats;
+            let gave_up = stats.iter().map(|s| s.gave_up).sum::<u64>();
+            let skipped = stats.iter().map(|s| s.skipped_quarantined).sum::<u64>();
+            got.push((
+                name,
+                k,
+                o.infected,
+                o.ticks,
+                gave_up,
+                skipped,
+                community_fnv(o),
+            ));
+        }
+    }
+    assert_eq!(
+        got,
+        vec![
+            ("jitter", 1, 878, 180, 0, 172, 0xe942_9f3a_1fc7_d686),
+            ("delay", 1, 725, 211, 0, 169, 0x3612_2f46_0240_5dad),
+            ("dup", 1, 696, 210, 0, 169, 0x4f34_534e_56fe_93a3),
+            ("byzantine", 1, 1_733, 307, 0, 6_010, 0x6622_6dff_dd7f_2c8b),
+            ("give-up", 1, 1_077, 400, 1_117, 0, 0x037d_e7fe_f6a9_3666),
+            ("jitter", 3, 878, 180, 0, 172, 0xc0d4_5131_dafa_d006),
+            ("delay", 3, 725, 211, 0, 169, 0x6926_ef4a_0572_324f),
+            ("dup", 3, 696, 210, 0, 169, 0xb5aa_a383_5121_24ab),
+            ("byzantine", 3, 1_733, 307, 0, 6_010, 0xaae8_0160_9942_500d),
+            ("give-up", 3, 1_077, 400, 1_117, 0, 0xb8e9_3639_05de_ab94),
+        ],
+        "distribution-network corner moved"
+    );
+}
